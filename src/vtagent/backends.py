@@ -18,7 +18,7 @@ import mimetypes
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Union
 
@@ -66,6 +66,17 @@ class GenerationRequest:
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
+    @property
+    def digest(self) -> str:
+        """sha256 of the canonical form, computed once per request object."""
+        # not functools.cached_property: before Python 3.12 it takes one lock
+        # shared by all instances, which convoys parallel workers
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = hashlib.sha256(canonicalize_request(self).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
+
 
 @dataclass(frozen=True)
 class Transcript:
@@ -104,7 +115,7 @@ def canonicalize_request(request: GenerationRequest) -> str:
 
 
 def request_digest(request: GenerationRequest) -> str:
-    return hashlib.sha256(canonicalize_request(request).encode("utf-8")).hexdigest()
+    return request.digest
 
 
 class ScriptedBackend:
@@ -169,7 +180,7 @@ class TranscriptStore:
 
     def record(self, request: GenerationRequest, response: str,
                latency_ms: int = 0, backend_id: str = "") -> Transcript:
-        t = Transcript(request_digest=request_digest(request), response_text=response,
+        t = Transcript(request_digest=request.digest, response_text=response,
                        latency_ms=latency_ms, backend_id=backend_id)
         line = json.dumps({
             "digest": t.request_digest, "response": t.response_text,
@@ -198,7 +209,7 @@ class ReplayBackend:
         self.store = store
 
     def complete(self, request: GenerationRequest) -> str:
-        t = self.store.get(request_digest(request))
+        t = self.store.get(request.digest)
         if t is None:
             raise BackendUnavailable("cache miss")
         return t.response_text

@@ -211,9 +211,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     video_report = aggregate(video_scores)
     reporting.write_score_log(video_scores, video_report, cfg.out_dir / "scores.jsonl")
 
+    framewise_log = _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume)
     report = oracle.oracle_upper_bound(manifest, backend, ecfg,
-                                       video_accuracy=video_report.mean_accuracy)
-    oracle.write_framewise_log(report.results, cfg.out_dir / "framewise.jsonl")
+                                       video_accuracy=video_report.mean_accuracy,
+                                       log_path=framewise_log)
     oracle.write_partition(report.partition, cfg.out_dir)
     print(f"{'video ACC.':<16} {video_report.mean_accuracy:8.2f}")
     print(f"{'oracle ACC.':<16} {report.oracle_accuracy:8.2f}")

@@ -7,20 +7,21 @@ attempts), then freeze the canonical two-turn rendering as the target.
 RL: keep only samples with mixed outcomes over repeated attempts — all-correct
 and all-wrong samples carry no group-relative learning signal.
 
-Both pipelines are resumable and idempotent: sample_ids already present in the
-output file are skipped on rerun.
+Both run each sample's attempt loop as one unit of `engine.run_units`:
+`parallelism` samples at a time, each kept sample's line appended in manifest
+order as soon as it is done, and sample_ids already in the output skipped.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .backends import Backend
-from .data_model import DatasetManifest, Sample
-from .engine import EngineConfig, Trajectory, run_episode
+from .data_model import DatasetManifest
+from .engine import EngineConfig, Trajectory, run_episode, run_units
 from .errors import BackendTimeout, BackendUnavailable, ResponseEmpty
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
 from .metrics import anls, exact_accuracy
@@ -36,7 +37,7 @@ def default_judge(pred: str, golds: Sequence[str]) -> bool:
 @dataclass(frozen=True)
 class SftRecord:
     sample_id: str
-    prompt: dict          # anchor prompt descriptor (template id, question, frame count)
+    prompt: dict          # anchor prompt descriptor (question, frame count)
     target: str           # canonical two-turn rendering
     teacher_id: str
     attempts: int
@@ -65,23 +66,42 @@ class CurationStats:
         return f"kept {100.0 * (self.kept + self.skipped) / denom:.1f}% of inputs"
 
 
-def _existing_ids(path: Optional[Path]) -> set[str]:
-    if path is None or not path.exists():
-        return set()
-    ids = set()
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                ids.add(json.loads(line)["sample_id"])
-    return ids
+def _episodes(sample, backend: Backend, engine_config: EngineConfig,
+              attempts: int) -> Iterator[tuple[int, Trajectory]]:
+    """Up to `attempts` one-shot stochastic episodes, attempt k seeded seed + k.
+
+    Parse retries are curation attempts, not engine retries, and fallback
+    keyframes are always uniform.
+    """
+    episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform")
+    for attempt in range(1, attempts + 1):
+        cfg = replace(episode_config,
+                      seed=None if engine_config.seed is None else engine_config.seed + attempt)
+        yield attempt, run_episode(sample, backend, cfg)
 
 
-def _append(path: Optional[Path], obj: dict) -> None:
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+def _curate(manifest: DatasetManifest, unit, parallelism: int,
+            out_path: str | Path | None) -> tuple[list, CurationStats]:
+    """Run `unit` once per sample through the runner and tally the outcomes.
+
+    unit(sample) returns (record, line) for a kept sample and None for a
+    dropped one; a backend failure marks the sample failed and logs nothing.
+    """
+    def one(sample):
+        try:
+            kept = unit(sample)
+        except (BackendUnavailable, BackendTimeout, ResponseEmpty):
+            return ("failed", None), None
+        if kept is None:
+            return ("dropped", None), None
+        return ("kept", kept[0]), kept[1]
+
+    _, results = run_units(manifest.samples, one, parallelism, out_path)
+    counts = Counter(outcome for outcome, _ in results)
+    stats = CurationStats(kept=counts["kept"], dropped=counts["dropped"],
+                          skipped=len(manifest.samples) - len(results),
+                          failed=counts["failed"])
+    return [record for outcome, record in results if outcome == "kept"], stats
 
 
 def _sft_target(traj: Trajectory) -> str:
@@ -104,52 +124,28 @@ def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
                         teacher_id: str = "teacher") -> tuple[list[SftRecord], CurationStats]:
     """Per sample: stochastic episodes until one passes (valid selection + judged
     answer), at most max_attempts; never-passing samples are dropped."""
-    out = Path(out_path) if out_path is not None else None
-    done = _existing_ids(out)
-    records: list[SftRecord] = []
-    stats = CurationStats()
-    # one-shot episodes: parse retries are curation attempts, not engine retries
-    episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform")
-    for sample in manifest.samples:
-        if sample.sample_id in done:
-            stats.skipped += 1
-            continue
-        accepted: Optional[SftRecord] = None
-        try:
-            for attempt in range(1, max_attempts + 1):
-                cfg = replace(episode_config,
-                              seed=None if engine_config.seed is None
-                              else engine_config.seed + attempt)
-                traj = run_episode(sample, teacher_backend, cfg)
-                if traj.used_fallback:
-                    continue  # fallback keyframes are not valid supervision
-                target = _sft_target(traj)
-                if not _check_target(target, sample.gold_answers, judge):
-                    continue
-                accepted = SftRecord(
-                    sample_id=sample.sample_id,
-                    prompt={"template": engine_config.anchor_template_id,
-                            "question": sample.question,
-                            "n_frames": len(sample.frames)},
-                    target=target, teacher_id=teacher_id, attempts=attempt)
-                break
-        except (BackendUnavailable, BackendTimeout, ResponseEmpty):
-            stats.failed += 1
-            continue
-        if accepted is None:
-            stats.dropped += 1
-            continue
-        stats.kept += 1
-        records.append(accepted)
-        _append(out, {
-            "sample_id": accepted.sample_id,
-            "frames": [f.source_path for f in sample.frames],
-            "question": sample.question,
-            "target": accepted.target,
-            "teacher": accepted.teacher_id,
-            "attempts": accepted.attempts,
-        })
-    return records, stats
+    def unit(sample) -> Optional[tuple[SftRecord, dict]]:
+        for attempt, traj in _episodes(sample, teacher_backend, engine_config, max_attempts):
+            if traj.used_fallback:
+                continue  # fallback keyframes are not valid supervision
+            target = _sft_target(traj)
+            if not _check_target(target, sample.gold_answers, judge):
+                continue
+            record = SftRecord(
+                sample_id=sample.sample_id,
+                prompt={"question": sample.question, "n_frames": len(sample.frames)},
+                target=target, teacher_id=teacher_id, attempts=attempt)
+            return record, {
+                "sample_id": record.sample_id,
+                "frames": [f.source_path for f in sample.frames],
+                "question": sample.question,
+                "target": record.target,
+                "teacher": record.teacher_id,
+                "attempts": record.attempts,
+            }
+        return None
+
+    return _curate(manifest, unit, engine_config.parallelism, out_path)
 
 
 def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
@@ -160,39 +156,20 @@ def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
 
     Malformed or fallback answers count as incorrect.
     """
-    out = Path(out_path) if out_path is not None else None
-    done = _existing_ids(out)
-    records: list[RlRecord] = []
-    stats = CurationStats()
-    episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform")
-    for sample in manifest.samples:
-        if sample.sample_id in done:
-            stats.skipped += 1
-            continue
+    def unit(sample) -> Optional[tuple[RlRecord, dict]]:
         answers: list[str] = []
         correct = 0
-        try:
-            for attempt in range(1, attempts + 1):
-                cfg = replace(episode_config,
-                              seed=None if engine_config.seed is None
-                              else engine_config.seed + attempt)
-                traj = run_episode(sample, model_backend, cfg)
-                answer = (traj.turn2.action.text
-                          if isinstance(traj.turn2.action, Answer) else "")
-                answers.append(answer)
-                if answer and judge(answer, sample.gold_answers):
-                    correct += 1
-        except (BackendUnavailable, BackendTimeout, ResponseEmpty):
-            stats.failed += 1
-            continue
-        if 0 < correct < attempts:
-            rec = RlRecord(sample_id=sample.sample_id, correct_count=correct,
-                           attempt_answers=tuple(answers))
-            records.append(rec)
-            stats.kept += 1
-            _append(out, {"sample_id": rec.sample_id,
-                          "correct_count": rec.correct_count,
-                          "attempt_answers": list(rec.attempt_answers)})
-        else:
-            stats.dropped += 1
-    return records, stats
+        for _, traj in _episodes(sample, model_backend, engine_config, attempts):
+            answer = traj.turn2.action.text if isinstance(traj.turn2.action, Answer) else ""
+            answers.append(answer)
+            if answer and judge(answer, sample.gold_answers):
+                correct += 1
+        if not 0 < correct < attempts:
+            return None
+        record = RlRecord(sample_id=sample.sample_id, correct_count=correct,
+                          attempt_answers=tuple(answers))
+        return record, {"sample_id": record.sample_id,
+                        "correct_count": record.correct_count,
+                        "attempt_answers": list(record.attempt_answers)}
+
+    return _curate(manifest, unit, engine_config.parallelism, out_path)

@@ -4,44 +4,42 @@ Turn 1 shows every presented frame (labeled "Frame {i}:") and asks for a
 keyframe selection; turn 2 carries turn 1 back as an assistant message and
 shows only the selected keyframes. Persistent anchoring failure falls back to
 uniformly spaced keyframes (or direct answering), flagged on the trajectory.
+
+`run_units` is the work-unit runner of every pipeline that calls the model.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .backends import Backend, GenerationRequest, ImagePart, Message, TextPart, request_digest
-from .data_model import DatasetManifest, Sample, uniform_indices
+from .data_model import DatasetManifest, FrameRef, Sample, uniform_indices
 from .errors import (BackendTimeout, BackendUnavailable, ConfigError, EmptySelection,
                      MissingActionBlock, ResponseEmpty, UnparsableAction)
 from .grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                       render_turn, validate_keyframes)
 
-ANCHOR_TEMPLATES = {
-    "default": (
-        "You are given {n} video frames, each labeled with its index, and a question "
-        "about text visible in the video. First write your analysis inside "
-        "<reasoning></reasoning>. Then output exactly one action inside "
-        "<action></action> choosing the frames whose visible text is needed to answer, "
-        "in the form: select key frame: [id1, id2, ...]"
-    ),
-}
+ANCHOR_TEMPLATE = (
+    "You are given {n} video frames, each labeled with its index, and a question "
+    "about text visible in the video. First write your analysis inside "
+    "<reasoning></reasoning>. Then output exactly one action inside "
+    "<action></action> choosing the frames whose visible text is needed to answer, "
+    "in the form: select key frame: [id1, id2, ...]"
+)
 
-ANSWER_TEMPLATES = {
-    "default": (
-        "These are the keyframes you selected, labeled with their indices. Read the "
-        "text in them carefully and answer the question. Write your analysis inside "
-        "<reasoning></reasoning>, then output exactly one action inside "
-        "<action></action> in the form: answer: <your answer>"
-    ),
-}
+ANSWER_TEMPLATE = (
+    "These are the keyframes you selected, labeled with their indices. Read the "
+    "text in them carefully and answer the question. Write your analysis inside "
+    "<reasoning></reasoning>, then output exactly one action inside "
+    "<action></action> in the form: answer: <your answer>"
+)
 
 DIRECT_TEMPLATE = (
     "You are given {n} video frames, each labeled with its index, and a question "
@@ -50,14 +48,14 @@ DIRECT_TEMPLATE = (
     "<action></action> in the form: answer: <your answer>"
 )
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     keyframe_cap: int = 8
     max_attempts: int = 5
     parallelism: int = 1
-    anchor_template_id: str = "default"
-    answer_template_id: str = "default"
     fallback_policy: str = "uniform"  # "uniform" | "direct"
     temperature: float = 0.0
     max_new_tokens: int = 512
@@ -69,10 +67,6 @@ class EngineConfig:
             raise ConfigError("max_attempts must be >= 1")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if self.anchor_template_id not in ANCHOR_TEMPLATES:
-            raise ConfigError(f"unknown anchor template {self.anchor_template_id!r}")
-        if self.answer_template_id not in ANSWER_TEMPLATES:
-            raise ConfigError(f"unknown answer template {self.answer_template_id!r}")
         if self.fallback_policy not in ("uniform", "direct"):
             raise ConfigError(f"unknown fallback policy {self.fallback_policy!r}")
 
@@ -97,35 +91,33 @@ def derive_seed(base: Optional[int], sample_id: str, stage: str, attempt: int) -
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big")
 
 
-def build_anchor_prompt(sample: Sample, config: EngineConfig) -> tuple[Message, ...]:
-    parts: list = [TextPart(ANCHOR_TEMPLATES[config.anchor_template_id].format(n=len(sample.frames)))]
-    for frame in sample.frames:
+def frames_turn(instruction: str, frames: Iterable[FrameRef], question: str) -> Message:
+    """User turn: the instruction, each frame as a "Frame {i}:" label followed by
+    its image, then the question."""
+    parts = [TextPart(instruction)]
+    for frame in frames:
         parts.append(TextPart(f"Frame {frame.index}:"))
         parts.append(ImagePart(path=frame.source_path, index=frame.index))
-    parts.append(TextPart(f"Question: {sample.question}"))
-    return (Message(role="user", parts=tuple(parts)),)
+    parts.append(TextPart(f"Question: {question}"))
+    return Message(role="user", parts=tuple(parts))
+
+
+def build_anchor_prompt(sample: Sample, config: EngineConfig) -> tuple[Message, ...]:
+    return (frames_turn(ANCHOR_TEMPLATE.format(n=len(sample.frames)), sample.frames,
+                        sample.question),)
 
 
 def build_answer_prompt(sample: Sample, turn1: Turn, keyframes: KeyframeSet,
                         config: EngineConfig) -> tuple[Message, ...]:
     assistant = Message(role="assistant", parts=(TextPart(render_turn(turn1)),))
-    parts: list = [TextPart(ANSWER_TEMPLATES[config.answer_template_id])]
     by_index = {f.index: f for f in sample.frames}
-    for fid in keyframes.ids:
-        frame = by_index[fid]
-        parts.append(TextPart(f"Frame {frame.index}:"))
-        parts.append(ImagePart(path=frame.source_path, index=frame.index))
-    parts.append(TextPart(f"Question: {sample.question}"))
-    return (assistant, Message(role="user", parts=tuple(parts)))
+    keyframe_refs = [by_index[fid] for fid in keyframes.ids]
+    return (assistant, frames_turn(ANSWER_TEMPLATE, keyframe_refs, sample.question))
 
 
 def build_direct_prompt(sample: Sample, config: EngineConfig) -> tuple[Message, ...]:
-    parts: list = [TextPart(DIRECT_TEMPLATE.format(n=len(sample.frames)))]
-    for frame in sample.frames:
-        parts.append(TextPart(f"Frame {frame.index}:"))
-        parts.append(ImagePart(path=frame.source_path, index=frame.index))
-    parts.append(TextPart(f"Question: {sample.question}"))
-    return (Message(role="user", parts=tuple(parts)),)
+    return (frames_turn(DIRECT_TEMPLATE.format(n=len(sample.frames)), sample.frames,
+                        sample.question),)
 
 
 def complete_with_retry(backend: Backend, request: GenerationRequest,
@@ -248,33 +240,54 @@ def read_log(path: str | Path) -> list[dict]:
     return records
 
 
+def run_units(samples: Sequence[Sample], fn: Callable[[Sample], tuple[T, Optional[dict]]],
+              parallelism: int, log_path: str | Path | None = None,
+              ) -> tuple[list[dict], list[T]]:
+    """Map fn over the samples not yet in log_path, `parallelism` at a time.
+
+    fn returns (result, record); a record that is not None is appended to
+    log_path and flushed as soon as it and every record before it in manifest
+    order are done, so a kill loses only unfinished samples. An exception
+    from fn stops the run after the records of the samples before it.
+    Returns the records already in the log and the new results in manifest
+    order.
+    """
+    prior = read_log(log_path) if log_path is not None else []
+    done = {r["sample_id"] for r in prior}
+    todo = [s for s in samples if s.sample_id not in done]
+    results: list[T] = []
+    if not todo:
+        return prior, results
+    if log_path is not None:
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=parallelism) as pool, \
+            (open(log_path, "a", encoding="utf-8") if log_path is not None
+             else nullcontext()) as log:
+        # pool.map yields in submission order, so the log stays in manifest order
+        for result, record in pool.map(fn, todo):
+            results.append(result)
+            if log is not None and record is not None:
+                log.write(json.dumps(record, ensure_ascii=False) + "\n")
+                log.flush()
+    return prior, results
+
+
 def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
               log_path: str | Path) -> list[dict]:
-    """Run episodes over the manifest with bounded parallelism.
+    """Run episodes over the manifest through `run_units`.
 
-    The log is resumable: already-logged sample_ids are skipped. New records
-    are appended in manifest order regardless of completion order. Returns
-    the full record list (prior + new) in manifest order.
+    Each record (a trajectory, or an error once retries are spent) is
+    appended to the log as soon as it and every earlier sample are done; a
+    rerun skips the sample_ids already logged. Returns the full record list
+    (prior + new) in manifest order.
     """
-    log_path = Path(log_path)
-    existing = {r["sample_id"]: r for r in read_log(log_path)}
-    todo = [s for s in manifest.samples if s.sample_id not in existing]
-
-    def one(sample: Sample) -> dict:
+    def one(sample: Sample) -> tuple[dict, dict]:
         try:
-            return trajectory_record(run_episode(sample, backend, config))
+            rec = trajectory_record(run_episode(sample, backend, config))
         except (BackendUnavailable, BackendTimeout, ResponseEmpty) as e:
-            return {"sample_id": sample.sample_id, "error": str(e)}
+            rec = {"sample_id": sample.sample_id, "error": str(e)}
+        return rec, rec
 
-    new_records: list[dict] = []
-    if todo:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            # pool.map preserves submission order, so the log stays in manifest order
-            new_records = list(pool.map(one, todo))
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        with log_path.open("a", encoding="utf-8") as fh:
-            for rec in new_records:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-    merged = dict(existing)
-    merged.update({r["sample_id"]: r for r in new_records})
+    prior, new = run_units(manifest.samples, one, config.parallelism, log_path)
+    merged = {r["sample_id"]: r for r in prior + new}
     return [merged[s.sample_id] for s in manifest.samples if s.sample_id in merged]

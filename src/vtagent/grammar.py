@@ -10,7 +10,7 @@ bit-exact. All functions here are pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import EmptySelection, MissingActionBlock, UnparsableAction

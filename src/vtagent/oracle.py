@@ -5,23 +5,25 @@ counts as frame-solvable when any frame alone yields the exact answer. The
 OR over frames is an upper bound exposing how much of the video-level gap is
 evidence localization rather than reasoning. Correct frames double as pseudo
 keyframe annotations for hit-rate measurement.
+
+`oracle_upper_bound` runs one `framewise_eval` per sample through
+`engine.run_units`, so its log is written per sample and a rerun resumes it.
 """
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import Backend, GenerationRequest, ImagePart, Message, TextPart
+from .backends import Backend, GenerationRequest, Message
 from .data_model import DatasetManifest, Sample
-from .engine import ANSWER_TEMPLATES, EngineConfig, complete_with_retry, derive_seed
+from .engine import (ANSWER_TEMPLATE, EngineConfig, complete_with_retry, derive_seed,
+                     frames_turn, run_units)
 from .errors import (BackendTimeout, BackendUnavailable, MissingActionBlock,
                      NotFrameSolvable, ResponseEmpty, UnparsableAction)
-from .grammar import Answer, parse_turn
-from .metrics import MetricReport, SampleScore, exact_accuracy, hit
+from .grammar import Answer, KeyframeSet, parse_turn
+from .metrics import SampleScore, exact_accuracy, hit
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,7 @@ def build_frame_prompt(sample: Sample, frame_index: int,
                        config: EngineConfig) -> tuple[Message, ...]:
     """Single-image variant of the answer-turn prompt, so the only difference
     from the video-level run is the visual context."""
-    frame = sample.frames[frame_index]
-    parts = (
-        TextPart(ANSWER_TEMPLATES[config.answer_template_id]),
-        TextPart(f"Frame {frame.index}:"),
-        ImagePart(path=frame.source_path, index=frame.index),
-        TextPart(f"Question: {sample.question}"),
-    )
-    return (Message(role="user", parts=parts),)
+    return (frames_turn(ANSWER_TEMPLATE, (sample.frames[frame_index],), sample.question),)
 
 
 def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> FramewiseResult:
@@ -103,12 +98,22 @@ class OracleReport:
 
 def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
                        config: EngineConfig,
-                       video_accuracy: Optional[float] = None) -> OracleReport:
-    def one(sample: Sample) -> FramewiseResult:
-        return framewise_eval(sample, backend, config)
+                       video_accuracy: Optional[float] = None,
+                       log_path: str | Path | None = None) -> OracleReport:
+    """Frame-wise evaluation of every sample, `config.parallelism` samples at a
+    time. With log_path, vectors already logged are reused and each new one
+    is appended (framewise.jsonl format) as soon as it is done."""
+    def one(sample: Sample) -> tuple[FramewiseResult, dict]:
+        result = framewise_eval(sample, backend, config)
+        return result, {"sample_id": result.sample_id,
+                        "vector": list(result.per_frame_correct),
+                        "any_correct": result.any_correct}
 
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        results = list(pool.map(one, manifest.samples))
+    prior, new = run_units(manifest.samples, one, config.parallelism, log_path)
+    by_id = {r["sample_id"]: FramewiseResult(r["sample_id"], tuple(r["vector"]))
+             for r in prior}
+    by_id.update((r.sample_id, r) for r in new)
+    results = [by_id[s.sample_id] for s in manifest.samples]
     set_s = tuple(r.sample_id for r in results if r.any_correct)
     set_u = tuple(r.sample_id for r in results if not r.any_correct)
     n = len(results) or 1
@@ -142,7 +147,6 @@ def stratified_report(scores: Sequence[SampleScore], partition: Partition,
         acc = 100.0 * sum(s.accuracy for s in subset) / len(subset)
         hit_rate = None
         if name == "Set_s" and selections is not None and pseudo is not None:
-            from .grammar import KeyframeSet
             hits = []
             for s in subset:
                 sel = selections.get(s.sample_id)
@@ -153,17 +157,6 @@ def stratified_report(scores: Sequence[SampleScore], partition: Partition,
                 hit_rate = 100.0 * sum(hits) / len(hits)
         rows.append(SubsetRow(subset=name, n=len(subset), accuracy=acc, hit_rate=hit_rate))
     return rows
-
-
-def write_framewise_log(results: Sequence[FramewiseResult], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(json.dumps({"sample_id": r.sample_id,
-                                 "vector": list(r.per_frame_correct),
-                                 "any_correct": r.any_correct},
-                                ensure_ascii=False) + "\n")
 
 
 def write_partition(partition: Partition, out_dir: str | Path) -> None:

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from .data_model import DatasetManifest
 from .errors import MalformedRecord
 from .grammar import KeyframeSet
-from .metrics import (MetricReport, SampleScore, aggregate, anls, exact_accuracy, hit)
+from .metrics import MetricReport, SampleScore, anls, exact_accuracy, hit
 from .oracle import SubsetRow
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from dataclasses import replace
@@ -23,6 +24,13 @@ def simple_request(text="hello", seed=None):
 class TestDigest:
     def test_stable_across_objects(self):
         assert request_digest(simple_request()) == request_digest(simple_request())
+
+    def test_cached_digest_is_sha256_of_canonical_form(self):
+        req = simple_request(seed=3)
+        want = hashlib.sha256(canonicalize_request(req).encode("utf-8")).hexdigest()
+        assert req.digest == want
+        assert request_digest(req) == want
+        assert replace(req, seed=4).digest != want
 
     def test_key_order_irrelevant(self):
         # canonical form is key-sorted: reserializing a reversed-key view of the

@@ -1,13 +1,16 @@
 import itertools
 import json
+import threading
+import time
 
 import pytest
 
-from conftest import request_stage
+from conftest import request_question, request_stage
 from vtagent.backends import FunctionBackend, ScriptedBackend
 from vtagent.curation import (default_judge, filter_rl_corpus, generate_sft_corpus)
 from vtagent.data_model import DatasetManifest
 from vtagent.engine import EngineConfig
+from vtagent.errors import BackendUnavailable
 from vtagent.grammar import Answer, SelectKeyframes, parse_trajectory_text
 
 
@@ -128,3 +131,50 @@ class TestRlCorpus:
                                           cfg(), attempts=5, out_path=out)
         assert records == [] and stats.skipped == 2
         assert out.read_bytes() == size
+
+
+class SeededBackend:
+    """Outcome is a pure function of (question, seed), so any schedule of the
+    same requests gives the same answers; also tracks peak calls in flight."""
+
+    def __init__(self, manifest: DatasetManifest):
+        self.golds = {s.question: s.gold_answers[0] for s in manifest.samples}
+        self.down = manifest.samples[-1].question  # one sample fails outright
+        self.backend_id = "seeded"
+        self._lock = threading.Lock()
+        self.inflight = self.peak = 0
+
+    def complete(self, request):
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(0.002)
+            question = request_question(request)
+            if question == self.down:
+                raise BackendUnavailable("down")
+            roll = (request.seed + len(question)) % 5
+            if request_stage(request) == "anchor":
+                return "garbage" if roll == 0 else select()
+            return answer(self.golds[question] if roll % 2 else "definitely wrong")
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+@pytest.mark.parametrize("curate", [generate_sft_corpus, filter_rl_corpus])
+def test_output_identical_across_parallelism(curate, manifest_factory, tmp_path):
+    manifest = manifest_factory(n_samples=12)
+    outputs, stats, peaks = [], [], []
+    for par in (1, 8):
+        backend = SeededBackend(manifest)
+        out = tmp_path / f"p{par}.jsonl"
+        _, st = curate(manifest, backend, cfg(parallelism=par, temperature=1.0),
+                       out_path=out)
+        outputs.append(out.read_bytes())
+        stats.append(st)
+        peaks.append(backend.peak)
+    assert outputs[0] == outputs[1]
+    assert stats[0] == stats[1]
+    assert stats[0].kept and stats[0].dropped and stats[0].failed == 1
+    assert peaks[0] == 1 and peaks[1] > 1  # parallelism is honoured

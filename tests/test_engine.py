@@ -1,14 +1,15 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
-from conftest import request_image_count, request_stage
+from conftest import request_image_count, request_question, request_stage
 from vtagent.backends import (FunctionBackend, ImagePart, RecordingBackend,
                               ReplayBackend, ScriptedBackend, TextPart, TranscriptStore)
 from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prompt,
                             read_log, run_batch, run_episode)
-from vtagent.errors import BackendUnavailable, ConfigError
+from vtagent.errors import BackendUnavailable
 from vtagent.grammar import Answer, KeyframeSet, SelectKeyframes, Turn, render_turn
 
 
@@ -31,10 +32,6 @@ class TestPrompts:
             if isinstance(part, ImagePart):
                 assert msg.parts[i - 1] == TextPart(f"Frame {part.index}:")
         assert sum(1 for t in labels if sample.question in t) == 1
-
-    def test_unknown_template_fails_fast(self):
-        with pytest.raises(ConfigError):
-            EngineConfig(anchor_template_id="nope")
 
     def test_answer_prompt_only_keyframes(self, sample_factory):
         sample = sample_factory(n_frames=10)
@@ -172,3 +169,29 @@ class TestRunBatch:
                             fast_config(max_attempts=1), tmp_path / "log.jsonl")
         assert all("error" in r for r in records)
         assert len(records) == 3
+
+    def test_kill_mid_run_keeps_finished_prefix(self, manifest_factory,
+                                                oracle_backend_factory, tmp_path):
+        manifest = manifest_factory(n_samples=10)
+        k = 4
+        doomed = manifest.samples[k].question
+        healthy = oracle_backend_factory(manifest)
+
+        def dies_on_k(request):
+            if request_question(request) == doomed:
+                time.sleep(0.05)  # let later samples finish first
+                raise RuntimeError("killed")
+            return healthy.complete(request)
+
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(RuntimeError):
+            run_batch(manifest, FunctionBackend(dies_on_k), fast_config(parallelism=4), log)
+        assert [r["sample_id"] for r in read_log(log)] == \
+            [s.sample_id for s in manifest.samples[:k]]
+
+        backend = oracle_backend_factory(manifest)
+        records = run_batch(manifest, backend, fast_config(parallelism=4), log)
+        assert backend.calls == 2 * (len(manifest.samples) - k)
+        assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
+        assert [r["sample_id"] for r in read_log(log)] == \
+            [s.sample_id for s in manifest.samples]

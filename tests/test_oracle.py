@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from conftest import request_question, request_stage
@@ -107,6 +110,27 @@ class TestUpperBound:
         for k in range(4):
             fixed_acc = 100.0 * sum(r.per_frame_correct[k] for r in report.results) / n
             assert report.oracle_accuracy >= fixed_acc
+
+
+    def test_resume_queries_only_unlogged_samples(self, manifest_factory, tmp_path):
+        manifest = manifest_factory(n_samples=6, n_frames=3)
+        solvable = {s.question: {1} for s in manifest.samples[::2]}
+        fresh = oracle.oracle_upper_bound(manifest, frame_backend(manifest, solvable),
+                                          cfg(parallelism=4))
+
+        log = tmp_path / "framewise.jsonl"
+        head = replace(manifest, samples=manifest.samples[:4])
+        oracle.oracle_upper_bound(head, frame_backend(manifest, solvable), cfg(), log_path=log)
+        backend = frame_backend(manifest, solvable)
+        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(parallelism=4),
+                                            log_path=log)
+        assert backend.calls == 2 * 3  # two unlogged samples, three frames each
+        assert resumed.partition == fresh.partition
+        assert resumed.oracle_accuracy == fresh.oracle_accuracy
+        logged = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [r["sample_id"] for r in logged] == [s.sample_id for s in manifest.samples]
+        assert [tuple(r["vector"]) for r in logged] == \
+            [r.per_frame_correct for r in fresh.results]
 
 
 class TestStratified:
