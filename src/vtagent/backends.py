@@ -15,7 +15,6 @@ import base64
 import hashlib
 import json
 import mimetypes
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -238,22 +237,10 @@ class EndpointConfig:
     model: str
     api_key: Optional[str] = None
     timeout_s: float = 120.0
-    image_mode: str = "base64"  # base64 data URIs or "file_url"
-
-    @classmethod
-    def from_env(cls, **overrides) -> "EndpointConfig":
-        base = dict(
-            base_url=os.environ.get("VTAGENT_API_BASE", ""),
-            model=os.environ.get("VTAGENT_MODEL", ""),
-            api_key=os.environ.get("VTAGENT_API_KEY"),
-        )
-        base.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**base)
 
 
-def _image_url(path: str, mode: str) -> str:
-    if mode == "file_url":
-        return Path(path).resolve().as_uri()
+def _image_url(path: str) -> str:
+    """The image file as a base64 data URI."""
     mime = mimetypes.guess_type(path)[0] or "image/png"
     data = base64.b64encode(Path(path).read_bytes()).decode("ascii")
     return f"data:{mime};base64,{data}"
@@ -268,7 +255,7 @@ def _wire_payload(config: EndpointConfig, request: GenerationRequest) -> dict:
                 content.append({"type": "text", "text": p.text})
             else:
                 content.append({"type": "image_url",
-                                "image_url": {"url": _image_url(p.path, config.image_mode)}})
+                                "image_url": {"url": _image_url(p.path)}})
         messages.append({"role": m.role, "content": content})
     payload = {
         "model": config.model,

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -27,42 +27,35 @@ from .engine import EngineConfig, run_batch
 from .errors import ConfigError, VtagentError
 from .metrics import REPORT_HEADER, aggregate, format_report
 
-DEFAULTS = {
-    "backend": "http",
-    "api_base": "",
-    "api_key": "",
-    "model": "",
-    "frames": 32,
-    "cap": 8,
-    "parallelism": 1,
-    "max_attempts": 5,
-    "seed": 0,
-    "temperature": 0.0,
-    "out_dir": "out",
-    "fallback": "uniform",
-}
-
 ENV_KEYS = {"api_base": "VTAGENT_API_BASE", "api_key": "VTAGENT_API_KEY",
             "model": "VTAGENT_MODEL"}
+
+BACKENDS = ("http", "scripted", "replay")
 
 
 @dataclass
 class RunConfig:
-    backend: str
-    api_base: str
-    api_key: str
-    model: str
-    frames: int
-    cap: int
-    parallelism: int
-    max_attempts: int
-    seed: int
-    temperature: float
-    out_dir: Path
-    fallback: str
+    """Every run setting with its default, in `config show` order; a file, env
+    or flag value is converted with the type of its default."""
+    backend: str = "http"
+    api_base: str = ""
+    api_key: str = ""
+    model: str = ""
+    frames: int = 32
+    cap: int = 8
+    parallelism: int = 1
+    max_attempts: int = 5
+    seed: int = 0
+    temperature: float = 0.0
+    out_dir: Path = Path("out")
+    fallback: str = "uniform"  # config file only: no flag
+    # per-invocation arguments, not settings
     script: Optional[Path] = None
     store: Optional[Path] = None
     resume: bool = False
+
+
+SETTINGS = tuple(f for f in fields(RunConfig) if f.name not in ("script", "store", "resume"))
 
 
 def _read_config_file(path: Path) -> dict:
@@ -79,48 +72,36 @@ def _read_config_file(path: Path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
+    values = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        merged.update(_read_config_file(path))
-    for key, env in ENV_KEYS.items():
-        if os.environ.get(env):
-            merged[key] = os.environ[env]
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+        values.update(_read_config_file(path))
+    values.update((key, os.environ[env]) for key, env in ENV_KEYS.items()
+                  if os.environ.get(env))
+    values.update((f.name, getattr(args, f.name)) for f in SETTINGS
+                  if getattr(args, f.name, None) is not None)
     try:
-        return RunConfig(
-            backend=str(merged["backend"]),
-            api_base=str(merged["api_base"]),
-            api_key=str(merged["api_key"]),
-            model=str(merged["model"]),
-            frames=int(merged["frames"]),
-            cap=int(merged["cap"]),
-            parallelism=int(merged["parallelism"]),
-            max_attempts=int(merged["max_attempts"]),
-            seed=int(merged["seed"]),
-            temperature=float(merged["temperature"]),
-            out_dir=Path(merged["out_dir"]),
-            fallback=str(merged["fallback"]),
-            script=Path(args.script) if getattr(args, "script", None) else None,
-            store=Path(args.store) if getattr(args, "store", None) else None,
-            resume=bool(getattr(args, "resume", False)),
-        )
+        settings = {f.name: type(f.default)(values[f.name]) for f in SETTINGS
+                    if f.name in values}
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid configuration value: {e}") from e
+    return RunConfig(
+        **settings,
+        script=Path(args.script) if getattr(args, "script", None) else None,
+        store=Path(args.store) if getattr(args, "store", None) else None,
+        resume=bool(getattr(args, "resume", False)),
+    )
 
 
-def engine_config(cfg: RunConfig, temperature: Optional[float] = None) -> EngineConfig:
+def engine_config(cfg: RunConfig) -> EngineConfig:
     return EngineConfig(
         keyframe_cap=cfg.cap,
         max_attempts=cfg.max_attempts,
         parallelism=cfg.parallelism,
         fallback_policy=cfg.fallback,
-        temperature=cfg.temperature if temperature is None else temperature,
+        temperature=cfg.temperature,
         seed=cfg.seed,
     )
 
@@ -172,6 +153,17 @@ def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifes
     return replace(manifest, samples=samples)
 
 
+def _prepare(args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest, Backend]:
+    """The prologue of every model-calling command: settings, preflight,
+    sampled manifest, backend, and the output directory."""
+    cfg = resolve_config(args)
+    preflight(cfg)
+    manifest = _load_sampled_manifest(cfg, args.manifest)
+    backend = build_backend(cfg)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, manifest, backend
+
+
 def _fresh(path: Path, resume: bool) -> Path:
     if not resume and path.exists():
         path.unlink()
@@ -179,11 +171,7 @@ def _fresh(path: Path, resume: bool) -> Path:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    preflight(cfg)
-    manifest = _load_sampled_manifest(cfg, args.manifest)
-    backend = build_backend(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, manifest, backend = _prepare(args)
     log_path = _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume)
     records = run_batch(manifest, backend, engine_config(cfg), log_path)
     failures = sum(1 for r in records if "error" in r)
@@ -198,11 +186,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    preflight(cfg)
-    manifest = _load_sampled_manifest(cfg, args.manifest)
-    backend = build_backend(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, manifest, backend = _prepare(args)
     ecfg = engine_config(cfg)
 
     video_log = _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume)
@@ -224,17 +208,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_curate_sft(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    preflight(cfg)
-    manifest = _load_sampled_manifest(cfg, args.manifest)
+    cfg, manifest, backend = _prepare(args)
     manifest = replace(manifest, samples=tuple(dedupe_samples(manifest.samples)))
-    backend = build_backend(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = _fresh(cfg.out_dir / "sft_corpus.jsonl", cfg.resume)
-    # stochastic decoding: retries only make sense off the greedy path
     records, stats = curation.generate_sft_corpus(
-        manifest, backend, engine_config(cfg, temperature=1.0),
-        max_attempts=cfg.max_attempts, out_path=out_path,
+        manifest, backend, engine_config(cfg), out_path=out_path,
         teacher_id=cfg.model or "teacher")
     print(stats.yield_line())
     print(f"kept {stats.kept} new, {stats.skipped} resumed, dropped {stats.dropped}, "
@@ -245,15 +223,10 @@ def cmd_curate_sft(args: argparse.Namespace) -> int:
 
 
 def cmd_curate_rl(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    preflight(cfg)
-    manifest = _load_sampled_manifest(cfg, args.manifest)
-    backend = build_backend(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, manifest, backend = _prepare(args)
     out_path = _fresh(cfg.out_dir / "rl_corpus.jsonl", cfg.resume)
     records, stats = curation.filter_rl_corpus(
-        manifest, backend, engine_config(cfg, temperature=1.0),
-        attempts=cfg.max_attempts, out_path=out_path)
+        manifest, backend, engine_config(cfg), out_path=out_path)
     print(stats.yield_line())
     hist: dict[int, int] = {}
     for rec in records:
@@ -323,8 +296,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_config(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    for key in DEFAULTS:
-        print(f"{key}={getattr(cfg, key)}")
+    for f in SETTINGS:
+        print(f"{f.name}={getattr(cfg, f.name)}")
     return 0
 
 
@@ -332,17 +305,10 @@ def _add_common(p: argparse.ArgumentParser, manifest: bool = True) -> None:
     if manifest:
         p.add_argument("--manifest", required=True)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--backend", choices=["http", "scripted", "replay"])
-    p.add_argument("--api-base", dest="api_base")
-    p.add_argument("--api-key", dest="api_key")
-    p.add_argument("--model")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--parallelism", type=int)
-    p.add_argument("--max-attempts", dest="max_attempts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--temperature", type=float)
+    for f in SETTINGS:
+        if f.name != "fallback":
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                           choices=BACKENDS if f.name == "backend" else None)
     p.add_argument("--script", help="response file for the scripted backend")
     p.add_argument("--store", help="transcript store for record/replay")
     p.add_argument("--resume", action="store_true")

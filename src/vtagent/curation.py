@@ -1,10 +1,14 @@
 """Training-corpus builders.
 
-SFT: rerun episodes with stochastic decoding until the trajectory both uses a
-valid keyframe selection and produces a judged-correct answer (up to five
-attempts), then freeze the canonical two-turn rendering as the target.
+Both rerun each sample up to `EngineConfig.max_attempts` times as one-shot
+episodes decoded at temperature 1 (whatever the configured temperature),
+attempt k seeded seed + k, with uniform fallback keyframes.
 
-RL: keep only samples with mixed outcomes over repeated attempts — all-correct
+SFT: stop at the first trajectory that both uses a valid keyframe selection
+and produces a judged-correct answer, then freeze the canonical two-turn
+rendering as the target.
+
+RL: run every attempt and keep only samples with mixed outcomes — all-correct
 and all-wrong samples carry no group-relative learning signal.
 
 Both run each sample's attempt loop as one unit of `engine.run_units`:
@@ -22,7 +26,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .backends import Backend
 from .data_model import DatasetManifest
 from .engine import EngineConfig, Trajectory, run_episode, run_units
-from .errors import BackendTimeout, BackendUnavailable, ResponseEmpty
+from .errors import TRANSIENT_ERRORS
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
 from .metrics import anls, exact_accuracy
 
@@ -66,15 +70,17 @@ class CurationStats:
         return f"kept {100.0 * (self.kept + self.skipped) / denom:.1f}% of inputs"
 
 
-def _episodes(sample, backend: Backend, engine_config: EngineConfig,
-              attempts: int) -> Iterator[tuple[int, Trajectory]]:
-    """Up to `attempts` one-shot stochastic episodes, attempt k seeded seed + k.
+def _episodes(sample, backend: Backend,
+              engine_config: EngineConfig) -> Iterator[tuple[int, Trajectory]]:
+    """Up to `engine_config.max_attempts` one-shot episodes, attempt k seeded seed + k.
 
-    Parse retries are curation attempts, not engine retries, and fallback
-    keyframes are always uniform.
+    Decoding is stochastic (temperature 1): retries only make sense off the
+    greedy path. Parse retries are curation attempts, not engine retries, and
+    fallback keyframes are always uniform.
     """
-    episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform")
-    for attempt in range(1, attempts + 1):
+    episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform",
+                             temperature=1.0)
+    for attempt in range(1, engine_config.max_attempts + 1):
         cfg = replace(episode_config,
                       seed=None if engine_config.seed is None else engine_config.seed + attempt)
         yield attempt, run_episode(sample, backend, cfg)
@@ -90,7 +96,7 @@ def _curate(manifest: DatasetManifest, unit, parallelism: int,
     def one(sample):
         try:
             kept = unit(sample)
-        except (BackendUnavailable, BackendTimeout, ResponseEmpty):
+        except TRANSIENT_ERRORS:
             return ("failed", None), None
         if kept is None:
             return ("dropped", None), None
@@ -120,12 +126,13 @@ def _check_target(target: str, golds: Sequence[str], judge: Judge) -> bool:
 
 def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
                         engine_config: EngineConfig, judge: Judge = default_judge,
-                        max_attempts: int = 5, out_path: str | Path | None = None,
+                        out_path: str | Path | None = None,
                         teacher_id: str = "teacher") -> tuple[list[SftRecord], CurationStats]:
     """Per sample: stochastic episodes until one passes (valid selection + judged
-    answer), at most max_attempts; never-passing samples are dropped."""
+    answer), at most engine_config.max_attempts; never-passing samples are
+    dropped."""
     def unit(sample) -> Optional[tuple[SftRecord, dict]]:
-        for attempt, traj in _episodes(sample, teacher_backend, engine_config, max_attempts):
+        for attempt, traj in _episodes(sample, teacher_backend, engine_config):
             if traj.used_fallback:
                 continue  # fallback keyframes are not valid supervision
             target = _sft_target(traj)
@@ -150,21 +157,22 @@ def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
 
 def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
                      engine_config: EngineConfig, judge: Judge = default_judge,
-                     attempts: int = 5, out_path: str | Path | None = None,
+                     out_path: str | Path | None = None,
                      ) -> tuple[list[RlRecord], CurationStats]:
-    """Retain samples whose repeated outcomes are mixed: 0 < correct < attempts.
+    """Retain samples whose outcomes over engine_config.max_attempts stochastic
+    episodes are mixed: 0 < correct < max_attempts.
 
     Malformed or fallback answers count as incorrect.
     """
     def unit(sample) -> Optional[tuple[RlRecord, dict]]:
         answers: list[str] = []
         correct = 0
-        for _, traj in _episodes(sample, model_backend, engine_config, attempts):
+        for _, traj in _episodes(sample, model_backend, engine_config):
             answer = traj.turn2.action.text if isinstance(traj.turn2.action, Answer) else ""
             answers.append(answer)
             if answer and judge(answer, sample.gold_answers):
                 correct += 1
-        if not 0 < correct < attempts:
+        if not 0 < correct < engine_config.max_attempts:
             return None
         record = RlRecord(sample_id=sample.sample_id, correct_count=correct,
                           attempt_answers=tuple(answers))

@@ -60,20 +60,15 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    """Uniform(n) keeps n index-spaced frames; All keeps everything."""
+    """Uniform(n) keeps n index-spaced frames."""
 
-    kind: str  # "uniform" | "all"
-    n: Optional[int] = None
+    n: int
 
     @classmethod
     def uniform(cls, n: int) -> "SamplingPolicy":
         if n < 1:
             raise ValueError("Uniform(n) requires n >= 1")
-        return cls(kind="uniform", n=n)
-
-    @classmethod
-    def all(cls) -> "SamplingPolicy":
-        return cls(kind="all")
+        return cls(n=n)
 
 
 def uniform_indices(count: int, n: int) -> list[int]:
@@ -85,8 +80,7 @@ def uniform_indices(count: int, n: int) -> list[int]:
     return [(i * (count - 1)) // (n - 1) for i in range(n)]
 
 
-def _sample_from_record(obj: dict, line_no: int, frame_root: Optional[Path],
-                        check_frames: bool) -> Sample:
+def _sample_from_record(obj: dict, line_no: int, check_frames: bool) -> Sample:
     for field in ("sample_id", "video_id", "question", "answers", "frames"):
         if field not in obj:
             raise MalformedRecord(line_no, f"missing field {field!r}")
@@ -98,8 +92,6 @@ def _sample_from_record(obj: dict, line_no: int, frame_root: Optional[Path],
         if not isinstance(fr, dict) or "index" not in fr or "path" not in fr:
             raise MalformedRecord(line_no, "frame entries need index and path")
         path = str(fr["path"])
-        if frame_root is not None and not Path(path).is_absolute():
-            path = str(frame_root / path)
         if check_frames and not Path(path).exists():
             raise MissingFrameFile(path)
         frames.append(FrameRef(index=int(fr["index"]), source_path=path,
@@ -122,11 +114,9 @@ def _sample_from_record(obj: dict, line_no: int, frame_root: Optional[Path],
         raise MalformedRecord(line_no, str(e)) from e
 
 
-def load_manifest(path: str | Path, frame_root: str | Path | None = None,
-                  check_frames: bool = True) -> DatasetManifest:
+def load_manifest(path: str | Path, check_frames: bool = True) -> DatasetManifest:
     """Load a JSONL manifest, aborting on the first invalid record."""
     path = Path(path)
-    root = Path(frame_root) if frame_root is not None else None
     samples: list[Sample] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
@@ -139,7 +129,7 @@ def load_manifest(path: str | Path, frame_root: str | Path | None = None,
                 raise MalformedRecord(line_no, f"invalid JSON: {e}") from e
             if not isinstance(obj, dict):
                 raise MalformedRecord(line_no, "record must be an object")
-            sample = _sample_from_record(obj, line_no, root, check_frames)
+            sample = _sample_from_record(obj, line_no, check_frames)
             if sample.sample_id in seen:
                 raise DuplicateSampleId(sample.sample_id)
             seen.add(sample.sample_id)
@@ -180,7 +170,7 @@ def sample_frames(sample: Sample, policy: SamplingPolicy) -> Sample:
     annotations on dropped frames are discarded.
     """
     count = len(sample.frames)
-    if policy.kind == "all" or policy.n >= count:
+    if policy.n >= count:
         return sample
     keep = uniform_indices(count, policy.n)
     mapping = {orig: new for new, orig in enumerate(keep)}

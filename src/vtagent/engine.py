@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .backends import Backend, GenerationRequest, ImagePart, Message, TextPart, request_digest
 from .data_model import DatasetManifest, FrameRef, Sample, uniform_indices
-from .errors import (BackendTimeout, BackendUnavailable, ConfigError, EmptySelection,
-                     MissingActionBlock, ResponseEmpty, UnparsableAction)
+from .errors import (TRANSIENT_ERRORS, ConfigError, EmptySelection, MissingActionBlock,
+                     UnparsableAction)
 from .grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                       render_turn, validate_keyframes)
 
@@ -58,7 +58,6 @@ class EngineConfig:
     parallelism: int = 1
     fallback_policy: str = "uniform"  # "uniform" | "direct"
     temperature: float = 0.0
-    max_new_tokens: int = 512
     seed: Optional[int] = None
     backoff_base_s: float = 0.1
 
@@ -102,20 +101,20 @@ def frames_turn(instruction: str, frames: Iterable[FrameRef], question: str) -> 
     return Message(role="user", parts=tuple(parts))
 
 
-def build_anchor_prompt(sample: Sample, config: EngineConfig) -> tuple[Message, ...]:
+def build_anchor_prompt(sample: Sample) -> tuple[Message, ...]:
     return (frames_turn(ANCHOR_TEMPLATE.format(n=len(sample.frames)), sample.frames,
                         sample.question),)
 
 
-def build_answer_prompt(sample: Sample, turn1: Turn, keyframes: KeyframeSet,
-                        config: EngineConfig) -> tuple[Message, ...]:
+def build_answer_prompt(sample: Sample, turn1: Turn,
+                        keyframes: KeyframeSet) -> tuple[Message, ...]:
     assistant = Message(role="assistant", parts=(TextPart(render_turn(turn1)),))
     by_index = {f.index: f for f in sample.frames}
     keyframe_refs = [by_index[fid] for fid in keyframes.ids]
     return (assistant, frames_turn(ANSWER_TEMPLATE, keyframe_refs, sample.question))
 
 
-def build_direct_prompt(sample: Sample, config: EngineConfig) -> tuple[Message, ...]:
+def build_direct_prompt(sample: Sample) -> tuple[Message, ...]:
     return (frames_turn(DIRECT_TEMPLATE.format(n=len(sample.frames)), sample.frames,
                         sample.question),)
 
@@ -127,7 +126,7 @@ def complete_with_retry(backend: Backend, request: GenerationRequest,
     for attempt in range(config.max_attempts):
         try:
             return backend.complete(request)
-        except (BackendUnavailable, BackendTimeout, ResponseEmpty) as e:
+        except TRANSIENT_ERRORS as e:
             last = e
             if attempt + 1 < config.max_attempts:
                 time.sleep(config.backoff_base_s * (2 ** attempt))
@@ -141,7 +140,6 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
     def call(messages: tuple[Message, ...], stage: str, attempt: int) -> str:
         req = GenerationRequest(
             messages=messages,
-            max_new_tokens=config.max_new_tokens,
             temperature=config.temperature,
             seed=derive_seed(config.seed, sample.sample_id, stage, attempt),
         )
@@ -152,7 +150,7 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
     turn1: Optional[Turn] = None
     keyframes: Optional[KeyframeSet] = None
     attempts1 = 0
-    anchor = build_anchor_prompt(sample, config)
+    anchor = build_anchor_prompt(sample)
     for attempt in range(config.max_attempts):
         attempts1 = attempt + 1
         raw = call(anchor, "anchor", attempt)
@@ -169,13 +167,13 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
     used_fallback = turn1 is None
     if used_fallback:
         if config.fallback_policy == "direct":
-            return _direct_answer_episode(sample, backend, config, call, digests, attempts1)
+            return _direct_answer_episode(sample, config, call, digests, attempts1)
         ids = tuple(uniform_indices(frame_count, config.keyframe_cap))
         keyframes = KeyframeSet(ids=ids)
         turn1 = Turn(reasoning="", action=SelectKeyframes(frame_ids=ids), raw="")
 
     # turn 2: keyframe-conditioned answering
-    answer_prompt = build_answer_prompt(sample, turn1, keyframes, config)
+    answer_prompt = build_answer_prompt(sample, turn1, keyframes)
     turn2, attempts2, answered = _answer_loop(answer_prompt, call, "answer", config)
     return Trajectory(
         sample_id=sample.sample_id, turn1=turn1, keyframes=keyframes, turn2=turn2,
@@ -200,8 +198,8 @@ def _answer_loop(messages, call, stage: str, config: EngineConfig) -> tuple[Turn
     return Turn(reasoning="", action=Answer(text=""), raw=last_raw), attempts, False
 
 
-def _direct_answer_episode(sample, backend, config, call, digests, attempts1) -> Trajectory:
-    prompt = build_direct_prompt(sample, config)
+def _direct_answer_episode(sample, config, call, digests, attempts1) -> Trajectory:
+    prompt = build_direct_prompt(sample)
     turn2, attempts2, _ = _answer_loop(prompt, call, "direct", config)
     all_ids = tuple(f.index for f in sample.frames)
     return Trajectory(
@@ -284,7 +282,7 @@ def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
     def one(sample: Sample) -> tuple[dict, dict]:
         try:
             rec = trajectory_record(run_episode(sample, backend, config))
-        except (BackendUnavailable, BackendTimeout, ResponseEmpty) as e:
+        except TRANSIENT_ERRORS as e:
             rec = {"sample_id": sample.sample_id, "error": str(e)}
         return rec, rec
 

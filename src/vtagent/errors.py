@@ -68,6 +68,10 @@ class ResponseEmpty(VtagentError):
     pass
 
 
+# failures a retry may cure: every catch site of a transient backend error uses this
+TRANSIENT_ERRORS = (BackendUnavailable, BackendTimeout, ResponseEmpty)
+
+
 class StoreWriteFailed(VtagentError):
     pass
 

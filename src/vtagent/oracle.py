@@ -20,8 +20,7 @@ from .backends import Backend, GenerationRequest, Message
 from .data_model import DatasetManifest, Sample
 from .engine import (ANSWER_TEMPLATE, EngineConfig, complete_with_retry, derive_seed,
                      frames_turn, run_units)
-from .errors import (BackendTimeout, BackendUnavailable, MissingActionBlock,
-                     NotFrameSolvable, ResponseEmpty, UnparsableAction)
+from .errors import TRANSIENT_ERRORS, MissingActionBlock, NotFrameSolvable, UnparsableAction
 from .grammar import Answer, KeyframeSet, parse_turn
 from .metrics import SampleScore, exact_accuracy, hit
 
@@ -43,8 +42,7 @@ class Partition:
     set_u: tuple[str, ...]  # frame-unsolvable
 
 
-def build_frame_prompt(sample: Sample, frame_index: int,
-                       config: EngineConfig) -> tuple[Message, ...]:
+def build_frame_prompt(sample: Sample, frame_index: int) -> tuple[Message, ...]:
     """Single-image variant of the answer-turn prompt, so the only difference
     from the video-level run is the visual context."""
     return (frames_turn(ANSWER_TEMPLATE, (sample.frames[frame_index],), sample.question),)
@@ -55,8 +53,7 @@ def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> Fr
     failed: list[int] = []
     for i in range(len(sample.frames)):
         req = GenerationRequest(
-            messages=build_frame_prompt(sample, i, config),
-            max_new_tokens=config.max_new_tokens,
+            messages=build_frame_prompt(sample, i),
             temperature=config.temperature,
             seed=derive_seed(config.seed, sample.sample_id, f"frame{i}", 0),
         )
@@ -65,7 +62,7 @@ def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> Fr
             turn = parse_turn(raw)
             ok = (isinstance(turn.action, Answer)
                   and exact_accuracy(turn.action.text, sample.gold_answers) == 1)
-        except (BackendUnavailable, BackendTimeout, ResponseEmpty):
+        except TRANSIENT_ERRORS:
             ok = False
             failed.append(i)
         except (MissingActionBlock, UnparsableAction):
@@ -107,10 +104,13 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
         result = framewise_eval(sample, backend, config)
         return result, {"sample_id": result.sample_id,
                         "vector": list(result.per_frame_correct),
-                        "any_correct": result.any_correct}
+                        "any_correct": result.any_correct,
+                        "failed_frames": list(result.failed_frames)}
 
     prior, new = run_units(manifest.samples, one, config.parallelism, log_path)
-    by_id = {r["sample_id"]: FramewiseResult(r["sample_id"], tuple(r["vector"]))
+    # logs written before failed_frames was recorded read as no failures
+    by_id = {r["sample_id"]: FramewiseResult(r["sample_id"], tuple(r["vector"]),
+                                             tuple(r.get("failed_frames", ())))
              for r in prior}
     by_id.update((r.sample_id, r) for r in new)
     results = [by_id[s.sample_id] for s in manifest.samples]

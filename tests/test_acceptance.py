@@ -225,7 +225,7 @@ def test_rl_curation_predicate(manifest_factory):
 
             records, _ = filter_rl_corpus(
                 manifest, FunctionBackend(fn),
-                EngineConfig(backoff_base_s=0.0, seed=0), attempts=5)
+                EngineConfig(backoff_base_s=0.0, seed=0, max_attempts=5))
             if records:
                 retained_patterns.append(pattern)
                 assert records[0].correct_count == sum(pattern)

@@ -134,11 +134,13 @@ def fake_server():
     _Handler.behavior = "ok"
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 class TestHttp:
     def config(self, base):
-        return EndpointConfig(base_url=base, model="m", image_mode="file_url")
+        return EndpointConfig(base_url=base, model="m")
 
     def test_wire_shape_with_images(self, fake_server, tmp_path):
         img1 = tmp_path / "f0.png"

@@ -200,3 +200,20 @@ class TestConfig:
         assert "frames=16" in out           # file beats default
         cli.main(["config", "show", "--config", str(cfg_file), "--model", "flag-model"])
         assert "model=flag-model" in capsys.readouterr().out  # flag beats env
+
+    def test_invalid_file_value_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("frames=abc\n")
+        assert cli.main(["config", "show", "--config", str(cfg_file)]) == 2
+        assert "invalid configuration value" in capsys.readouterr().err
+
+    def test_file_values_take_the_schema_types(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("temperature=0.5\nout_dir=runs/a\n")
+        args = cli.build_parser().parse_args(["config", "show", "--config", str(cfg_file)])
+        resolved = cli.resolve_config(args)
+        assert resolved.temperature == 0.5 and isinstance(resolved.temperature, float)
+        assert resolved.out_dir == Path("runs/a")
+        assert cli.main(["config", "show", "--config", str(cfg_file)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "temperature=0.5" in out and "out_dir=runs/a" in out

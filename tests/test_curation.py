@@ -76,7 +76,7 @@ class TestSftCorpus:
         manifest = manifest_factory(n_samples=1)
         question = manifest.samples[0].question
         backend = OutcomeBackend(manifest, {question: [False] * 5})
-        records, stats = generate_sft_corpus(manifest, backend, cfg(), max_attempts=5)
+        records, stats = generate_sft_corpus(manifest, backend, cfg(max_attempts=5))
         assert records == [] and stats.dropped == 1
 
     def test_correct_answer_with_fallback_keyframes_rejected(self, manifest_factory):
@@ -85,7 +85,7 @@ class TestSftCorpus:
         # attempt 1: unparsable turn 1 -> fallback -> rejected even though answer correct
         # attempt 2: valid selection and correct answer -> accepted
         backend = ScriptedBackend(["garbage", answer(gold), select(), answer(gold)])
-        records, stats = generate_sft_corpus(manifest, backend, cfg(), max_attempts=5)
+        records, stats = generate_sft_corpus(manifest, backend, cfg(max_attempts=5))
         assert stats.kept == 1
         assert records[0].attempts == 2
 
@@ -105,7 +105,7 @@ class TestRlCorpus:
         manifest = manifest_factory(n_samples=1)
         question = manifest.samples[0].question
         backend = OutcomeBackend(manifest, {question: [True, False, True, False, False]})
-        records, _ = filter_rl_corpus(manifest, backend, cfg(), attempts=5)
+        records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=5))
         assert len(records) == 1
         assert records[0].correct_count == 2
 
@@ -114,7 +114,7 @@ class TestRlCorpus:
         manifest = manifest_factory(n_samples=1)
         question = manifest.samples[0].question
         backend = OutcomeBackend(manifest, {question: list(pattern)})
-        records, _ = filter_rl_corpus(manifest, backend, cfg(), attempts=5)
+        records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=5))
         retained = bool(records)
         assert retained == (0 < sum(pattern) < 5)
         if retained:
@@ -124,11 +124,11 @@ class TestRlCorpus:
         manifest = manifest_factory(n_samples=2)
         outcomes = {s.question: [True, False, True, False, False] for s in manifest.samples}
         out = tmp_path / "rl.jsonl"
-        filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)), cfg(),
-                         attempts=5, out_path=out)
+        filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)),
+                         cfg(max_attempts=5), out_path=out)
         size = out.read_bytes()
         records, stats = filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)),
-                                          cfg(), attempts=5, out_path=out)
+                                          cfg(max_attempts=5), out_path=out)
         assert records == [] and stats.skipped == 2
         assert out.read_bytes() == size
 
@@ -178,3 +178,30 @@ def test_output_identical_across_parallelism(curate, manifest_factory, tmp_path)
     assert stats[0] == stats[1]
     assert stats[0].kept and stats[0].dropped and stats[0].failed == 1
     assert peaks[0] == 1 and peaks[1] > 1  # parallelism is honoured
+
+
+@pytest.mark.parametrize("curate", [generate_sft_corpus, filter_rl_corpus])
+def test_curation_decodes_at_temperature_one(curate, manifest_factory):
+    manifest = manifest_factory(n_samples=2)
+    temperatures = []
+
+    def fn(request):
+        temperatures.append(request.temperature)
+        return select() if request_stage(request) == "anchor" else answer("definitely wrong")
+
+    backend = FunctionBackend(fn)
+    _, stats = curate(manifest, backend, cfg(temperature=0.0, max_attempts=3))
+    assert stats.dropped == 2
+    assert set(temperatures) == {1.0}
+    # every attempt fails the judge, so both curations run all max_attempts episodes
+    assert backend.calls == 2 * 3 * 2
+
+
+def test_rl_runs_exactly_max_attempts_episodes(manifest_factory):
+    manifest = manifest_factory(n_samples=1)
+    outcomes = {manifest.samples[0].question: [True, False, True, False, True, True]}
+    backend = OutcomeBackend(manifest, outcomes)
+    records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=4))
+    (record,) = records
+    assert len(record.attempt_answers) == 4 and record.correct_count == 2
+    assert backend.outcomes[manifest.samples[0].question] == [True, True]  # two unused

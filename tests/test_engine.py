@@ -22,7 +22,7 @@ def fast_config(**kwargs):
 class TestPrompts:
     def test_anchor_prompt_shape(self, sample_factory):
         sample = sample_factory(n_frames=4)
-        (msg,) = build_anchor_prompt(sample, fast_config())
+        (msg,) = build_anchor_prompt(sample)
         labels = [p.text for p in msg.parts if isinstance(p, TextPart)]
         images = [p for p in msg.parts if isinstance(p, ImagePart)]
         assert len(images) == 4
@@ -36,7 +36,7 @@ class TestPrompts:
     def test_answer_prompt_only_keyframes(self, sample_factory):
         sample = sample_factory(n_frames=10)
         turn1 = Turn("saw it", SelectKeyframes((3, 7)))
-        messages = build_answer_prompt(sample, turn1, KeyframeSet(ids=(3, 7)), fast_config())
+        messages = build_answer_prompt(sample, turn1, KeyframeSet(ids=(3, 7)))
         assert messages[0].role == "assistant"
         # turn 1 carried back byte-exact in canonical form (reasoning and action)
         assert messages[0].parts[0] == TextPart(render_turn(turn1))

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import request_question, request_stage
 from vtagent import oracle
-from vtagent.backends import FunctionBackend
+from vtagent.backends import FunctionBackend, ImagePart
 from vtagent.data_model import DatasetManifest
 from vtagent.engine import EngineConfig
-from vtagent.errors import NotFrameSolvable
+from vtagent.errors import BackendUnavailable, NotFrameSolvable
 from vtagent.grammar import KeyframeSet
 from vtagent.metrics import SampleScore, hit
 
@@ -26,7 +26,6 @@ def frame_backend(manifest: DatasetManifest, correct_frames: dict[str, set[int]]
     def fn(request):
         question = request_question(request)
         if request_stage(request) == "frame":
-            from vtagent.backends import ImagePart
             (image,) = [p for m in request.messages for p in m.parts
                         if isinstance(p, ImagePart)]
             if image.index in correct_frames.get(question, set()):
@@ -131,6 +130,26 @@ class TestUpperBound:
         assert [r["sample_id"] for r in logged] == [s.sample_id for s in manifest.samples]
         assert [tuple(r["vector"]) for r in logged] == \
             [r.per_frame_correct for r in fresh.results]
+
+    def test_resume_keeps_failed_frames(self, manifest_factory, tmp_path):
+        manifest = manifest_factory(n_samples=2, n_frames=3)
+        inner = frame_backend(manifest, {s.question: {0} for s in manifest.samples})
+        down = (manifest.samples[1].question, 2)
+
+        def fn(request):
+            (image,) = [p for m in request.messages for p in m.parts
+                        if isinstance(p, ImagePart)]
+            if (request_question(request), image.index) == down:
+                raise BackendUnavailable("down")
+            return inner.complete(request)
+
+        log = tmp_path / "framewise.jsonl"
+        fresh = oracle.oracle_upper_bound(manifest, FunctionBackend(fn), cfg(), log_path=log)
+        backend = FunctionBackend(fn)
+        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(), log_path=log)
+        assert backend.calls == 0
+        assert [r.failed_frames for r in fresh.results] == [(), (2,)]
+        assert resumed.results == fresh.results
 
 
 class TestStratified:
