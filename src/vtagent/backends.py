@@ -19,11 +19,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Union
+from typing import Callable, Iterator, Optional, Protocol, Union
 
 import requests
 
-from .errors import BackendTimeout, BackendUnavailable, ResponseEmpty, StoreWriteFailed
+from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, MalformedRecord,
+                     ResponseEmpty, StoreWriteFailed)
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,42 @@ class FunctionBackend:
         return self._fn(request)
 
 
+def read_log(path: str | Path) -> Iterator[dict]:
+    """Yield the records of an append-only JSONL log (none if it does not exist).
+
+    A kill mid-append can leave a last line without its newline. If that line
+    does not parse it is dropped and cut off the file; if it does, its newline
+    is added. Either way the next append starts a line of its own. Any other
+    line that is not a JSON object raises MalformedRecord.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    line, torn = "\n", False
+    # surrogateescape: a line cut inside a UTF-8 sequence still reads, and its
+    # byte length survives for the cut below
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as e:
+                torn = not line.endswith("\n")  # only the last line can lack it
+                if torn:
+                    break
+                raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
+            if not isinstance(obj, dict):
+                raise MalformedRecord(line_no, f"record in {path} is not a JSON object")
+            yield obj
+    if torn:
+        with path.open("r+b") as fh:
+            fh.truncate(fh.seek(0, 2) - len(line.encode("utf-8", "surrogateescape")))
+    elif not line.endswith("\n"):
+        with path.open("ab") as fh:
+            fh.write(b"\n")
+
+
 class TranscriptStore:
     """Append-only JSONL keyed by request digest; newest entry wins on reload."""
 
@@ -156,22 +193,14 @@ class TranscriptStore:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._cache: dict[str, Transcript] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                t = Transcript(
-                    request_digest=obj["digest"],
-                    response_text=obj["response"],
-                    latency_ms=int(obj.get("latency_ms", 0)),
-                    backend_id=obj.get("backend_id", ""),
-                )
-                self._cache[t.request_digest] = t
+        for obj in read_log(self.path):
+            t = Transcript(
+                request_digest=obj["digest"],
+                response_text=obj["response"],
+                latency_ms=int(obj.get("latency_ms", 0)),
+                backend_id=obj.get("backend_id", ""),
+            )
+            self._cache[t.request_digest] = t
 
     def get(self, digest: str) -> Optional[Transcript]:
         with self._lock:
@@ -210,7 +239,7 @@ class ReplayBackend:
     def complete(self, request: GenerationRequest) -> str:
         t = self.store.get(request.digest)
         if t is None:
-            raise BackendUnavailable("cache miss")
+            raise CacheMiss("cache miss")
         return t.response_text
 
 
@@ -282,9 +311,10 @@ def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
     except requests.RequestException as e:
         raise BackendUnavailable(str(e)) from e
     if resp.status_code == 429:
-        retry_after = resp.headers.get("Retry-After")
+        # only the delay-seconds form; for an HTTP-date the engine backs off
+        seconds = resp.headers.get("Retry-After", "").strip()
         raise BackendUnavailable("rate limited (429)",
-                                 retry_after=float(retry_after) if retry_after else None)
+                                 retry_after=float(seconds) if seconds.isdecimal() else None)
     if not 200 <= resp.status_code < 300:
         raise BackendUnavailable(f"HTTP {resp.status_code}: {resp.text[:200]}")
     try:

@@ -267,7 +267,6 @@ def cmd_grpo(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
     reports = {}
     scores_by_system = {}
     for spec_arg in args.scores:
@@ -301,41 +300,42 @@ def cmd_config(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, manifest: bool = True) -> None:
-    if manifest:
-        p.add_argument("--manifest", required=True)
+FLAGS = tuple(f.name for f in SETTINGS if f.name != "fallback")
+
+
+def _add_settings(p: argparse.ArgumentParser, names: tuple[str, ...] = FLAGS,
+                  run_args: bool = True) -> None:
+    """--config, one flag per named setting, and, with run_args, the
+    per-invocation --script, --store and --resume."""
     p.add_argument("--config", help="flat key=value config file")
     for f in SETTINGS:
-        if f.name != "fallback":
+        if f.name in names:
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
                            choices=BACKENDS if f.name == "backend" else None)
-    p.add_argument("--script", help="response file for the scripted backend")
-    p.add_argument("--store", help="transcript store for record/replay")
-    p.add_argument("--resume", action="store_true")
+    if run_args:
+        p.add_argument("--script", help="response file for the scripted backend")
+        p.add_argument("--store", help="transcript store for record/replay")
+        p.add_argument("--resume", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vtagent")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="two-turn evaluation over a manifest")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("oracle", help="frame-wise oracle upper bound and partition")
-    _add_common(p)
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("curate-sft", help="build the SFT trajectory corpus")
-    _add_common(p)
-    p.set_defaults(fn=cmd_curate_sft)
-
-    p = sub.add_parser("curate-rl", help="filter the RL corpus by outcome inconsistency")
-    _add_common(p)
-    p.set_defaults(fn=cmd_curate_rl)
+    curate_flags = tuple(n for n in FLAGS if n != "temperature")  # curation decodes at 1
+    for name, fn, flags, help_text in (
+            ("eval", cmd_eval, FLAGS, "two-turn evaluation over a manifest"),
+            ("oracle", cmd_oracle, FLAGS, "frame-wise oracle upper bound and partition"),
+            ("curate-sft", cmd_curate_sft, curate_flags, "build the SFT trajectory corpus"),
+            ("curate-rl", cmd_curate_rl, curate_flags,
+             "filter the RL corpus by outcome inconsistency")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--manifest", required=True)
+        _add_settings(p, flags)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("grpo", help="toy GRPO training run")
-    _add_common(p, manifest=False)
+    _add_settings(p, ("seed", "out_dir"), run_args=False)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--group", type=int, default=4)
     p.add_argument("--eps", type=float, default=0.2)
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_grpo)
 
     p = sub.add_parser("report", help="merge score/partition logs into tables")
-    _add_common(p, manifest=False)
     p.add_argument("--scores", nargs="+", required=True,
                    help="score logs, optionally name=path")
     p.add_argument("--partition", help="directory holding set_s.ids / set_u.ids")
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("config", help="show the fully resolved configuration")
-    _add_common(p, manifest=False)
+    _add_settings(p)
     p.add_argument("action", choices=["show"])
     p.set_defaults(fn=cmd_config)
 

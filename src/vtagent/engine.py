@@ -5,6 +5,12 @@ keyframe selection; turn 2 carries turn 1 back as an assistant message and
 shows only the selected keyframes. Persistent anchoring failure falls back to
 uniformly spaced keyframes (or direct answering), flagged on the trajectory.
 
+Every turn, anchor, answer or direct, goes through one loop: up to
+`max_attempts` calls, each reply parsed and accepted or asked again. Each call
+makes up to `max_attempts` transport tries, waiting out a transient error's
+Retry-After when the backend sent one and exponential backoff otherwise; a
+replay cache miss fails at once.
+
 `run_units` is the work-unit runner of every pipeline that calls the model.
 """
 
@@ -19,10 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from .backends import Backend, GenerationRequest, ImagePart, Message, TextPart, request_digest
+from .backends import (Backend, GenerationRequest, ImagePart, Message, TextPart, read_log,
+                       request_digest)
 from .data_model import DatasetManifest, FrameRef, Sample, uniform_indices
-from .errors import (TRANSIENT_ERRORS, ConfigError, EmptySelection, MissingActionBlock,
-                     UnparsableAction)
+from .errors import (TRANSIENT_ERRORS, CacheMiss, ConfigError, EmptySelection,
+                     MissingActionBlock, UnparsableAction)
 from .grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                       render_turn, validate_keyframes)
 
@@ -121,92 +128,74 @@ def build_direct_prompt(sample: Sample) -> tuple[Message, ...]:
 
 def complete_with_retry(backend: Backend, request: GenerationRequest,
                         config: EngineConfig) -> str:
-    """Exponential backoff on transient backend errors; parse errors are not retried here."""
-    last: Exception | None = None
-    for attempt in range(config.max_attempts):
+    """Up to `max_attempts` tries of one call. After a transient error it sleeps
+    the error's Retry-After when the backend sent one, else exponential
+    backoff; a cache miss is raised at once. Parse errors are not seen here."""
+    for attempt in range(config.max_attempts - 1):
         try:
             return backend.complete(request)
+        except CacheMiss:
+            raise
         except TRANSIENT_ERRORS as e:
-            last = e
-            if attempt + 1 < config.max_attempts:
-                time.sleep(config.backoff_base_s * (2 ** attempt))
-    raise last
+            retry_after = getattr(e, "retry_after", None)
+            time.sleep(config.backoff_base_s * 2 ** attempt if retry_after is None
+                       else retry_after)
+    return backend.complete(request)
+
+
+def _turn(sample: Sample, backend: Backend, config: EngineConfig, digests: list[str],
+          stage: str, messages: tuple[Message, ...],
+          accept: Callable[[Turn], Optional[T]]) -> tuple[Optional[T], int, str]:
+    """Ask, parse and accept up to `max_attempts` times, appending each request's
+    digest to digests. Returns the accepted value (None when every reply was
+    rejected), the calls made and the last raw reply."""
+    raw = ""
+    for attempt in range(config.max_attempts):
+        seed = derive_seed(config.seed, sample.sample_id, stage, attempt)
+        request = GenerationRequest(messages=messages, temperature=config.temperature, seed=seed)
+        digests.append(request_digest(request))
+        raw = complete_with_retry(backend, request, config)
+        try:
+            value = accept(parse_turn(raw))
+        except (MissingActionBlock, UnparsableAction, EmptySelection):
+            continue
+        if value is not None:
+            return value, attempt + 1, raw
+    return None, config.max_attempts, raw
 
 
 def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Trajectory:
+    """Anchor keyframes, then answer from them only. When no anchor reply is a
+    usable selection, the fallback policy answers from uniformly spaced
+    keyframes or directly from every frame, and the trajectory is flagged."""
     digests: list[str] = []
     frame_count = len(sample.frames)
 
-    def call(messages: tuple[Message, ...], stage: str, attempt: int) -> str:
-        req = GenerationRequest(
-            messages=messages,
-            temperature=config.temperature,
-            seed=derive_seed(config.seed, sample.sample_id, stage, attempt),
-        )
-        digests.append(request_digest(req))
-        return complete_with_retry(backend, req, config)
+    def anchored(turn: Turn) -> Optional[tuple[Turn, KeyframeSet]]:
+        if isinstance(turn.action, SelectKeyframes):
+            return turn, validate_keyframes(turn.action, frame_count, config.keyframe_cap)
+        return None
 
-    # turn 1: keyframe anchoring
-    turn1: Optional[Turn] = None
-    keyframes: Optional[KeyframeSet] = None
-    attempts1 = 0
-    anchor = build_anchor_prompt(sample)
-    for attempt in range(config.max_attempts):
-        attempts1 = attempt + 1
-        raw = call(anchor, "anchor", attempt)
-        try:
-            t = parse_turn(raw)
-            if not isinstance(t.action, SelectKeyframes):
-                raise UnparsableAction(render_turn(t), raw=raw)
-            keyframes = validate_keyframes(t.action, frame_count, config.keyframe_cap)
-            turn1 = t
-            break
-        except (MissingActionBlock, UnparsableAction, EmptySelection):
-            continue
-
-    used_fallback = turn1 is None
-    if used_fallback:
-        if config.fallback_policy == "direct":
-            return _direct_answer_episode(sample, config, call, digests, attempts1)
-        ids = tuple(uniform_indices(frame_count, config.keyframe_cap))
+    anchor, attempts1, _ = _turn(sample, backend, config, digests, "anchor",
+                                 build_anchor_prompt(sample), anchored)
+    direct = anchor is None and config.fallback_policy == "direct"
+    if anchor is not None:
+        turn1, keyframes = anchor
+    else:
+        ids = (tuple(f.index for f in sample.frames) if direct
+               else tuple(uniform_indices(frame_count, config.keyframe_cap)))
         keyframes = KeyframeSet(ids=ids)
         turn1 = Turn(reasoning="", action=SelectKeyframes(frame_ids=ids), raw="")
-
-    # turn 2: keyframe-conditioned answering
-    answer_prompt = build_answer_prompt(sample, turn1, keyframes)
-    turn2, attempts2, answered = _answer_loop(answer_prompt, call, "answer", config)
+    if direct:
+        stage, prompt = "direct", build_direct_prompt(sample)
+    else:
+        stage, prompt = "answer", build_answer_prompt(sample, turn1, keyframes)
+    turn2, attempts2, raw = _turn(sample, backend, config, digests, stage, prompt,
+                                  lambda turn: turn if isinstance(turn.action, Answer) else None)
     return Trajectory(
-        sample_id=sample.sample_id, turn1=turn1, keyframes=keyframes, turn2=turn2,
-        used_fallback=used_fallback or not answered,
-        attempts_turn1=attempts1, attempts_turn2=attempts2,
-        transcript_digests=tuple(digests),
-    )
-
-
-def _answer_loop(messages, call, stage: str, config: EngineConfig) -> tuple[Turn, int, bool]:
-    attempts = 0
-    last_raw = ""
-    for attempt in range(config.max_attempts):
-        attempts = attempt + 1
-        last_raw = call(messages, stage, attempt)
-        try:
-            t = parse_turn(last_raw)
-            if isinstance(t.action, Answer):
-                return t, attempts, True
-        except (MissingActionBlock, UnparsableAction):
-            pass
-    return Turn(reasoning="", action=Answer(text=""), raw=last_raw), attempts, False
-
-
-def _direct_answer_episode(sample, config, call, digests, attempts1) -> Trajectory:
-    prompt = build_direct_prompt(sample)
-    turn2, attempts2, _ = _answer_loop(prompt, call, "direct", config)
-    all_ids = tuple(f.index for f in sample.frames)
-    return Trajectory(
-        sample_id=sample.sample_id,
-        turn1=Turn(reasoning="", action=SelectKeyframes(frame_ids=all_ids), raw=""),
-        keyframes=KeyframeSet(ids=all_ids),
-        turn2=turn2, used_fallback=True,
+        sample_id=sample.sample_id, turn1=turn1, keyframes=keyframes,
+        turn2=turn2 or Turn(reasoning="", action=Answer(text=""), raw=raw),
+        used_fallback=anchor is None or turn2 is None,
         attempts_turn1=attempts1, attempts_turn2=attempts2,
         transcript_digests=tuple(digests),
     )
@@ -226,18 +215,6 @@ def trajectory_record(traj: Trajectory) -> dict:
     }
 
 
-def read_log(path: str | Path) -> list[dict]:
-    records = []
-    path = Path(path)
-    if not path.exists():
-        return records
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
-
-
 def run_units(samples: Sequence[Sample], fn: Callable[[Sample], tuple[T, Optional[dict]]],
               parallelism: int, log_path: str | Path | None = None,
               ) -> tuple[list[dict], list[T]]:
@@ -250,7 +227,7 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], tuple[T, Optiona
     Returns the records already in the log and the new results in manifest
     order.
     """
-    prior = read_log(log_path) if log_path is not None else []
+    prior = list(read_log(log_path)) if log_path is not None else []
     done = {r["sample_id"] for r in prior}
     todo = [s for s in samples if s.sample_id not in done]
     results: list[T] = []

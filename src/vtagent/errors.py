@@ -60,6 +60,11 @@ class BackendUnavailable(VtagentError):
         self.retry_after = retry_after
 
 
+class CacheMiss(BackendUnavailable):
+    """A replay store holds no response for the request. It never will, so
+    `engine.complete_with_retry` raises it at once instead of retrying."""
+
+
 class BackendTimeout(VtagentError):
     pass
 
@@ -68,7 +73,8 @@ class ResponseEmpty(VtagentError):
     pass
 
 
-# failures a retry may cure: every catch site of a transient backend error uses this
+# backend failures that end a sample, not the run: every catch site uses this. A
+# retry may cure each but CacheMiss, which complete_with_retry raises at once
 TRANSIENT_ERRORS = (BackendUnavailable, BackendTimeout, ResponseEmpty)
 
 

@@ -12,7 +12,8 @@ from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
                               canonicalize_request, http_complete, request_digest)
-from vtagent.errors import BackendUnavailable, ResponseEmpty
+from vtagent.errors import (TRANSIENT_ERRORS, BackendUnavailable, CacheMiss, MalformedRecord,
+                            ResponseEmpty)
 
 
 def simple_request(text="hello", seed=None):
@@ -89,6 +90,35 @@ class TestReplay:
         store.record(simple_request("b"), "rb")
         assert len(store) == 2
 
+    def test_miss_is_permanent_but_still_a_backend_failure(self, tmp_path):
+        replay = ReplayBackend(TranscriptStore(tmp_path / "store.jsonl"))
+        with pytest.raises(CacheMiss) as exc:
+            replay.complete(simple_request())
+        assert isinstance(exc.value, TRANSIENT_ERRORS)  # caught as a per-sample failure
+
+    def test_torn_last_line_dropped_and_cut(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = TranscriptStore(path)
+        for text in ("a", "b", "c"):
+            store.record(simple_request(text), "r" + text)
+        whole = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(whole[0] + whole[1] + whole[2][:60], encoding="utf-8")
+
+        reloaded = TranscriptStore(path)
+        assert len(reloaded) == 2
+        assert reloaded.get(request_digest(simple_request("c"))) is None
+        reloaded.record(simple_request("c"), "rc")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 3 and all(l.endswith("\n") for l in lines)
+        assert [json.loads(l)["response"] for l in lines] == ["ra", "rb", "rc"]
+
+    def test_malformed_inner_line_raises(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"digest": "d", "response": "r"}\n{"dig\n{"digest": "e", '
+                        '"response": "s"}\n', encoding="utf-8")
+        with pytest.raises(MalformedRecord, match="line 2"):
+            TranscriptStore(path)
+
     def test_same_digest_newest_wins(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = TranscriptStore(path)
@@ -100,6 +130,7 @@ class TestReplay:
 
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
+    retry_after = "7"
     seen = []
 
     def do_POST(self):
@@ -107,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
         type(self).seen.append(body)
         if self.behavior == "429":
             self.send_response(429)
-            self.send_header("Retry-After", "7")
+            self.send_header("Retry-After", self.retry_after)
             self.end_headers()
             return
         if self.behavior == "empty_choices":
@@ -132,6 +163,7 @@ def fake_server():
     thread.start()
     _Handler.seen = []
     _Handler.behavior = "ok"
+    _Handler.retry_after = "7"
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
@@ -161,6 +193,13 @@ class TestHttp:
         with pytest.raises(BackendUnavailable) as exc:
             http_complete(self.config(fake_server), simple_request())
         assert exc.value.retry_after == 7.0
+
+    @pytest.mark.parametrize("header", ["Wed, 21 Oct 2015 07:28:00 GMT", "-1"])
+    def test_429_retry_after_not_in_seconds_is_ignored(self, fake_server, header):
+        _Handler.behavior, _Handler.retry_after = "429", header
+        with pytest.raises(BackendUnavailable) as exc:
+            http_complete(self.config(fake_server), simple_request())
+        assert exc.value.retry_after is None  # the engine backs off instead
 
     def test_empty_choices(self, fake_server):
         _Handler.behavior = "empty_choices"

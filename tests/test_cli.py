@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,34 @@ class TestEval:
         s1 = (tmp_path / "p1" / "scores.jsonl").read_bytes()
         s8 = (tmp_path / "p8" / "scores.jsonl").read_bytes()
         assert s1 == s8
+
+
+    def test_resume_after_torn_log_line(self, manifest_path, tmp_path, capsys):
+        path, manifest = manifest_path
+        out = tmp_path / "out"
+        argv = ["eval", "--manifest", str(path), "--backend", "scripted",
+                "--out-dir", str(out)]
+        assert cli.main(argv + ["--script", str(write_script(tmp_path / "s1", manifest))]) == 0
+        log = out / "trajectories.jsonl"
+        whole = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text(whole[0] + whole[1][:60], encoding="utf-8")
+        # replies for the three samples left to run
+        rest = replace(manifest, samples=manifest.samples[1:])
+        script = write_script(tmp_path / "s2", rest)
+        assert cli.main(argv + ["--script", str(script), "--resume"]) == 0
+        assert log.read_text(encoding="utf-8") == "".join(whole)
+
+    def test_resume_malformed_log_line_exit_2(self, manifest_path, tmp_path, capsys):
+        path, manifest = manifest_path
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trajectories.jsonl").write_text('{"sampl\n{"sample_id": "q001"}\n',
+                                                encoding="utf-8")
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "scripted",
+                         "--script", str(write_script(tmp_path / "s", manifest)),
+                         "--out-dir", str(out), "--resume"])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
 
 
 class TestCurate:
@@ -181,6 +210,17 @@ class TestReport:
         code = cli.main(["report", "--scores", f"sys={bad}"])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["grpo", "--parallelism", "2"],
+    ["report", "--scores", "a.jsonl", "--resume"],
+    ["curate-sft", "--manifest", "m.jsonl", "--temperature", "0.5"],
+])
+def test_command_rejects_settings_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 class TestConfig:

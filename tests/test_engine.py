@@ -5,10 +5,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import request_image_count, request_question, request_stage
-from vtagent.backends import (FunctionBackend, ImagePart, RecordingBackend,
-                              ReplayBackend, ScriptedBackend, TextPart, TranscriptStore)
+from vtagent.backends import (FunctionBackend, GenerationRequest, ImagePart,
+                              RecordingBackend, ReplayBackend, ScriptedBackend, TextPart,
+                              TranscriptStore, request_digest)
 from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prompt,
-                            read_log, run_batch, run_episode)
+                            complete_with_retry, derive_seed, read_log, run_batch,
+                            run_episode)
 from vtagent.errors import BackendUnavailable
 from vtagent.grammar import Answer, KeyframeSet, SelectKeyframes, Turn, render_turn
 
@@ -107,6 +109,44 @@ class TestRunEpisode:
             run_episode(sample, backend, fast_config(max_attempts=3))
         assert len(calls) == 3
 
+    # each shape: config, replies in call order, then the (stage, attempt) of
+    # every request, attempts per turn and used_fallback
+    SHAPES = {
+        "anchored": (
+            {}, [valid_answer(), valid_select("1, 4"), "nonsense", valid_answer()],
+            [("anchor", 0), ("anchor", 1), ("answer", 0), ("answer", 1)], (2, 2), False),
+        "uniform_fallback": (
+            {}, ["nonsense", valid_select("99"), valid_answer(), valid_answer()],
+            [("anchor", 0), ("anchor", 1), ("anchor", 2), ("answer", 0)], (3, 1), True),
+        "direct_fallback": (
+            {"fallback_policy": "direct"}, ["nonsense"] * 3 + [valid_select(), valid_answer()],
+            [("anchor", 0), ("anchor", 1), ("anchor", 2), ("direct", 0), ("direct", 1)],
+            (3, 2), True),
+        "answer_exhausted": (
+            {}, [valid_select(), "nonsense", "<action>answer:</action>", valid_select()],
+            [("anchor", 0), ("answer", 0), ("answer", 1), ("answer", 2)], (1, 3), True),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_episode_shape_pins_requests(self, sample_factory, shape):
+        overrides, replies, calls, attempts, used_fallback = self.SHAPES[shape]
+        sample = sample_factory(n_frames=6)
+        queue, seen = list(replies), []
+
+        def fn(request):
+            seen.append(request)
+            return queue.pop(0)
+
+        traj = run_episode(sample, FunctionBackend(fn),
+                           fast_config(max_attempts=3, seed=11, **overrides))
+        assert [(request_stage(r), r.seed) for r in seen] == \
+            [(stage, derive_seed(11, sample.sample_id, stage, k)) for stage, k in calls]
+        assert (traj.attempts_turn1, traj.attempts_turn2) == attempts
+        assert traj.used_fallback is used_fallback
+        assert len(traj.transcript_digests) == sum(attempts)
+        assert traj.transcript_digests == tuple(request_digest(r) for r in seen)
+        assert not queue
+
     def test_turn2_image_count_equals_selection(self, sample_factory):
         sample = sample_factory(n_frames=8)
         seen = []
@@ -121,6 +161,24 @@ class TestRunEpisode:
         answer_requests = [r for r in seen if request_stage(r) == "answer"]
         assert request_image_count(answer_requests[0]) == 3
         assert set(traj.keyframes.ids) <= {f.index for f in sample.frames}
+
+
+class TestCompleteWithRetry:
+    def test_retry_after_then_exponential_backoff(self, sample_factory, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        errors = [BackendUnavailable("rate limited (429)", retry_after=0.0),
+                  BackendUnavailable("HTTP 503")]
+
+        def fn(request):
+            if errors:
+                raise errors.pop(0)
+            return "ok"
+
+        request = GenerationRequest(messages=build_anchor_prompt(sample_factory()))
+        assert complete_with_retry(FunctionBackend(fn), request,
+                                   EngineConfig(backoff_base_s=10)) == "ok"
+        assert sleeps == [0.0, 20]  # Retry-After, then backoff_base_s * 2 ** 1
 
 
 class TestRunBatch:
@@ -195,3 +253,35 @@ class TestRunBatch:
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
         assert [r["sample_id"] for r in read_log(log)] == \
             [s.sample_id for s in manifest.samples]
+
+    def test_replay_miss_fails_without_backoff(self, manifest_factory, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        manifest = manifest_factory(n_samples=1)
+        replay = ReplayBackend(TranscriptStore(tmp_path / "empty.jsonl"))
+        records = run_batch(manifest, replay, EngineConfig(max_attempts=5, seed=0),
+                            tmp_path / "log.jsonl")
+        assert records == [{"sample_id": "q000", "error": "cache miss"}]
+        assert sleeps == []
+
+    def test_resume_after_torn_last_line(self, manifest_factory, oracle_backend_factory,
+                                         tmp_path):
+        manifest = manifest_factory(n_samples=3)
+        log = tmp_path / "log.jsonl"
+        run_batch(manifest, oracle_backend_factory(manifest), fast_config(), log)
+        whole = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text(whole[0] + whole[1] + whole[2][:60], encoding="utf-8")
+
+        backend = oracle_backend_factory(manifest)
+        records = run_batch(manifest, backend, fast_config(), log)
+        assert backend.calls == 2  # one episode: the torn sample's
+        assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 3 and all(l.endswith("\n") for l in lines)
+        assert [json.loads(l) for l in lines] == records
+
+    def test_whole_last_line_without_newline_kept(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"sample_id": "a"}\n{"sample_id": "b"}', encoding="utf-8")
+        assert list(read_log(log)) == [{"sample_id": "a"}, {"sample_id": "b"}]
+        assert log.read_text(encoding="utf-8").endswith('"b"}\n')
