@@ -2,7 +2,9 @@
 
 Three implementations share one `complete(request) -> str` surface:
 
-* HttpBackend     — chat-completions wire client (text + image_url parts)
+* HttpBackend     — chat-completions wire client (text + image_url parts); the
+                    body is assembled as bytes with each frame's base64 spliced
+                    in unescaped, byte-identical to `json.dumps` of the payload
 * ScriptedBackend — queue of canned responses for tests and dry runs
 * ReplayBackend   — deterministic cache keyed by a canonical request digest
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import mimetypes
 import threading
 import time
@@ -63,8 +66,8 @@ class GenerationRequest:
     def __post_init__(self):
         if not self.messages or self.messages[-1].role != "user":
             raise ValueError("messages must be non-empty and end with a user turn")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
     @property
     def digest(self) -> str:
@@ -131,7 +134,7 @@ class ScriptedBackend:
         with self._lock:
             self.calls += 1
             if not self._responses:
-                raise BackendUnavailable("script exhausted")
+                raise CacheMiss("script exhausted")
             return self._responses.pop(0)
 
 
@@ -268,33 +271,38 @@ class EndpointConfig:
     timeout_s: float = 120.0
 
 
-def _image_url(path: str) -> str:
-    """The image file as a base64 data URI."""
-    mime = mimetypes.guess_type(path)[0] or "image/png"
-    data = base64.b64encode(Path(path).read_bytes()).decode("ascii")
-    return f"data:{mime};base64,{data}"
+def _wire_body(config: EndpointConfig, request: GenerationRequest) -> bytes:
+    """The chat-completions request body, byte for byte
+    `json.dumps(payload, allow_nan=False).encode()` of the OpenAI-style payload.
 
+    Each frame's base64 is spliced in as bytes: base64 needs no JSON escaping,
+    so the encoder never scans frame data, and the body is joined once.
+    """
+    def dump(obj) -> bytes:
+        return json.dumps(obj, allow_nan=False).encode()
 
-def _wire_payload(config: EndpointConfig, request: GenerationRequest) -> dict:
-    messages = []
+    chunks = [b'{"model": ', dump(config.model), b', "messages": [']
     for m in request.messages:
-        content = []
+        chunks += [b'{"role": ', dump(m.role), b', "content": [']
         for p in m.parts:
             if isinstance(p, TextPart):
-                content.append({"type": "text", "text": p.text})
+                chunks.append(dump({"type": "text", "text": p.text}))
             else:
-                content.append({"type": "image_url",
-                                "image_url": {"url": _image_url(p.path)}})
-        messages.append({"role": m.role, "content": content})
-    payload = {
-        "model": config.model,
-        "messages": messages,
-        "max_tokens": request.max_new_tokens,
-        "temperature": request.temperature,
-    }
+                mime = mimetypes.guess_type(p.path)[0] or "image/png"
+                # the URL string's dump without its closing quote
+                chunks += [b'{"type": "image_url", "image_url": {"url": '
+                           + dump(f"data:{mime};base64,")[:-1],
+                           base64.b64encode(Path(p.path).read_bytes()), b'"}}']
+            chunks.append(b", ")
+        # Message and GenerationRequest reject empty parts and messages, so a
+        # trailing separator is always there to replace
+        chunks[-1] = b"]}, "  # the last part's separator closes the message
+    chunks[-1] = b"]}], "  # the last message's separator closes the list
+    tail = {"max_tokens": request.max_new_tokens, "temperature": request.temperature}
     if request.seed is not None:
-        payload["seed"] = request.seed
-    return payload
+        tail["seed"] = request.seed
+    chunks.append(dump(tail)[1:])  # its fields, then the closing brace
+    return b"".join(chunks)
 
 
 def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
@@ -304,7 +312,7 @@ def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
     try:
-        resp = requests.post(url, json=_wire_payload(config, request),
+        resp = requests.post(url, data=_wire_body(config, request),
                              headers=headers, timeout=config.timeout_s)
     except requests.Timeout as e:
         raise BackendTimeout(str(e)) from e

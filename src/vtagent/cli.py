@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -87,6 +88,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                     if f.name in values}
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid configuration value: {e}") from e
+    temperature = settings.get("temperature", 0.0)
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ConfigError(f"invalid configuration value: temperature must be finite "
+                          f"and >= 0, got {temperature!r}")
     return RunConfig(
         **settings,
         script=Path(args.script) if getattr(args, "script", None) else None,

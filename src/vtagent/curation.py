@@ -9,7 +9,9 @@ and produces a judged-correct answer, then freeze the canonical two-turn
 rendering as the target.
 
 RL: run every attempt and keep only samples with mixed outcomes — all-correct
-and all-wrong samples carry no group-relative learning signal.
+and all-wrong samples carry no group-relative learning signal (DAPO's dynamic
+sampling, arXiv:2503.14476). An episode whose anchoring fell back counts as
+incorrect, as it would earn no accuracy reward in RL.
 
 Both run each sample's attempt loop as one unit of `engine.run_units`:
 `parallelism` samples at a time, each kept sample's line appended in manifest
@@ -162,7 +164,8 @@ def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
     """Retain samples whose outcomes over engine_config.max_attempts stochastic
     episodes are mixed: 0 < correct < max_attempts.
 
-    Malformed or fallback answers count as incorrect.
+    Malformed answers, and the answer of an episode whose anchoring fell back,
+    count as incorrect.
     """
     def unit(sample) -> Optional[tuple[RlRecord, dict]]:
         answers: list[str] = []
@@ -170,7 +173,7 @@ def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
         for _, traj in _episodes(sample, model_backend, engine_config):
             answer = traj.turn2.action.text if isinstance(traj.turn2.action, Answer) else ""
             answers.append(answer)
-            if answer and judge(answer, sample.gold_answers):
+            if answer and not traj.used_fallback and judge(answer, sample.gold_answers):
                 correct += 1
         if not 0 < correct < engine_config.max_attempts:
             return None

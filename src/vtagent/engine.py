@@ -9,7 +9,7 @@ Every turn, anchor, answer or direct, goes through one loop: up to
 `max_attempts` calls, each reply parsed and accepted or asked again. Each call
 makes up to `max_attempts` transport tries, waiting out a transient error's
 Retry-After when the backend sent one and exponential backoff otherwise; a
-replay cache miss fails at once.
+replay cache miss or an exhausted script fails at once.
 
 `run_units` is the work-unit runner of every pipeline that calls the model.
 """
@@ -130,7 +130,8 @@ def complete_with_retry(backend: Backend, request: GenerationRequest,
                         config: EngineConfig) -> str:
     """Up to `max_attempts` tries of one call. After a transient error it sleeps
     the error's Retry-After when the backend sent one, else exponential
-    backoff; a cache miss is raised at once. Parse errors are not seen here."""
+    backoff; a CacheMiss (replay miss, exhausted script) is raised at once.
+    Parse errors are not seen here."""
     for attempt in range(config.max_attempts - 1):
         try:
             return backend.complete(request)

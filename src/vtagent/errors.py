@@ -61,8 +61,9 @@ class BackendUnavailable(VtagentError):
 
 
 class CacheMiss(BackendUnavailable):
-    """A replay store holds no response for the request. It never will, so
-    `engine.complete_with_retry` raises it at once instead of retrying."""
+    """A canned backend has no response for the request: a replay store holds
+    none, or a script ran out. It never will, so `engine.complete_with_retry`
+    raises it at once instead of retrying."""
 
 
 class BackendTimeout(VtagentError):

@@ -1,8 +1,12 @@
+import base64
 import hashlib
 import json
+import math
+import os
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,8 @@ from hypothesis import strategies as st
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
-                              canonicalize_request, http_complete, request_digest)
+                              _wire_body, canonicalize_request, http_complete,
+                              request_digest)
 from vtagent.errors import (TRANSIENT_ERRORS, BackendUnavailable, CacheMiss, MalformedRecord,
                             ResponseEmpty)
 
@@ -56,6 +61,12 @@ class TestDigest:
         assert request_digest(base) != request_digest(mutated)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, -0.5])
+def test_request_temperature_must_be_finite_and_non_negative(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        replace(simple_request(), temperature=temperature)
+
+
 class TestScripted:
     def test_queue_order(self):
         backend = ScriptedBackend(["A", "B"])
@@ -66,6 +77,11 @@ class TestScripted:
         backend = ScriptedBackend([])
         with pytest.raises(BackendUnavailable):
             backend.complete(simple_request())
+
+    def test_exhausted_is_permanent_but_still_a_backend_failure(self):
+        with pytest.raises(CacheMiss, match="script exhausted") as exc:
+            ScriptedBackend([]).complete(simple_request())
+        assert isinstance(exc.value, TRANSIENT_ERRORS)
 
 
 class TestReplay:
@@ -220,11 +236,68 @@ class TestHttp:
 
 
 def test_base64_image_mode(tmp_path):
-    from vtagent.backends import _wire_payload
     img = tmp_path / "f.png"
     img.write_bytes(b"\x89PNG")
     req = GenerationRequest(messages=(Message(role="user", parts=(
         TextPart("t"), ImagePart(str(img), 0))),))
-    payload = _wire_payload(EndpointConfig(base_url="http://x", model="m"), req)
-    url = payload["messages"][0]["content"][1]["image_url"]["url"]
-    assert url.startswith("data:image/png;base64,")
+    body = json.loads(_wire_body(EndpointConfig(base_url="http://x", model="m"), req))
+    url = body["messages"][0]["content"][1]["image_url"]["url"]
+    assert url == "data:image/png;base64," + base64.b64encode(b"\x89PNG").decode("ascii")
+
+
+def reference_payload(config, request):
+    """The chat-completions payload as a dict, each image a base64 data URI."""
+    def part(p):
+        if isinstance(p, TextPart):
+            return {"type": "text", "text": p.text}
+        mime = {".png": "image/png", ".jpg": "image/jpeg"}[Path(p.path).suffix]
+        data = base64.b64encode(Path(p.path).read_bytes()).decode("ascii")
+        return {"type": "image_url", "image_url": {"url": f"data:{mime};base64,{data}"}}
+    payload = {"model": config.model,
+               "messages": [{"role": m.role, "content": [part(p) for p in m.parts]}
+                            for m in request.messages],
+               "max_tokens": request.max_new_tokens,
+               "temperature": request.temperature}
+    if request.seed is not None:
+        payload["seed"] = request.seed
+    return payload
+
+
+class TestWireBody:
+    CASES = {
+        "text_only": ("m", lambda imgs: simple_request("hello")),
+        "messages_and_images": ("m", lambda imgs: GenerationRequest(messages=(
+            Message("system", (TextPart("sys"),)),
+            Message("user", (TextPart("look"), ImagePart(imgs[0], 0), ImagePart(imgs[1], 1))),
+            Message("assistant", (TextPart("<action>select key frame: [1]</action>"),)),
+            Message("user", (ImagePart(imgs[1], 1), TextPart("answer"), ImagePart(imgs[0], 0))),
+        ), temperature=1.0, seed=7)),
+        "escaped_text": ("m", lambda imgs: simple_request(
+            'Qu\u00e9 dice "el cartel"?\n\tback\\slash \u4e2d\u6587 \U0001F600 </action>')),
+        "non_ascii_model": ("mod\u00e8le-\u89c6\u89c9", lambda imgs: simple_request(seed=3)),
+        "int_seed": ("m", lambda imgs: simple_request(seed=2**40)),
+        "jpg_only": ("m", lambda imgs: GenerationRequest(messages=(
+            Message("user", (ImagePart(imgs[1], 0),)),))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_body_is_the_json_dump_of_the_payload(self, case, tmp_path):
+        png, jpg = tmp_path / "f0.png", tmp_path / "f1.jpg"
+        png.write_bytes(bytes(range(256)) * 3)
+        jpg.write_bytes(b"\xff\xd8\xff" + b'"\\\n' * 50)
+        model, build = self.CASES[case]
+        config = EndpointConfig(base_url="http://x", model=model)
+        request = build([str(png), str(jpg)])
+        assert _wire_body(config, request) == \
+            json.dumps(reference_payload(config, request), allow_nan=False).encode()
+
+    def test_frame_round_trips_through_the_server(self, fake_server, tmp_path):
+        frame = tmp_path / "f0.png"
+        frame.write_bytes(os.urandom(150_000))
+        req = GenerationRequest(messages=(Message(role="user", parts=(
+            TextPart("Frame 0:"), ImagePart(str(frame), 0))),))
+        assert http_complete(EndpointConfig(base_url=fake_server, model="m"), req) == "pong"
+        url = _Handler.seen[-1]["messages"][0]["content"][1]["image_url"]["url"]
+        head, _, data = url.partition(",")
+        assert head == "data:image/png;base64"
+        assert base64.b64decode(data, validate=True) == frame.read_bytes()

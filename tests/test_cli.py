@@ -241,6 +241,24 @@ class TestConfig:
         cli.main(["config", "show", "--config", str(cfg_file), "--model", "flag-model"])
         assert "model=flag-model" in capsys.readouterr().out  # flag beats env
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_temperature_exit_2_before_any_call(self, source, value, manifest_path,
+                                                    tmp_path, monkeypatch, capsys):
+        path, _ = manifest_path
+        built = []
+        monkeypatch.setattr(cli, "build_backend", built.append)
+        argv = ["eval", "--manifest", str(path), "--backend", "scripted", "--script", "x",
+                "--out-dir", str(tmp_path / "out")]
+        if source == "flag":
+            argv.append(f"--temperature={value}")
+        else:
+            (tmp_path / "run.cfg").write_text(f"temperature={value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv) == 2
+        assert "temperature must be finite and >= 0" in capsys.readouterr().err
+        assert built == [] and not (tmp_path / "out").exists()
+
     def test_invalid_file_value_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("frames=abc\n")

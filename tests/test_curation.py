@@ -120,6 +120,20 @@ class TestRlCorpus:
         if retained:
             assert records[0].correct_count == sum(pattern)
 
+    def test_fallback_answers_count_as_incorrect(self, manifest_factory):
+        manifest = manifest_factory(n_samples=1)
+        gold = manifest.samples[0].gold_answers[0]
+        outcomes = [True, False, True, False, False]
+
+        def fn(request):  # anchoring never parses, so every episode falls back
+            if request_stage(request) == "anchor":
+                return "garbage"
+            return answer(gold if outcomes.pop(0) else "definitely wrong")
+
+        records, stats = filter_rl_corpus(manifest, FunctionBackend(fn), cfg(max_attempts=5))
+        assert records == [] and stats.dropped == 1
+        assert outcomes == []  # every episode ran
+
     def test_resume_adds_zero(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2)
         outcomes = {s.question: [True, False, True, False, False] for s in manifest.samples}

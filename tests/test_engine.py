@@ -264,6 +264,23 @@ class TestRunBatch:
         assert records == [{"sample_id": "q000", "error": "cache miss"}]
         assert sleeps == []
 
+    def test_exhausted_script_fails_without_backoff(self, manifest_factory, tmp_path,
+                                                    monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        manifest = manifest_factory(n_samples=3)
+        gold = manifest.samples[0].gold_answers[0]
+        script = ScriptedBackend([
+            "<reasoning>p</reasoning>\n<action>select key frame: [0]</action>",
+            f"<reasoning>r</reasoning>\n<action>answer: {gold}</action>"])
+        records = run_batch(manifest, script, EngineConfig(max_attempts=5, seed=0),
+                            tmp_path / "log.jsonl")
+        assert records[0]["sample_id"] == "q000" and "error" not in records[0]
+        assert records[1:] == [{"sample_id": s.sample_id, "error": "script exhausted"}
+                               for s in manifest.samples[1:]]
+        assert list(read_log(tmp_path / "log.jsonl")) == records
+        assert sleeps == [] and script.calls == 4
+
     def test_resume_after_torn_last_line(self, manifest_factory, oracle_backend_factory,
                                          tmp_path):
         manifest = manifest_factory(n_samples=3)
