@@ -68,7 +68,10 @@ def _read_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in {f.name for f in SETTINGS}:
+            raise ConfigError(f"{path}:{line_no}: unknown setting {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -92,6 +95,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ConfigError(f"invalid configuration value: temperature must be finite "
                           f"and >= 0, got {temperature!r}")
+    for name in ("frames", "cap"):
+        if settings.get(name, 1) < 1:
+            raise ConfigError(f"invalid configuration value: {name} must be >= 1, "
+                              f"got {settings[name]}")
     return RunConfig(
         **settings,
         script=Path(args.script) if getattr(args, "script", None) else None,

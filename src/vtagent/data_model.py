@@ -14,8 +14,6 @@ from typing import Iterable, Optional
 
 from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class FrameRef:
@@ -55,7 +53,6 @@ class Sample:
 class DatasetManifest:
     samples: tuple[Sample, ...]
     source_uri: str
-    schema_version: int = SCHEMA_VERSION
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ keyframe selection; turn 2 carries turn 1 back as an assistant message and
 shows only the selected keyframes. Persistent anchoring failure falls back to
 uniformly spaced keyframes (or direct answering), flagged on the trajectory.
 
-Every turn, anchor, answer or direct, goes through one loop: up to
-`max_attempts` calls, each reply parsed and accepted or asked again. Each call
-makes up to `max_attempts` transport tries, waiting out a transient error's
-Retry-After when the backend sent one and exponential backoff otherwise; a
-replay cache miss or an exhausted script fails at once.
+Every model call in the harness goes through `ask`, which builds the
+request, records its digest, calls the backend and parses and accepts the
+reply, asking again up to a given number of replies. An episode turn (anchor,
+answer or direct) allows `max_attempts` replies; the oracle's frame query is a
+one-reply turn of the same loop. Each call makes up to `max_attempts`
+transport tries, waiting out a transient error's Retry-After when the backend
+sent one and exponential backoff otherwise; a replay cache miss or an
+exhausted script fails at once.
 
 `run_units` is the work-unit runner of every pipeline that calls the model.
 """
@@ -144,14 +147,20 @@ def complete_with_retry(backend: Backend, request: GenerationRequest,
     return backend.complete(request)
 
 
-def _turn(sample: Sample, backend: Backend, config: EngineConfig, digests: list[str],
-          stage: str, messages: tuple[Message, ...],
-          accept: Callable[[Turn], Optional[T]]) -> tuple[Optional[T], int, str]:
-    """Ask, parse and accept up to `max_attempts` times, appending each request's
-    digest to digests. Returns the accepted value (None when every reply was
-    rejected), the calls made and the last raw reply."""
+def _answered(turn: Turn) -> Optional[Turn]:
+    return turn if isinstance(turn.action, Answer) else None
+
+
+def ask(sample: Sample, backend: Backend, config: EngineConfig, stage: str,
+        messages: tuple[Message, ...], replies: int, digests: list[str],
+        accept: Callable[[Turn], Optional[T]] = _answered) -> tuple[Optional[T], int, str]:
+    """Ask, parse and accept up to `replies` times, appending each request's
+    digest to digests; by default an answer turn is accepted. Each call still
+    gets `max_attempts` transport tries, whatever `replies` is. Returns the
+    accepted value (None when every reply was rejected), the calls made and
+    the last raw reply."""
     raw = ""
-    for attempt in range(config.max_attempts):
+    for attempt in range(replies):
         seed = derive_seed(config.seed, sample.sample_id, stage, attempt)
         request = GenerationRequest(messages=messages, temperature=config.temperature, seed=seed)
         digests.append(request_digest(request))
@@ -162,7 +171,7 @@ def _turn(sample: Sample, backend: Backend, config: EngineConfig, digests: list[
             continue
         if value is not None:
             return value, attempt + 1, raw
-    return None, config.max_attempts, raw
+    return None, replies, raw
 
 
 def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Trajectory:
@@ -177,8 +186,8 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
             return turn, validate_keyframes(turn.action, frame_count, config.keyframe_cap)
         return None
 
-    anchor, attempts1, _ = _turn(sample, backend, config, digests, "anchor",
-                                 build_anchor_prompt(sample), anchored)
+    anchor, attempts1, _ = ask(sample, backend, config, "anchor", build_anchor_prompt(sample),
+                               config.max_attempts, digests, anchored)
     direct = anchor is None and config.fallback_policy == "direct"
     if anchor is not None:
         turn1, keyframes = anchor
@@ -191,8 +200,8 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
         stage, prompt = "direct", build_direct_prompt(sample)
     else:
         stage, prompt = "answer", build_answer_prompt(sample, turn1, keyframes)
-    turn2, attempts2, raw = _turn(sample, backend, config, digests, stage, prompt,
-                                  lambda turn: turn if isinstance(turn.action, Answer) else None)
+    turn2, attempts2, raw = ask(sample, backend, config, stage, prompt, config.max_attempts,
+                                digests)
     return Trajectory(
         sample_id=sample.sample_id, turn1=turn1, keyframes=keyframes,
         turn2=turn2 or Turn(reasoning="", action=Answer(text=""), raw=raw),

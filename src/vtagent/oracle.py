@@ -1,10 +1,11 @@
 """Frame-wise oracle analysis.
 
-Every frame is queried independently with a single-image QA prompt; a sample
-counts as frame-solvable when any frame alone yields the exact answer. The
-OR over frames is an upper bound exposing how much of the video-level gap is
-evidence localization rather than reasoning. Correct frames double as pseudo
-keyframe annotations for hit-rate measurement.
+Every frame is queried independently with a single-image QA prompt, as a
+one-reply turn of the engine's `ask` loop; a sample counts as frame-solvable
+when any frame alone yields the exact answer. The OR over frames is an upper
+bound exposing how much of the video-level gap is evidence localization
+rather than reasoning. Correct frames double as pseudo keyframe annotations
+for hit-rate measurement.
 
 `oracle_upper_bound` runs one `framewise_eval` per sample through
 `engine.run_units`, so its log is written per sample and a rerun resumes it.
@@ -16,13 +17,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import Backend, GenerationRequest, Message
+from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
-from .engine import (ANSWER_TEMPLATE, EngineConfig, complete_with_retry, derive_seed,
-                     frames_turn, run_units)
-from .errors import TRANSIENT_ERRORS, MissingActionBlock, NotFrameSolvable, UnparsableAction
-from .grammar import Answer, KeyframeSet, parse_turn
-from .metrics import SampleScore, exact_accuracy, hit
+from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
+from .errors import TRANSIENT_ERRORS, NotFrameSolvable
+from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
 
 
 @dataclass(frozen=True)
@@ -49,25 +48,19 @@ def build_frame_prompt(sample: Sample, frame_index: int) -> tuple[Message, ...]:
 
 
 def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> FramewiseResult:
+    """One reply per frame: a malformed or non-answer reply counts as incorrect;
+    a frame whose transport tries all fail is also recorded in failed_frames."""
     correct: list[bool] = []
     failed: list[int] = []
     for i in range(len(sample.frames)):
-        req = GenerationRequest(
-            messages=build_frame_prompt(sample, i),
-            temperature=config.temperature,
-            seed=derive_seed(config.seed, sample.sample_id, f"frame{i}", 0),
-        )
         try:
-            raw = complete_with_retry(backend, req, config)
-            turn = parse_turn(raw)
-            ok = (isinstance(turn.action, Answer)
-                  and exact_accuracy(turn.action.text, sample.gold_answers) == 1)
+            turn, _, _ = ask(sample, backend, config, f"frame{i}", build_frame_prompt(sample, i),
+                             1, [])
         except TRANSIENT_ERRORS:
-            ok = False
+            turn = None
             failed.append(i)
-        except (MissingActionBlock, UnparsableAction):
-            ok = False
-        correct.append(ok)
+        correct.append(turn is not None
+                       and exact_accuracy(turn.action.text, sample.gold_answers) == 1)
     return FramewiseResult(sample_id=sample.sample_id,
                            per_frame_correct=tuple(correct),
                            failed_frames=tuple(failed))
@@ -123,40 +116,17 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
                         results=results, video_accuracy=video_accuracy)
 
 
-@dataclass
-class SubsetRow:
-    subset: str
-    n: int
-    accuracy: Optional[float]  # x100; None when the subset is empty
-    hit_rate: Optional[float] = None
-
-
 def stratified_report(scores: Sequence[SampleScore], partition: Partition,
-                      selections: Optional[dict[str, Sequence[int]]] = None,
-                      pseudo: Optional[dict[str, frozenset[int]]] = None,
-                      ) -> list[SubsetRow]:
-    """Accuracy per Set_s / Set_u; hit rate over Set_s when selections and
-    pseudo annotations are supplied."""
+                      ) -> dict[str, Optional[MetricReport]]:
+    """`metrics.aggregate` over the scores of Set_s and of Set_u, None for a
+    subset with no scores. Hit% comes from each score's `hit`, which
+    `reporting.score_records` fills when the manifest carries `keyframes`."""
     by_id = {s.sample_id: s for s in scores}
-    rows: list[SubsetRow] = []
+    reports: dict[str, Optional[MetricReport]] = {}
     for name, ids in (("Set_s", partition.set_s), ("Set_u", partition.set_u)):
         subset = [by_id[i] for i in ids if i in by_id]
-        if not subset:
-            rows.append(SubsetRow(subset=name, n=0, accuracy=None))
-            continue
-        acc = 100.0 * sum(s.accuracy for s in subset) / len(subset)
-        hit_rate = None
-        if name == "Set_s" and selections is not None and pseudo is not None:
-            hits = []
-            for s in subset:
-                sel = selections.get(s.sample_id)
-                ann = pseudo.get(s.sample_id)
-                if sel and ann:
-                    hits.append(hit(KeyframeSet(ids=tuple(sel)), ann))
-            if hits:
-                hit_rate = 100.0 * sum(hits) / len(hits)
-        rows.append(SubsetRow(subset=name, n=len(subset), accuracy=acc, hit_rate=hit_rate))
-    return rows
+        reports[name] = aggregate(subset, split_tag=name) if subset else None
+    return reports
 
 
 def write_partition(partition: Partition, out_dir: str | Path) -> None:

@@ -11,7 +11,6 @@ from .data_model import DatasetManifest
 from .errors import MalformedRecord
 from .grammar import KeyframeSet
 from .metrics import MetricReport, SampleScore, anls, exact_accuracy, hit
-from .oracle import SubsetRow
 
 
 def score_records(manifest: DatasetManifest, records: Sequence[dict]) -> list[SampleScore]:
@@ -93,13 +92,16 @@ def side_by_side_table(reports: dict[str, MetricReport]) -> str:
     return "\n".join(lines)
 
 
-def subset_table(rows_by_system: dict[str, Sequence[SubsetRow]]) -> str:
+def subset_table(reports_by_system: dict[str, dict[str, Optional[MetricReport]]]) -> str:
+    """One row per system and subset; an empty subset prints n 0 and dashes."""
     lines = [f"{'system':<24} {'subset':<8} {'n':>6} {'ACC.':>8} {'Hit%':>8}"]
-    for name, rows in rows_by_system.items():
-        for row in rows:
-            acc = f"{row.accuracy:8.2f}" if row.accuracy is not None else "       -"
-            hr = f"{row.hit_rate:8.2f}" if row.hit_rate is not None else "       -"
-            lines.append(f"{name:<24} {row.subset:<8} {row.n:>6} {acc} {hr}")
+    for name, subsets in reports_by_system.items():
+        for subset, r in subsets.items():
+            if r is None:
+                lines.append(f"{name:<24} {subset:<8} {0:>6} {'-':>8} {'-':>8}")
+                continue
+            hr = f"{r.hit_rate:8.2f}" if r.hit_rate is not None else f"{'-':>8}"
+            lines.append(f"{name:<24} {subset:<8} {r.n:>6} {r.mean_accuracy:8.2f} {hr}")
     return "\n".join(lines)
 
 

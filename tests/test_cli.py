@@ -204,6 +204,21 @@ class TestReport:
         out = capsys.readouterr().out
         assert "Set_s" in out and "Set_u" in out
 
+    def test_subset_hit_rate_from_scored_hits(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        self.make_score_log(a, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": True},
+                                {"sample_id": "s2", "accuracy": 0, "anls": 0.0, "hit": False},
+                                {"sample_id": "s3", "accuracy": 1, "anls": 1.0, "hit": True},
+                                {"sample_id": "s4", "accuracy": 0, "anls": 0.0, "hit": None}],
+                            {"summary": True})
+        (tmp_path / "set_s.ids").write_text("s1\ns2\ns3\ns4\n")
+        (tmp_path / "set_u.ids").write_text("s9\n")  # not scored: an empty subset
+        assert cli.main(["report", "--scores", f"sys={a}", "--partition", str(tmp_path)]) == 0
+        rows = {line.split()[1]: line.split()[2:] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("sys ")}
+        assert rows["Set_s"] == ["4", "50.00", "66.67"]  # hit over s1-s3
+        assert rows["Set_u"] == ["0", "-", "-"]
+
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"sample_id": "s1"\n', encoding="utf-8")
@@ -242,22 +257,32 @@ class TestConfig:
         assert "model=flag-model" in capsys.readouterr().out  # flag beats env
 
     @pytest.mark.parametrize("source", ["flag", "file"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_bad_temperature_exit_2_before_any_call(self, source, value, manifest_path,
-                                                    tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("setting, value", [
+        ("temperature", "nan"), ("temperature", "inf"), ("temperature", "-1"),
+        ("frames", "0"), ("frames", "-3"), ("cap", "0"),
+    ], ids=["nan", "inf", "-1", "frames=0", "frames=-3", "cap=0"])
+    def test_bad_temperature_exit_2_before_any_call(self, source, setting, value,
+                                                    manifest_path, tmp_path, monkeypatch,
+                                                    capsys):
         path, _ = manifest_path
         built = []
         monkeypatch.setattr(cli, "build_backend", built.append)
         argv = ["eval", "--manifest", str(path), "--backend", "scripted", "--script", "x",
                 "--out-dir", str(tmp_path / "out")]
         if source == "flag":
-            argv.append(f"--temperature={value}")
+            argv.append(f"--{setting}={value}")
         else:
-            (tmp_path / "run.cfg").write_text(f"temperature={value}\n")
+            (tmp_path / "run.cfg").write_text(f"{setting}={value}\n")
             argv += ["--config", str(tmp_path / "run.cfg")]
         assert cli.main(argv) == 2
-        assert "temperature must be finite and >= 0" in capsys.readouterr().err
+        assert f"{setting} must be" in capsys.readouterr().err
         assert built == [] and not (tmp_path / "out").exists()
+
+    def test_unknown_file_key_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("frames=16\nmax_attempt=2\n")
+        assert cli.main(["config", "show", "--config", str(cfg_file)]) == 2
+        assert f"{cfg_file}:2: unknown setting 'max_attempt'" in capsys.readouterr().err
 
     def test_invalid_file_value_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -7,10 +7,10 @@ from conftest import request_question, request_stage
 from vtagent import oracle
 from vtagent.backends import FunctionBackend, ImagePart
 from vtagent.data_model import DatasetManifest
-from vtagent.engine import EngineConfig
+from vtagent.engine import ANSWER_TEMPLATE, EngineConfig, derive_seed
 from vtagent.errors import BackendUnavailable, NotFrameSolvable
-from vtagent.grammar import KeyframeSet
-from vtagent.metrics import SampleScore, hit
+from vtagent.metrics import SampleScore
+from vtagent.reporting import subset_table
 
 
 def cfg(**kwargs):
@@ -56,6 +56,54 @@ class TestFramewiseEval:
         backend = frame_backend(manifest, {sample.question: {0, 1, 2}})
         result = oracle.framewise_eval(sample, backend, cfg())
         assert result.per_frame_correct == (True, True, True)
+
+    def test_frame_requests_are_pinned(self, manifest_factory):
+        manifest = manifest_factory(n_samples=1, n_frames=3)
+        sample = manifest.samples[0]
+        inner = frame_backend(manifest, {sample.question: {1}})
+        seen = []
+
+        def fn(request):
+            (image,) = [p for m in request.messages for p in m.parts
+                        if isinstance(p, ImagePart)]
+            seen.append((request.seed, request.temperature, image.index,
+                         request.messages[0].parts[0].text))
+            return inner.complete(request)
+
+        oracle.framewise_eval(sample, FunctionBackend(fn), cfg(seed=7, temperature=0.3))
+        assert seen == [(derive_seed(7, sample.sample_id, f"frame{i}", 0), 0.3, i,
+                         ANSWER_TEMPLATE) for i in range(3)]
+
+    @pytest.mark.parametrize("reply", [
+        "no tags at all",
+        "<reasoning>r</reasoning>\n<action>select key frame: [0]</action>",
+    ], ids=["malformed", "selection"])
+    def test_rejected_reply_costs_one_call(self, reply, sample_factory):
+        backend = FunctionBackend(lambda request: reply)
+        result = oracle.framewise_eval(sample_factory(n_frames=1), backend,
+                                       cfg(max_attempts=3))
+        assert backend.calls == 1
+        assert result.per_frame_correct == (False,) and result.failed_frames == ()
+
+    @pytest.mark.parametrize("transient, calls, correct, failed", [
+        (1, 2, (True,), ()),
+        (3, 3, (False,), (0,)),
+    ], ids=["429_then_answer", "every_try_fails"])
+    def test_transient_errors_get_every_transport_try(self, transient, calls, correct,
+                                                      failed, sample_factory):
+        sample = sample_factory(n_frames=1)
+        errors = iter([BackendUnavailable("429", retry_after=0.0)] * transient)
+
+        def fn(request):
+            error = next(errors, None)
+            if error is not None:
+                raise error
+            return f"<reasoning>r</reasoning>\n<action>answer: {sample.gold_answers[0]}</action>"
+
+        backend = FunctionBackend(fn)
+        result = oracle.framewise_eval(sample, backend, cfg(max_attempts=3))
+        assert backend.calls == calls
+        assert result.per_frame_correct == correct and result.failed_frames == failed
 
 
 class TestPseudoKeyframes:
@@ -154,27 +202,22 @@ class TestUpperBound:
 
 class TestStratified:
     def test_rows_and_hit_rate(self):
-        scores = [SampleScore("a", 1, 1.0), SampleScore("b", 0, 0.0),
-                  SampleScore("c", 1, 1.0)]
-        partition = oracle.Partition(set_s=("a", "b"), set_u=("c",))
-        rows = oracle.stratified_report(
-            scores, partition,
-            selections={"a": [3], "b": [0]},
-            pseudo={"a": frozenset({3}), "b": frozenset({1})})
-        by_name = {r.subset: r for r in rows}
-        assert by_name["Set_s"].n == 2
-        assert by_name["Set_s"].accuracy == pytest.approx(50.0)
-        assert by_name["Set_s"].hit_rate == pytest.approx(50.0)
-        assert by_name["Set_u"].accuracy == pytest.approx(100.0)
+        scores = [SampleScore("a", 1, 1.0, hit=True), SampleScore("b", 0, 0.0, hit=False),
+                  SampleScore("d", 0, 0.0), SampleScore("c", 1, 1.0)]
+        partition = oracle.Partition(set_s=("a", "b", "d"), set_u=("c",))
+        reports = oracle.stratified_report(scores, partition)
+        assert reports["Set_s"].n == 3
+        assert reports["Set_s"].mean_accuracy == pytest.approx(100 / 3)
+        assert reports["Set_s"].hit_rate == pytest.approx(50.0)  # over a and b only
+        assert reports["Set_u"].mean_accuracy == pytest.approx(100.0)
+        assert reports["Set_u"].hit_rate is None
 
     def test_empty_subset_row(self):
-        rows = oracle.stratified_report([SampleScore("a", 1, 1.0)],
-                                        oracle.Partition(set_s=("a",), set_u=()))
-        by_name = {r.subset: r for r in rows}
-        assert by_name["Set_u"].n == 0 and by_name["Set_u"].accuracy is None
-
-    def test_hit_feeds_rate(self):
-        assert hit(KeyframeSet(ids=(2,)), {2}) is True
+        reports = oracle.stratified_report([SampleScore("a", 1, 1.0)],
+                                           oracle.Partition(set_s=("a",), set_u=("z",)))
+        assert reports["Set_u"] is None
+        table = subset_table({"sys": reports}).splitlines()
+        assert table[-1].split() == ["sys", "Set_u", "0", "-", "-"]
 
 
 class TestPartitionIo:
