@@ -24,7 +24,7 @@ from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
                        ReplayBackend, ScriptedBackend, TranscriptStore)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_frames)
-from .engine import EngineConfig, run_batch
+from .engine import FALLBACK_POLICIES, EngineConfig, run_batch
 from .errors import ConfigError, VtagentError
 from .metrics import REPORT_HEADER, aggregate, format_report
 
@@ -95,10 +95,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(temperature) and temperature >= 0):
         raise ConfigError(f"invalid configuration value: temperature must be finite "
                           f"and >= 0, got {temperature!r}")
-    for name in ("frames", "cap"):
+    for name in ("frames", "cap", "parallelism", "max_attempts"):
         if settings.get(name, 1) < 1:
             raise ConfigError(f"invalid configuration value: {name} must be >= 1, "
                               f"got {settings[name]}")
+    if settings.get("fallback", "uniform") not in FALLBACK_POLICIES:
+        raise ConfigError(f"invalid configuration value: fallback must be one of "
+                          f"{FALLBACK_POLICIES}, got {settings['fallback']!r}")
     return RunConfig(
         **settings,
         script=Path(args.script) if getattr(args, "script", None) else None,

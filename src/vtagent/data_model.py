@@ -8,6 +8,7 @@ across worker threads.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -77,7 +78,10 @@ def uniform_indices(count: int, n: int) -> list[int]:
     return [(i * (count - 1)) // (n - 1) for i in range(n)]
 
 
-def _sample_from_record(obj: dict, line_no: int, check_frames: bool) -> Sample:
+def _sample_from_record(obj: dict, line_no: int, refs: dict[tuple, FrameRef],
+                        checked: set[str]) -> Sample:
+    """One manifest record as a Sample. `refs` (FrameRefs by their fields) and
+    `checked` (paths found to exist) live for one load_manifest call."""
     for field in ("sample_id", "video_id", "question", "answers", "frames"):
         if field not in obj:
             raise MalformedRecord(line_no, f"missing field {field!r}")
@@ -89,10 +93,16 @@ def _sample_from_record(obj: dict, line_no: int, check_frames: bool) -> Sample:
         if not isinstance(fr, dict) or "index" not in fr or "path" not in fr:
             raise MalformedRecord(line_no, "frame entries need index and path")
         path = str(fr["path"])
-        if check_frames and not Path(path).exists():
-            raise MissingFrameFile(path)
-        frames.append(FrameRef(index=int(fr["index"]), source_path=path,
-                               timestamp_s=float(fr["t"]) if "t" in fr else None))
+        key = (int(fr["index"]), path, float(fr["t"]) if "t" in fr else None)
+        ref = refs.get(key)
+        if ref is None:
+            if path not in checked:
+                # follows symlinks, so a broken link counts as missing
+                if not os.path.exists(path):
+                    raise MissingFrameFile(path)
+                checked.add(path)
+            ref = refs[key] = FrameRef(*key)
+        frames.append(ref)
     answers = obj["answers"]
     if not isinstance(answers, list) or not answers:
         raise MalformedRecord(line_no, "empty answers")
@@ -111,11 +121,18 @@ def _sample_from_record(obj: dict, line_no: int, check_frames: bool) -> Sample:
         raise MalformedRecord(line_no, str(e)) from e
 
 
-def load_manifest(path: str | Path, check_frames: bool = True) -> DatasetManifest:
-    """Load a JSONL manifest, aborting on the first invalid record."""
+def load_manifest(path: str | Path) -> DatasetManifest:
+    """Load a JSONL manifest, aborting on the first invalid record.
+
+    Every frame file must exist when the load checks it; MissingFrameFile
+    names the first missing path in file order. Samples that repeat a frame
+    share its FrameRef.
+    """
     path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
+    refs: dict[tuple, FrameRef] = {}
+    checked: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -126,7 +143,7 @@ def load_manifest(path: str | Path, check_frames: bool = True) -> DatasetManifes
                 raise MalformedRecord(line_no, f"invalid JSON: {e}") from e
             if not isinstance(obj, dict):
                 raise MalformedRecord(line_no, "record must be an object")
-            sample = _sample_from_record(obj, line_no, check_frames)
+            sample = _sample_from_record(obj, line_no, refs, checked)
             if sample.sample_id in seen:
                 raise DuplicateSampleId(sample.sample_id)
             seen.add(sample.sample_id)

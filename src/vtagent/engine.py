@@ -60,13 +60,15 @@ DIRECT_TEMPLATE = (
 
 T = TypeVar("T")
 
+FALLBACK_POLICIES = ("uniform", "direct")
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     keyframe_cap: int = 8
     max_attempts: int = 5
     parallelism: int = 1
-    fallback_policy: str = "uniform"  # "uniform" | "direct"
+    fallback_policy: str = "uniform"  # one of FALLBACK_POLICIES
     temperature: float = 0.0
     seed: Optional[int] = None
     backoff_base_s: float = 0.1
@@ -76,7 +78,7 @@ class EngineConfig:
             raise ConfigError("max_attempts must be >= 1")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
-        if self.fallback_policy not in ("uniform", "direct"):
+        if self.fallback_policy not in FALLBACK_POLICIES:
             raise ConfigError(f"unknown fallback policy {self.fallback_policy!r}")
 
 

@@ -7,8 +7,9 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .backends import read_log
 from .data_model import DatasetManifest
-from .errors import MalformedRecord
+from .errors import ConfigError, MalformedRecord
 from .grammar import KeyframeSet
 from .metrics import MetricReport, SampleScore, anls, exact_accuracy, hit
 
@@ -55,26 +56,25 @@ def write_score_log(scores: Sequence[SampleScore], report: MetricReport,
 
 
 def read_score_log(path: str | Path) -> tuple[list[SampleScore], Optional[dict]]:
+    """Per-sample scores and the summary record of a score log, read with
+    read_log. A bad record is named by its number among the records, which is
+    its line number in a log that write_score_log wrote."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"score log not found: {path}")
     scores: list[SampleScore] = []
     summary: Optional[dict] = None
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
-            if obj.get("summary"):
-                summary = obj
-            else:
-                try:
-                    scores.append(SampleScore(sample_id=obj["sample_id"],
-                                              accuracy=int(obj["accuracy"]),
-                                              anls=float(obj["anls"]),
-                                              hit=obj.get("hit")))
-                except (KeyError, TypeError, ValueError) as e:
-                    raise MalformedRecord(line_no, f"bad score record in {path}: {e}") from e
+    for line_no, obj in enumerate(read_log(path), start=1):
+        if obj.get("summary"):
+            summary = obj
+            continue
+        try:
+            scores.append(SampleScore(sample_id=obj["sample_id"],
+                                      accuracy=int(obj["accuracy"]),
+                                      anls=float(obj["anls"]),
+                                      hit=obj.get("hit")))
+        except (KeyError, TypeError, ValueError) as e:
+            raise MalformedRecord(line_no, f"bad score record in {path}: {e}") from e
     return scores, summary
 
 

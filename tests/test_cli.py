@@ -221,10 +221,17 @@ class TestReport:
 
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"sample_id": "s1"\n', encoding="utf-8")
-        code = cli.main(["report", "--scores", f"sys={bad}"])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        good = '{"sample_id": "s0", "accuracy": 1, "anls": 1.0, "hit": null}\n'
+        for line_no, text in ((1, '{"sample_id": "s1"\n'), (2, good + "[1, 2]\n"),
+                              (2, good + '{"sample_id": "s1", "accuracy": "x"}\n')):
+            bad.write_text(text, encoding="utf-8")
+            code = cli.main(["report", "--scores", f"sys={bad}"])
+            assert code == 2
+            assert f"line {line_no}" in capsys.readouterr().err
+
+    def test_missing_score_log_exit_2(self, tmp_path, capsys):
+        assert cli.main(["report", "--scores", f"sys={tmp_path / 'none.jsonl'}"]) == 2
+        assert "score log not found" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,27 +263,42 @@ class TestConfig:
         cli.main(["config", "show", "--config", str(cfg_file), "--model", "flag-model"])
         assert "model=flag-model" in capsys.readouterr().out  # flag beats env
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    @pytest.mark.parametrize("setting, value", [
-        ("temperature", "nan"), ("temperature", "inf"), ("temperature", "-1"),
-        ("frames", "0"), ("frames", "-3"), ("cap", "0"),
-    ], ids=["nan", "inf", "-1", "frames=0", "frames=-3", "cap=0"])
+    @pytest.mark.parametrize("setting, value, source", [
+        pytest.param(setting, value, source, id=f"{name}-{source}")
+        for setting, value, name, sources in [
+            ("temperature", "nan", "nan", ("flag", "file")),
+            ("temperature", "inf", "inf", ("flag", "file")),
+            ("temperature", "-1", "-1", ("flag", "file")),
+            ("frames", "0", "frames=0", ("flag", "file")),
+            ("frames", "-3", "frames=-3", ("flag", "file")),
+            ("cap", "0", "cap=0", ("flag", "file")),
+            ("max_attempts", "0", "max_attempts=0", ("flag", "file")),
+            ("parallelism", "0", "parallelism=0", ("flag", "file")),
+            ("fallback", "bogus", "fallback=bogus", ("file",)),  # no flag
+        ]
+        for source in sources])
     def test_bad_temperature_exit_2_before_any_call(self, source, setting, value,
                                                     manifest_path, tmp_path, monkeypatch,
                                                     capsys):
         path, _ = manifest_path
         built = []
         monkeypatch.setattr(cli, "build_backend", built.append)
+        out = tmp_path / "out"
+        out.mkdir()
+        finished = '{"sample_id": "s1", "answer": "stop"}\n'
+        (out / "trajectories.jsonl").write_text(finished)
         argv = ["eval", "--manifest", str(path), "--backend", "scripted", "--script", "x",
-                "--out-dir", str(tmp_path / "out")]
+                "--out-dir", str(out)]
         if source == "flag":
-            argv.append(f"--{setting}={value}")
+            argv.append(f"--{setting.replace('_', '-')}={value}")
         else:
             (tmp_path / "run.cfg").write_text(f"{setting}={value}\n")
             argv += ["--config", str(tmp_path / "run.cfg")]
         assert cli.main(argv) == 2
         assert f"{setting} must be" in capsys.readouterr().err
-        assert built == [] and not (tmp_path / "out").exists()
+        assert built == []
+        assert [p.name for p in out.iterdir()] == ["trajectories.jsonl"]
+        assert (out / "trajectories.jsonl").read_text() == finished
 
     def test_unknown_file_key_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -1,21 +1,65 @@
 import json
+import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from vtagent import data_model
 from vtagent.data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                                 load_manifest, sample_frames, uniform_indices,
                                 write_manifest)
 from vtagent.errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 
 
-def test_load_happy_path(manifest_factory, tmp_path):
-    manifest = manifest_factory(n_samples=3)
+def shared_video_manifest(sample_factory, n_samples=3, n_frames=6) -> DatasetManifest:
+    """Several questions about one video, with timestamps and keyframes, each
+    sample repeating the video's frame list as a manifest does."""
+    video = sample_factory(sample_id="v", video_id="v1", n_frames=n_frames)
+    frames = tuple(replace(f, timestamp_s=0.5 * f.index) for f in video.frames)
+    return DatasetManifest(samples=tuple(
+        replace(video, sample_id=f"q{i}", question=f"question {i}?",
+                gold_answers=(f"answer {i}",), frames=frames,
+                pseudo_keyframes=frozenset({i, i + 2}))
+        for i in range(n_samples)), source_uri="memory")
+
+
+def test_load_happy_path(manifest_factory, sample_factory, tmp_path):
+    for manifest in (manifest_factory(n_samples=3), shared_video_manifest(sample_factory)):
+        path = tmp_path / "m.jsonl"
+        write_manifest(manifest, path)
+        loaded = load_manifest(path)
+        assert len(loaded.samples) == 3
+        assert loaded.samples == manifest.samples  # round-trip
+        write_manifest(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_each_distinct_frame_path_checked_once(sample_factory, tmp_path, monkeypatch):
+    manifest = shared_video_manifest(sample_factory, n_samples=4)
     path = tmp_path / "m.jsonl"
     write_manifest(manifest, path)
-    loaded = load_manifest(path)
-    assert len(loaded.samples) == 3
-    assert loaded.samples == manifest.samples  # round-trip
+    checked = Counter()
+    exists = os.path.exists
+
+    def counting_exists(p):
+        checked[p] += 1
+        return exists(p)
+
+    monkeypatch.setattr(data_model.os.path, "exists", counting_exists)
+    load_manifest(path)
+    assert checked == Counter(f.source_path for f in manifest.samples[0].frames)
+
+
+def test_shared_frames_are_one_ref_and_stay_per_sample(sample_factory, tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifest(shared_video_manifest(sample_factory, n_samples=2), path)
+    a, b = load_manifest(path).samples
+    assert a.frames == b.frames
+    assert all(fa is fb for fa, fb in zip(a.frames, b.frames))
+    sampled = sample_frames(a, SamplingPolicy.uniform(2))
+    assert [(f.index, f.timestamp_s) for f in sampled.frames] == [(0, 0.0), (1, 2.5)]
+    assert [(f.index, f.timestamp_s) for f in b.frames] == [(i, 0.5 * i) for i in range(6)]
 
 
 def test_duplicate_sample_id(manifest_factory, tmp_path):
@@ -46,15 +90,33 @@ def test_empty_frames_rejected(manifest_factory, tmp_path):
 
 
 def test_missing_frame_file(manifest_factory, tmp_path):
-    manifest = manifest_factory(n_samples=1)
+    manifest = manifest_factory(n_samples=2)
     path = tmp_path / "m.jsonl"
     write_manifest(manifest, path)
-    obj = json.loads(path.read_text())
-    obj["frames"][0]["path"] = str(tmp_path / "nope.png")
-    path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(MissingFrameFile):
-        load_manifest(path)
-    load_manifest(path, check_frames=False)  # existence check is optional
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    nope, late = str(tmp_path / "z_nope.png"), str(tmp_path / "a_nope.png")
+    (tmp_path / "broken.png").symlink_to(tmp_path / "gone.png")
+    broken = str(tmp_path / "broken.png")
+
+    def write(paths_by_record):
+        records = []
+        for obj, paths in zip((first, second), paths_by_record):
+            obj = json.loads(json.dumps(obj))
+            for fr, p in zip(obj["frames"], paths):
+                fr["path"] = p
+            records.append(json.dumps(obj) + "\n")
+        path.write_text("".join(records))
+
+    # a plain missing file; the first missing path in file order, repeated,
+    # before one that sorts first; a broken symlink
+    for paths_by_record, missing in (([[nope]], nope),
+                                     ([[first["frames"][0]["path"], nope, late],
+                                       [late, nope]], nope),
+                                     ([[broken]], broken)):
+        write(paths_by_record)
+        with pytest.raises(MissingFrameFile) as exc:
+            load_manifest(path)
+        assert exc.value.path == missing
 
 
 def test_uniform_indices_floor_spaced():
