@@ -95,26 +95,40 @@ class Backend(Protocol):
     def complete(self, request: GenerationRequest) -> str: ...
 
 
+# json.dumps(s, ensure_ascii=False) of a str s, without the encoder set-up
+_escape = json.encoder.encode_basestring
+
+
 def canonicalize_request(request: GenerationRequest) -> str:
-    """Stable serialization: field-sorted JSON, independent of construction order."""
-    obj = {
-        "messages": [
-            {
-                "role": m.role,
-                "parts": [
-                    {"type": "text", "text": p.text}
-                    if isinstance(p, TextPart)
-                    else {"type": "image", "path": p.path, "index": p.index}
-                    for p in m.parts
-                ],
-            }
-            for m in request.messages
-        ],
-        "max_new_tokens": request.max_new_tokens,
-        "temperature": request.temperature,
-        "seed": request.seed,
-    }
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    """Stable serialization, independent of construction order; its sha256 is
+    the key of every transcript store, so one changed byte orphans them all.
+
+    Byte for byte `json.dumps(tree, sort_keys=True, ensure_ascii=False,
+    separators=(",", ":"))` of the tree {max_new_tokens, messages: [{role,
+    parts: [{type: "text", text} | {type: "image", path, index}]}],
+    temperature, seed}, but spliced rather than dumped: each object's keys are
+    written in sorted order around its values, strings go through json's own
+    escaper, the ints max_new_tokens and index through int's repr as json
+    writes them, and seed and temperature through one small `json.dumps`, so
+    None and floats stay exactly as json writes them.
+    """
+    chunks = ['{"max_new_tokens":', int.__repr__(request.max_new_tokens), ',"messages":[']
+    for m in request.messages:
+        chunks.append('{"parts":[')
+        for p in m.parts:
+            if isinstance(p, TextPart):
+                chunks += ['{"text":', _escape(p.text), ',"type":"text"}', ","]
+            else:
+                chunks += ['{"index":', int.__repr__(p.index), ',"path":', _escape(p.path),
+                           ',"type":"image"}', ","]
+        # as in _wire_body, a trailing separator is always there to replace
+        chunks[-1] = '],"role":'  # the last part's separator closes the parts
+        chunks += [_escape(m.role), "}", ","]
+    chunks[-1] = "],"  # the last message's separator closes the messages
+    tail = json.dumps({"seed": request.seed, "temperature": request.temperature},
+                      separators=(",", ":"))
+    chunks.append(tail[1:])  # its fields, then the closing brace
+    return "".join(chunks)
 
 
 def request_digest(request: GenerationRequest) -> str:
@@ -196,14 +210,20 @@ class TranscriptStore:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._cache: dict[str, Transcript] = {}
-        for obj in read_log(self.path):
-            t = Transcript(
-                request_digest=obj["digest"],
-                response_text=obj["response"],
-                latency_ms=int(obj.get("latency_ms", 0)),
-                backend_id=obj.get("backend_id", ""),
-            )
-            self._cache[t.request_digest] = t
+        # a bad record is named by its number among the records, which is its
+        # line number in a store that record wrote
+        for line_no, obj in enumerate(read_log(self.path), start=1):
+            digest, response = obj.get("digest"), obj.get("response")
+            latency_ms = obj.get("latency_ms", 0)
+            if not (isinstance(digest, str) and isinstance(response, str)):
+                raise MalformedRecord(line_no, f"bad store record in {self.path}: "
+                                               "digest and response must be strings")
+            if type(latency_ms) is not int:  # not a bool or a float either
+                raise MalformedRecord(line_no, f"bad store record in {self.path}: "
+                                               "latency_ms must be an integer")
+            self._cache[digest] = Transcript(request_digest=digest, response_text=response,
+                                             latency_ms=latency_ms,
+                                             backend_id=obj.get("backend_id", ""))
 
     def get(self, digest: str) -> Optional[Transcript]:
         with self._lock:

@@ -48,7 +48,21 @@ def exact_accuracy(pred: str, golds: Sequence[str]) -> int:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance over Unicode scalar values (two-row DP)."""
+    """Unit-cost edit distance over Unicode scalar values (two-row DP).
+
+    A common prefix or suffix never changes the distance, so both are trimmed
+    before the DP: equal strings cost one comparison, a one-character near
+    miss a 1x1 table.
+    """
+    if a == b:
+        return 0
+    start, end = 0, min(len(a), len(b))
+    while start < end and a[start] == b[start]:
+        start += 1
+    cut = 0  # the suffix stops where the prefix ends: "aba", "ab" trims "ab" once
+    while cut < end - start and a[-1 - cut] == b[-1 - cut]:
+        cut += 1
+    a, b = a[start:len(a) - cut], b[start:len(b) - cut]
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))

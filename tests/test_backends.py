@@ -61,6 +61,78 @@ class TestDigest:
         assert request_digest(base) != request_digest(mutated)
 
 
+def reference_canonical(request):
+    """The canonical form as it was first defined: a dict tree dumped with
+    sorted keys. canonicalize_request splices the same bytes."""
+    obj = {
+        "messages": [
+            {"role": m.role,
+             "parts": [{"type": "text", "text": p.text} if isinstance(p, TextPart)
+                       else {"type": "image", "path": p.path, "index": p.index}
+                       for p in m.parts]}
+            for m in request.messages
+        ],
+        "max_new_tokens": request.max_new_tokens,
+        "temperature": request.temperature,
+        "seed": request.seed,
+    }
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+# quotes, backslashes, control characters, JavaScript line separators, non-BMP
+# characters and lone surrogates, among any other character
+_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\u00e9\U0001F600\ud800'),
+                          st.characters(exclude_categories=())), max_size=12)
+_parts = st.lists(st.one_of(st.builds(TextPart, _text),
+                            st.builds(ImagePart, _text, st.integers(-2**70, 2**70))),
+                  min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def requests(draw):
+    earlier = draw(st.lists(st.builds(Message, st.sampled_from(["system", "user", "assistant"]),
+                                      _parts), max_size=2))
+    return GenerationRequest(
+        messages=(*earlier, Message("user", draw(_parts))),
+        max_new_tokens=draw(st.integers(0, 2**40)),
+        temperature=draw(st.one_of(st.integers(0, 10**20),
+                                   st.floats(0, 1e300, allow_nan=False, allow_infinity=False))),
+        seed=draw(st.one_of(st.none(), st.integers(-2**64, 2**64))))
+
+
+@given(requests())
+@settings(max_examples=300)
+def test_canonical_form_is_the_sorted_json_dump(req):
+    assert canonicalize_request(req) == reference_canonical(req)
+
+
+# sha256 digests computed before canonicalize_request was spliced: every
+# recorded transcript store is keyed by these bytes
+GOLDEN_DIGESTS = (
+    (GenerationRequest(messages=(Message("user", (TextPart("What does the sign say?"),)),)),
+     "0621dc2bb9208416163682052aa22ccf4634b6f8b7acc9915e285c0e0e1b7567"),
+    (GenerationRequest(
+        messages=(Message("system", (TextPart('Answer in <action>\u2026</action>; "quote" \\ tab\t'),)),
+                  Message("user", (TextPart("Frame 0:"), ImagePart("frames/v1/0000.png", 0),
+                                   TextPart("Frame 31:"), ImagePart("frames/v1/\u00e9 31.png", 31),
+                                   TextPart("Select keyframes.\n\u2028 \U0001F600")))),
+        max_new_tokens=256, temperature=1, seed=7),
+     "c5a9b12fd3b5bdc2165abe30fbb411a7d322332435755d1301d04a4630d341f8"),
+    (GenerationRequest(
+        messages=(Message("user", (TextPart("q"),)),
+                  Message("assistant", (TextPart("<action>[2]</action>"),)),
+                  Message("user", (ImagePart("/abs/path/f.jpg", 2),
+                                   TextPart("\x00\x1f\x7f\u2028")))),
+        max_new_tokens=32, temperature=1e-7, seed=2**63),
+     "d17e05d6a322d562a75ab2ab3d00efd4edb8aa05a7ab6529fc1f0049f1637e9c"),
+)
+
+
+@pytest.mark.parametrize("req,digest", GOLDEN_DIGESTS, ids=["text", "images_escapes", "turns"])
+def test_golden_digests(req, digest):
+    assert request_digest(req) == digest
+
+
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, -0.5])
 def test_request_temperature_must_be_finite_and_non_negative(temperature):
     with pytest.raises(ValueError, match="temperature"):
@@ -133,6 +205,18 @@ class TestReplay:
         path.write_text('{"digest": "d", "response": "r"}\n{"dig\n{"digest": "e", '
                         '"response": "s"}\n', encoding="utf-8")
         with pytest.raises(MalformedRecord, match="line 2"):
+            TranscriptStore(path)
+
+    @pytest.mark.parametrize("record", [
+        {"foo": 1}, {"digest": "d"}, {"response": "r"}, {"digest": 1, "response": "r"},
+        {"digest": "d", "response": None}, {"digest": "d", "response": "r", "latency_ms": "5"},
+        {"digest": "d", "response": "r", "latency_ms": 1.5},
+        {"digest": "d", "response": "r", "latency_ms": True}])
+    def test_bad_record_raises_naming_its_line(self, tmp_path, record):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"digest": "a", "response": "r", "latency_ms": 3}\n'
+                        + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord, match="line 2: bad store record"):
             TranscriptStore(path)
 
     def test_same_digest_newest_wins(self, tmp_path):

@@ -109,6 +109,15 @@ class TestEval:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_bad_store_record_exit_2(self, manifest_path, tmp_path, capsys):
+        path, _ = manifest_path
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"foo": 1}\n', encoding="utf-8")
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "replay",
+                         "--store", str(store), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 1: bad store record" in capsys.readouterr().err
+
 
 class TestCurate:
     def test_sft_yield_line(self, manifest_path, tmp_path, capsys):
@@ -232,6 +241,21 @@ class TestReport:
     def test_missing_score_log_exit_2(self, tmp_path, capsys):
         assert cli.main(["report", "--scores", f"sys={tmp_path / 'none.jsonl'}"]) == 2
         assert "score log not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing,as_dir", [("set_s.ids", False), ("set_u.ids", False),
+                                                ("set_s.ids", True)])
+    def test_missing_partition_file_exit_2(self, tmp_path, capsys, missing, as_dir):
+        a = tmp_path / "a.jsonl"
+        self.make_score_log(a, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": None}],
+                            {"summary": True})
+        part = tmp_path / "part"
+        part.mkdir()
+        for name in {"set_s.ids", "set_u.ids"} - {missing}:
+            (part / name).write_text("s1\n")
+        if as_dir:
+            (part / missing).mkdir()
+        assert cli.main(["report", "--scores", f"sys={a}", "--partition", str(part)]) == 2
+        assert f"partition file not found: {part / missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

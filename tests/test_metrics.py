@@ -53,6 +53,21 @@ class TestLevenshtein:
     def test_identity(self):
         assert levenshtein("same", "same") == 0
 
+    # the common prefix and suffix are trimmed before the DP; each case is
+    # checked against the untrimmed brute force
+    @pytest.mark.parametrize("a,b,want", [
+        ("starbucks", "starbuck", 1),          # shared prefix only
+        ("parking", "smoking", 3),             # shared suffix only
+        ("stop", "stopped", 3),                # one string a prefix of the other
+        ("aba", "ab", 1),                      # prefix and suffix overlap in "ab"
+        ("abab", "ab", 2),
+        ("no parking", "no parking", 0),       # equal
+        ("caf\U0001F600e", "caf\u00e9e", 1),  # a non-BMP character is one scalar
+        ("\U0001F600x", "\U0001F600", 1),
+    ])
+    def test_affix_trim(self, a, b, want):
+        assert levenshtein(a, b) == levenshtein(b, a) == brute_lev(a, b) == want
+
 
 class TestAnls:
     def test_near_miss(self):
