@@ -26,8 +26,8 @@ from typing import Callable, Iterator, Optional, Protocol, Union
 
 import requests
 
-from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, MalformedRecord,
-                     ResponseEmpty, StoreWriteFailed)
+from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, ConfigError,
+                     MalformedRecord, ResponseEmpty, StoreWriteFailed)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,8 @@ class FunctionBackend:
 
 
 def read_log(path: str | Path) -> Iterator[dict]:
-    """Yield the records of an append-only JSONL log (none if it does not exist).
+    """Yield the records of an append-only JSONL log (none if it does not
+    exist; a path that is not a file raises ConfigError).
 
     A kill mid-append can leave a last line without its newline. If that line
     does not parse it is dropped and cut off the file; if it does, its newline
@@ -178,6 +179,8 @@ def read_log(path: str | Path) -> Iterator[dict]:
     path = Path(path)
     if not path.exists():
         return
+    if not path.is_file():
+        raise ConfigError(f"log is not a file: {path}")
     line, torn = "\n", False
     # surrogateescape: a line cut inside a UTF-8 sequence still reads, and its
     # byte length survives for the cut below

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -79,7 +80,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         values.update(_read_config_file(path))
     values.update((key, os.environ[env]) for key, env in ENV_KEYS.items()
@@ -130,6 +131,8 @@ def build_backend(cfg: RunConfig) -> Backend:
     elif cfg.backend == "scripted":
         if cfg.script is None:
             raise ConfigError("scripted backend requires --script FILE")
+        if not cfg.script.is_file():
+            raise ConfigError(f"script not found: {cfg.script}")
         responses = [json.loads(line) if line.lstrip().startswith('"') else line
                      for line in cfg.script.read_text(encoding="utf-8").splitlines()
                      if line.strip()]
@@ -160,7 +163,7 @@ class _Unreachable(VtagentError):
 
 def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifest:
     path = Path(manifest_path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
     manifest = load_manifest(path)
     policy = SamplingPolicy.uniform(cfg.frames)
@@ -222,34 +225,35 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_totals(stats: curation.CurationStats) -> None:
+    print(stats.yield_line())
+    print(f"kept {stats.kept}, dropped {stats.dropped}, failed {stats.failed}")
+
+
 def cmd_curate_sft(args: argparse.Namespace) -> int:
     cfg, manifest, backend = _prepare(args)
     manifest = replace(manifest, samples=tuple(dedupe_samples(manifest.samples)))
-    out_path = _fresh(cfg.out_dir / "sft_corpus.jsonl", cfg.resume)
-    records, stats = curation.generate_sft_corpus(
-        manifest, backend, engine_config(cfg), out_path=out_path,
+    corpus = _fresh(cfg.out_dir / "sft_corpus.jsonl", cfg.resume)
+    lines, stats = curation.generate_sft_corpus(
+        manifest, backend, engine_config(cfg),
+        log_path=_fresh(cfg.out_dir / "sft_outcomes.jsonl", cfg.resume),
         teacher_id=cfg.model or "teacher")
-    print(stats.yield_line())
-    print(f"kept {stats.kept} new, {stats.skipped} resumed, dropped {stats.dropped}, "
-          f"failed {stats.failed}")
-    if stats.skipped and not records:
-        print("0 new")
+    curation.write_corpus(lines, corpus)
+    _print_totals(stats)
     return 0
 
 
 def cmd_curate_rl(args: argparse.Namespace) -> int:
     cfg, manifest, backend = _prepare(args)
-    out_path = _fresh(cfg.out_dir / "rl_corpus.jsonl", cfg.resume)
-    records, stats = curation.filter_rl_corpus(
-        manifest, backend, engine_config(cfg), out_path=out_path)
-    print(stats.yield_line())
-    hist: dict[int, int] = {}
-    for rec in records:
-        hist[rec.correct_count] = hist.get(rec.correct_count, 0) + 1
+    corpus = _fresh(cfg.out_dir / "rl_corpus.jsonl", cfg.resume)
+    lines, stats = curation.filter_rl_corpus(
+        manifest, backend, engine_config(cfg),
+        log_path=_fresh(cfg.out_dir / "rl_outcomes.jsonl", cfg.resume))
+    curation.write_corpus(lines, corpus)
+    _print_totals(stats)
+    hist = Counter(line["correct_count"] for line in lines)
     for count in sorted(hist):
         print(f"correct_count={count}: {hist[count]}")
-    if stats.skipped and not records:
-        print("0 new")
     return 0
 
 

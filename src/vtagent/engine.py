@@ -15,6 +15,9 @@ sent one and exponential backoff otherwise; a replay cache miss or an
 exhausted script fails at once.
 
 `run_units` is the work-unit runner of every pipeline that calls the model.
+A unit returns one record per sample, the record its log holds, and the
+runner returns every sample's record, logged earlier or new, in manifest
+order.
 """
 
 from __future__ import annotations
@@ -227,54 +230,43 @@ def trajectory_record(traj: Trajectory) -> dict:
     }
 
 
-def run_units(samples: Sequence[Sample], fn: Callable[[Sample], tuple[T, Optional[dict]]],
-              parallelism: int, log_path: str | Path | None = None,
-              ) -> tuple[list[dict], list[T]]:
+def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], parallelism: int,
+              log_path: str | Path | None = None) -> list[dict]:
     """Map fn over the samples not yet in log_path, `parallelism` at a time.
 
-    fn returns (result, record); a record that is not None is appended to
-    log_path and flushed as soon as it and every record before it in manifest
-    order are done, so a kill loses only unfinished samples. An exception
-    from fn stops the run after the records of the samples before it.
-    Returns the records already in the log and the new results in manifest
-    order.
+    fn returns the sample's record, which is appended to log_path and flushed
+    as soon as it and every record before it in manifest order are done, so a
+    kill loses only unfinished samples. An exception from fn stops the run
+    after the records of the samples before it. Returns every sample's
+    record, read from the log or new, in manifest order.
     """
-    prior = list(read_log(log_path)) if log_path is not None else []
-    done = {r["sample_id"] for r in prior}
-    todo = [s for s in samples if s.sample_id not in done]
-    results: list[T] = []
-    if not todo:
-        return prior, results
-    if log_path is not None:
-        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=parallelism) as pool, \
-            (open(log_path, "a", encoding="utf-8") if log_path is not None
-             else nullcontext()) as log:
-        # pool.map yields in submission order, so the log stays in manifest order
-        for result, record in pool.map(fn, todo):
-            results.append(result)
-            if log is not None and record is not None:
-                log.write(json.dumps(record, ensure_ascii=False) + "\n")
-                log.flush()
-    return prior, results
+    records = ({r["sample_id"]: r for r in read_log(log_path)} if log_path is not None
+               else {})
+    todo = [s for s in samples if s.sample_id not in records]
+    if todo:
+        if log_path is not None:
+            Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+        with ThreadPoolExecutor(max_workers=parallelism) as pool, \
+                (open(log_path, "a", encoding="utf-8") if log_path is not None
+                 else nullcontext()) as log:
+            # pool.map yields in submission order, so the log stays in manifest order
+            for sample, record in zip(todo, pool.map(fn, todo)):
+                records[sample.sample_id] = record
+                if log is not None:
+                    log.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    log.flush()
+    return [records[s.sample_id] for s in samples]
 
 
 def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
               log_path: str | Path) -> list[dict]:
-    """Run episodes over the manifest through `run_units`.
-
-    Each record (a trajectory, or an error once retries are spent) is
-    appended to the log as soon as it and every earlier sample are done; a
-    rerun skips the sample_ids already logged. Returns the full record list
-    (prior + new) in manifest order.
-    """
-    def one(sample: Sample) -> tuple[dict, dict]:
+    """Run episodes over the manifest through `run_units` and return every
+    sample's record in manifest order: a trajectory, or an error once retries
+    are spent. A rerun skips the sample_ids already logged."""
+    def one(sample: Sample) -> dict:
         try:
-            rec = trajectory_record(run_episode(sample, backend, config))
+            return trajectory_record(run_episode(sample, backend, config))
         except TRANSIENT_ERRORS as e:
-            rec = {"sample_id": sample.sample_id, "error": str(e)}
-        return rec, rec
+            return {"sample_id": sample.sample_id, "error": str(e)}
 
-    prior, new = run_units(manifest.samples, one, config.parallelism, log_path)
-    merged = {r["sample_id"]: r for r in prior + new}
-    return [merged[s.sample_id] for s in manifest.samples if s.sample_id in merged]
+    return run_units(manifest.samples, one, config.parallelism, log_path)

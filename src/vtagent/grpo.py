@@ -38,18 +38,17 @@ class ToyEnv:
         return self.vocab.index(self.gold_answer)
 
 
-def make_env(n_frames: int, vocab: Sequence[str], rng: np.random.Generator,
-             noise: float = 0.05) -> ToyEnv:
+def make_env(n_frames: int, vocab: Sequence[str], rng: np.random.Generator) -> ToyEnv:
     """Feature layout: one dim per vocab symbol plus a trailing evidence dim.
 
     The gold frame gets a one-hot on its answer symbol and evidence = 1;
-    distractor frames get small noise and evidence = 0.
+    distractor frames get Gaussian noise of std 0.05 and evidence = 0.
     """
     vocab = tuple(vocab)
     d = len(vocab) + 1
     gold_frame = int(rng.integers(n_frames))
     gold_answer = vocab[int(rng.integers(len(vocab)))]
-    feats = noise * rng.standard_normal((n_frames, d))
+    feats = 0.05 * rng.standard_normal((n_frames, d))
     feats[:, -1] = 0.0
     feats[gold_frame] = 0.0
     feats[gold_frame, vocab.index(gold_answer)] = 1.0
@@ -68,9 +67,6 @@ class ToyPolicy:
     def zeros(cls, d: int, vocab_size: int) -> "ToyPolicy":
         return cls(w_select=np.zeros(d), b_noselect=0.0,
                    w_answer=np.zeros((vocab_size, d)))
-
-    def copy(self) -> "ToyPolicy":
-        return ToyPolicy(self.w_select.copy(), self.b_noselect, self.w_answer.copy())
 
     # flat parameter view, used by the finite-difference oracle
     def to_vector(self) -> np.ndarray:
@@ -225,19 +221,19 @@ class StepStats:
 
 
 def rollout_group(policy: ToyPolicy, env: ToyEnv, G: int, rng: np.random.Generator,
-                  tool_reward: float = 0.5, delta: float = 1e-8) -> TrajectoryGroup:
+                  tool_reward: float = 0.5) -> TrajectoryGroup:
     trajs = [sample_trajectory(policy, env, rng) for _ in range(G)]
     rewards = np.array([compute_reward(t, env, tool_reward) for t in trajs])
     return TrajectoryGroup(env=env, trajs=trajs, rewards=rewards,
-                           advantages=group_advantages(rewards, delta))
+                           advantages=group_advantages(rewards))
 
 
 def grpo_step(policy: ToyPolicy, env_batch: Sequence[ToyEnv], G: int, eps: float,
-              lr: float, rng: np.random.Generator, tool_reward: float = 0.5,
-              delta: float = 1e-8) -> tuple[ToyPolicy, StepStats]:
+              lr: float, rng: np.random.Generator,
+              tool_reward: float = 0.5) -> tuple[ToyPolicy, StepStats]:
     """Sample G trajectories per env under the current (old) policy, take one
     ascent step on the clipped surrogate."""
-    groups = [rollout_group(policy, env, G, rng, tool_reward, delta) for env in env_batch]
+    groups = [rollout_group(policy, env, G, rng, tool_reward) for env in env_batch]
     grad = ToyPolicy.zeros(policy.w_select.size, policy.w_answer.shape[0])
     for group in groups:
         g = grpo_objective_grad(policy, group.env, group.trajs, group.advantages, eps)
@@ -273,7 +269,6 @@ class TrainConfig:
     lr: float = 0.1
     seed: int = 7
     tool_reward: float = 0.5
-    delta: float = 1e-8
 
     def __post_init__(self):
         if self.group_size < 2:
@@ -309,7 +304,7 @@ def train(env_suite: Sequence[ToyEnv], config: TrainConfig) -> TrainResult:
     curve: list[StepStats] = []
     for _ in range(config.steps):
         policy, stats = grpo_step(policy, env_suite, config.group_size, config.eps,
-                                  config.lr, rng, config.tool_reward, config.delta)
+                                  config.lr, rng, config.tool_reward)
         curve.append(stats)
     return TrainResult(policy=policy, curve=curve)
 

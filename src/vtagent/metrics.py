@@ -76,11 +76,9 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
-def anls(pred: str, golds: Sequence[str], threshold: float = 0.5) -> float:
+def anls(pred: str, golds: Sequence[str]) -> float:
     if not golds:
         raise ValueError("golds must be non-empty")
-    if not 0 <= threshold <= 1:
-        raise ValueError("threshold must be in [0, 1]")
     p = normalize_answer(pred)
     best = 0.0
     for g in golds:
@@ -91,7 +89,7 @@ def anls(pred: str, golds: Sequence[str], threshold: float = 0.5) -> float:
         else:
             s = 1.0 - levenshtein(p, gn) / longest
         best = max(best, s)
-    return best if best >= threshold else 0.0
+    return best if best >= 0.5 else 0.0
 
 
 def hit(selected: KeyframeSet, annotated: frozenset[int] | set[int]) -> bool:
@@ -115,9 +113,9 @@ def aggregate(scores: Iterable[SampleScore], split_tag: str = "") -> MetricRepor
                         n_hit_defined=len(with_hit))
 
 
-def format_report(report: MetricReport, label: str = "") -> str:
+def format_report(report: MetricReport) -> str:
     """Aligned-column text row: ACC. / ANLS (x100, 2 decimals for display)."""
-    name = label or report.split_tag or "all"
+    name = report.split_tag or "all"
     hit_col = f"{report.hit_rate:8.2f}" if report.hit_rate is not None else "       -"
     return f"{name:<24} {report.n:>6} {report.mean_accuracy:8.2f} {report.mean_anls:8.2f} {hit_col}"
 

@@ -93,20 +93,17 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
     """Frame-wise evaluation of every sample, `config.parallelism` samples at a
     time. With log_path, vectors already logged are reused and each new one
     is appended (framewise.jsonl format) as soon as it is done."""
-    def one(sample: Sample) -> tuple[FramewiseResult, dict]:
+    def one(sample: Sample) -> dict:
         result = framewise_eval(sample, backend, config)
-        return result, {"sample_id": result.sample_id,
-                        "vector": list(result.per_frame_correct),
-                        "any_correct": result.any_correct,
-                        "failed_frames": list(result.failed_frames)}
+        return {"sample_id": result.sample_id,
+                "vector": list(result.per_frame_correct),
+                "any_correct": result.any_correct,
+                "failed_frames": list(result.failed_frames)}
 
-    prior, new = run_units(manifest.samples, one, config.parallelism, log_path)
     # logs written before failed_frames was recorded read as no failures
-    by_id = {r["sample_id"]: FramewiseResult(r["sample_id"], tuple(r["vector"]),
-                                             tuple(r.get("failed_frames", ())))
-             for r in prior}
-    by_id.update((r.sample_id, r) for r in new)
-    results = [by_id[s.sample_id] for s in manifest.samples]
+    results = [FramewiseResult(r["sample_id"], tuple(r["vector"]),
+                               tuple(r.get("failed_frames", ())))
+               for r in run_units(manifest.samples, one, config.parallelism, log_path)]
     set_s = tuple(r.sample_id for r in results if r.any_correct)
     set_u = tuple(r.sample_id for r in results if not r.any_correct)
     n = len(results) or 1

@@ -60,7 +60,7 @@ def read_score_log(path: str | Path) -> tuple[list[SampleScore], Optional[dict]]
     read_log. A bad record is named by its number among the records, which is
     its line number in a log that write_score_log wrote."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"score log not found: {path}")
     scores: list[SampleScore] = []
     summary: Optional[dict] = None
@@ -118,11 +118,11 @@ def write_csv_table(rows: Sequence[dict], path: str | Path) -> None:
 
 
 def write_svg_lines(path: str | Path, series: dict[str, Sequence[float]],
-                    title: str = "", width: int = 640, height: int = 360) -> None:
+                    title: str = "") -> None:
     """Minimal multi-series line plot; no display server or plotting stack needed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    pad = 40
+    width, height, pad = 640, 360, 40
     all_vals = [v for vals in series.values() for v in vals] or [0.0]
     lo, hi = min(all_vals), max(all_vals)
     if hi == lo:
@@ -147,11 +147,10 @@ def write_svg_lines(path: str | Path, series: dict[str, Sequence[float]],
     path.write_text("\n".join(parts), encoding="utf-8")
 
 
-def write_svg_bars(path: str | Path, bars: dict[str, float], title: str = "",
-                   width: int = 640, height: int = 360) -> None:
+def write_svg_bars(path: str | Path, bars: dict[str, float], title: str = "") -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    pad = 40
+    width, height, pad = 640, 360, 40
     hi = max(list(bars.values()) + [1.0])
     n = len(bars) or 1
     slot = (width - 2 * pad) / n

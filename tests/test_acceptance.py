@@ -228,7 +228,7 @@ def test_rl_curation_predicate(manifest_factory):
                 EngineConfig(backoff_base_s=0.0, seed=0, max_attempts=5))
             if records:
                 retained_patterns.append(pattern)
-                assert records[0].correct_count == sum(pattern)
+                assert records[0]["correct_count"] == sum(pattern)
         assert len(retained_patterns) == 30
         assert (False,) * 5 not in retained_patterns
         assert (True,) * 5 not in retained_patterns

@@ -133,15 +133,28 @@ class TestCurate:
     def test_sft_resume_zero_new(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
         out_dir = tmp_path / "out"
-        script = write_script(tmp_path / "s1.jsonl", manifest)
-        cli.main(["curate-sft", "--manifest", str(path), "--backend", "scripted",
-                  "--script", str(script), "--out-dir", str(out_dir)])
-        capsys.readouterr()
-        script2 = write_script(tmp_path / "s2.jsonl", manifest)
-        code = cli.main(["curate-sft", "--manifest", str(path), "--backend", "scripted",
-                         "--script", str(script2), "--out-dir", str(out_dir), "--resume"])
-        assert code == 0
-        assert "0 new" in capsys.readouterr().out
+        argv = ["curate-sft", "--manifest", str(path), "--backend", "scripted",
+                "--out-dir", str(out_dir)]
+        # samples 0 and 2 are kept at their first attempt, 1 and 3 are dropped
+        # after five wrong answers
+        lines = []
+        for i, sample in enumerate(manifest.samples):
+            for _ in range(1 if i % 2 == 0 else 5):
+                lines.extend(select_then_answer(sample.gold_answers[0] if i % 2 == 0
+                                                else "wrong"))
+        script = tmp_path / "s1.jsonl"
+        script.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        assert cli.main(argv + ["--script", str(script)]) == 0
+        first = capsys.readouterr().out
+        assert "kept 2, dropped 2, failed 0" in first
+        outputs = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(outputs) == ["sft_corpus.jsonl", "sft_outcomes.jsonl"]
+
+        empty = tmp_path / "s2.jsonl"  # any call would fail its sample
+        empty.write_text("", encoding="utf-8")
+        assert cli.main(argv + ["--script", str(empty), "--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
 
     def test_rl_histogram(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
@@ -158,6 +171,32 @@ class TestCurate:
         assert code == 0
         out = capsys.readouterr().out
         assert "correct_count=1: 4" in out
+
+
+@pytest.mark.parametrize("case", ["replay-store-dir", "recording-store-dir", "manifest-dir",
+                                  "scores-dir", "script-dir", "script-missing", "config-dir"])
+def test_directory_or_missing_input_exit_2(case, manifest_path, tmp_path, capsys):
+    path, manifest = manifest_path
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    missing = tmp_path / "missing.jsonl"
+    out = tmp_path / "out"
+    script = write_script(tmp_path / "script.jsonl", manifest)
+    scripted = ["eval", "--manifest", str(path), "--out-dir", str(out),
+                "--backend", "scripted", "--script", str(script)]
+    argv, named = {
+        "replay-store-dir": (["eval", "--manifest", str(path), "--out-dir", str(out),
+                              "--backend", "replay", "--store", str(folder)], folder),
+        "recording-store-dir": (scripted + ["--store", str(folder)], folder),
+        "manifest-dir": (scripted + ["--manifest", str(folder)], folder),
+        "scores-dir": (["report", "--scores", f"sys={folder}"], folder),
+        "script-dir": (scripted + ["--script", str(folder)], folder),
+        "script-missing": (scripted + ["--script", str(missing)], missing),
+        "config-dir": (scripted + ["--config", str(folder)], folder),
+    }[case]
+    assert cli.main(argv) == 2
+    assert str(named) in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGrpoCmd:

@@ -1,13 +1,14 @@
 import itertools
-import json
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import request_question, request_stage
-from vtagent.backends import FunctionBackend, ScriptedBackend
-from vtagent.curation import (default_judge, filter_rl_corpus, generate_sft_corpus)
+from vtagent.backends import FunctionBackend, ScriptedBackend, read_log
+from vtagent.curation import (CurationStats, default_judge, filter_rl_corpus,
+                              generate_sft_corpus, write_corpus)
 from vtagent.data_model import DatasetManifest
 from vtagent.engine import EngineConfig
 from vtagent.errors import BackendUnavailable
@@ -57,9 +58,9 @@ class TestSftCorpus:
         manifest = manifest_factory(n_samples=3)
         backend = oracle_backend_factory(manifest)
         records, stats = generate_sft_corpus(manifest, backend, cfg(),
-                                             out_path=tmp_path / "sft.jsonl")
+                                             log_path=tmp_path / "sft.jsonl")
         assert stats.kept == 3 and stats.dropped == 0
-        assert all(r.attempts == 1 for r in records)
+        assert all(r["attempts"] == 1 for r in records)
 
     def test_target_round_trips_and_passes_judge(self, manifest_factory,
                                                  oracle_backend_factory, tmp_path):
@@ -67,10 +68,10 @@ class TestSftCorpus:
         records, _ = generate_sft_corpus(manifest, oracle_backend_factory(manifest), cfg())
         by_id = {s.sample_id: s for s in manifest.samples}
         for rec in records:
-            turns = parse_trajectory_text(rec.target)
+            turns = parse_trajectory_text(rec["target"])
             assert isinstance(turns[0].action, SelectKeyframes)
             assert isinstance(turns[1].action, Answer)
-            assert default_judge(turns[1].action.text, by_id[rec.sample_id].gold_answers)
+            assert default_judge(turns[1].action.text, by_id[rec["sample_id"]].gold_answers)
 
     def test_never_correct_dropped(self, manifest_factory):
         manifest = manifest_factory(n_samples=1)
@@ -87,17 +88,19 @@ class TestSftCorpus:
         backend = ScriptedBackend(["garbage", answer(gold), select(), answer(gold)])
         records, stats = generate_sft_corpus(manifest, backend, cfg(max_attempts=5))
         assert stats.kept == 1
-        assert records[0].attempts == 2
+        assert records[0]["attempts"] == 2
 
     def test_resume_adds_zero(self, manifest_factory, oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=3)
-        out = tmp_path / "sft.jsonl"
-        generate_sft_corpus(manifest, oracle_backend_factory(manifest), cfg(), out_path=out)
-        size = out.read_bytes()
-        records, stats = generate_sft_corpus(manifest, oracle_backend_factory(manifest),
-                                             cfg(), out_path=out)
-        assert records == [] and stats.skipped == 3
-        assert out.read_bytes() == size
+        log = tmp_path / "sft.jsonl"
+        first = generate_sft_corpus(manifest, oracle_backend_factory(manifest), cfg(),
+                                    log_path=log)
+        logged = log.read_bytes()
+        backend = oracle_backend_factory(manifest)
+        records, stats = generate_sft_corpus(manifest, backend, cfg(), log_path=log)
+        assert backend.calls == 0
+        assert (records, stats) == first and stats == CurationStats(kept=3)
+        assert log.read_bytes() == logged
 
 
 class TestRlCorpus:
@@ -107,7 +110,7 @@ class TestRlCorpus:
         backend = OutcomeBackend(manifest, {question: [True, False, True, False, False]})
         records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=5))
         assert len(records) == 1
-        assert records[0].correct_count == 2
+        assert records[0]["correct_count"] == 2
 
     @pytest.mark.parametrize("pattern", list(itertools.product([False, True], repeat=5)))
     def test_exhaustive_retention_predicate(self, manifest_factory, pattern):
@@ -118,7 +121,7 @@ class TestRlCorpus:
         retained = bool(records)
         assert retained == (0 < sum(pattern) < 5)
         if retained:
-            assert records[0].correct_count == sum(pattern)
+            assert records[0]["correct_count"] == sum(pattern)
 
     def test_fallback_answers_count_as_incorrect(self, manifest_factory):
         manifest = manifest_factory(n_samples=1)
@@ -137,34 +140,43 @@ class TestRlCorpus:
     def test_resume_adds_zero(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2)
         outcomes = {s.question: [True, False, True, False, False] for s in manifest.samples}
-        out = tmp_path / "rl.jsonl"
-        filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)),
-                         cfg(max_attempts=5), out_path=out)
-        size = out.read_bytes()
-        records, stats = filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)),
-                                          cfg(max_attempts=5), out_path=out)
-        assert records == [] and stats.skipped == 2
-        assert out.read_bytes() == size
+        log = tmp_path / "rl.jsonl"
+        first = filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)),
+                                 cfg(max_attempts=5), log_path=log)
+        logged = log.read_bytes()
+        backend = OutcomeBackend(manifest, dict(outcomes))
+        records, stats = filter_rl_corpus(manifest, backend, cfg(max_attempts=5),
+                                          log_path=log)
+        assert backend.outcomes == outcomes  # no episode ran
+        assert (records, stats) == first and stats == CurationStats(kept=2)
+        assert log.read_bytes() == logged
 
 
 class SeededBackend:
     """Outcome is a pure function of (question, seed), so any schedule of the
-    same requests gives the same answers; also tracks peak calls in flight."""
+    same requests gives the same answers; also tracks peak calls in flight
+    and counts the calls per question."""
 
-    def __init__(self, manifest: DatasetManifest):
+    def __init__(self, manifest: DatasetManifest, killed: str = ""):
         self.golds = {s.question: s.gold_answers[0] for s in manifest.samples}
         self.down = manifest.samples[-1].question  # one sample fails outright
+        self.killed = killed  # this question's first call stops the run
         self.backend_id = "seeded"
         self._lock = threading.Lock()
         self.inflight = self.peak = 0
+        self.asked: Counter = Counter()
 
     def complete(self, request):
+        question = request_question(request)
         with self._lock:
             self.inflight += 1
             self.peak = max(self.peak, self.inflight)
+            self.asked[question] += 1
         try:
             time.sleep(0.002)
-            question = request_question(request)
+            if question == self.killed:
+                time.sleep(0.05)  # let later samples finish first
+                raise RuntimeError("killed")
             if question == self.down:
                 raise BackendUnavailable("down")
             roll = (request.seed + len(question)) % 5
@@ -182,10 +194,11 @@ def test_output_identical_across_parallelism(curate, manifest_factory, tmp_path)
     outputs, stats, peaks = [], [], []
     for par in (1, 8):
         backend = SeededBackend(manifest)
-        out = tmp_path / f"p{par}.jsonl"
-        _, st = curate(manifest, backend, cfg(parallelism=par, temperature=1.0),
-                       out_path=out)
-        outputs.append(out.read_bytes())
+        log, corpus = tmp_path / f"p{par}.log.jsonl", tmp_path / f"p{par}.jsonl"
+        lines, st = curate(manifest, backend, cfg(parallelism=par, temperature=1.0),
+                           log_path=log)
+        write_corpus(lines, corpus)
+        outputs.append((log.read_bytes(), corpus.read_bytes()))
         stats.append(st)
         peaks.append(backend.peak)
     assert outputs[0] == outputs[1]
@@ -217,5 +230,72 @@ def test_rl_runs_exactly_max_attempts_episodes(manifest_factory):
     backend = OutcomeBackend(manifest, outcomes)
     records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=4))
     (record,) = records
-    assert len(record.attempt_answers) == 4 and record.correct_count == 2
+    assert len(record["attempt_answers"]) == 4 and record["correct_count"] == 2
     assert backend.outcomes[manifest.samples[0].question] == [True, True]  # two unused
+
+
+@pytest.mark.parametrize("curate", [generate_sft_corpus, filter_rl_corpus])
+def test_resume_after_finished_run_makes_no_call(curate, manifest_factory, tmp_path):
+    manifest = manifest_factory(n_samples=3)
+    kept, dropped, down = (s.question for s in manifest.samples)
+    outcomes = {kept: [True, False, True, False, False], dropped: [False] * 5}
+
+    def backend():
+        inner = OutcomeBackend(manifest, outcomes)
+
+        def fn(request):
+            if request_question(request) == down:
+                raise BackendUnavailable("down")
+            return inner.complete(request)
+        return FunctionBackend(fn)
+
+    log, corpus = tmp_path / "outcomes.jsonl", tmp_path / "corpus.jsonl"
+    lines, stats = curate(manifest, backend(), cfg(max_attempts=5), log_path=log)
+    write_corpus(lines, corpus)
+    assert stats == CurationStats(kept=1, dropped=1, failed=1)
+    assert [(r["sample_id"], r["outcome"]) for r in read_log(log)] == \
+        [("q000", "kept"), ("q001", "dropped"), ("q002", "failed")]
+    before = log.read_bytes(), corpus.read_bytes()
+
+    again = backend()
+    resumed_lines, resumed = curate(manifest, again, cfg(max_attempts=5), log_path=log)
+    write_corpus(resumed_lines, corpus)
+    assert again.calls == 0
+    assert resumed == stats and resumed_lines == lines
+    assert (log.read_bytes(), corpus.read_bytes()) == before
+
+
+@pytest.mark.parametrize("curate", [generate_sft_corpus, filter_rl_corpus])
+def test_kill_mid_run_keeps_finished_prefix(curate, manifest_factory, tmp_path):
+    manifest = manifest_factory(n_samples=10)
+    k = 4
+    config = cfg(parallelism=4, temperature=1.0)
+    whole = SeededBackend(manifest)
+    lines, stats = curate(manifest, whole, config, log_path=tmp_path / "whole.jsonl")
+    write_corpus(lines, tmp_path / "whole.corpus.jsonl")
+
+    log = tmp_path / "outcomes.jsonl"
+    with pytest.raises(RuntimeError):
+        curate(manifest, SeededBackend(manifest, killed=manifest.samples[k].question),
+               config, log_path=log)
+    assert [r["sample_id"] for r in read_log(log)] == \
+        [s.sample_id for s in manifest.samples[:k]]
+
+    rest = SeededBackend(manifest)
+    resumed_lines, resumed = curate(manifest, rest, config, log_path=log)
+    write_corpus(resumed_lines, tmp_path / "corpus.jsonl")
+    assert rest.asked == Counter({s.question: whole.asked[s.question]
+                                  for s in manifest.samples[k:]})
+    assert resumed == stats
+    assert log.read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+    assert (tmp_path / "corpus.jsonl").read_bytes() == \
+        (tmp_path / "whole.corpus.jsonl").read_bytes()
+
+
+def test_write_corpus_replaces_whole(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("stale\n", encoding="utf-8")
+    write_corpus([{"sample_id": "q000", "answer": "é"}, {"sample_id": "q001"}], corpus)
+    assert corpus.read_text(encoding="utf-8") == \
+        '{"sample_id": "q000", "answer": "é"}\n{"sample_id": "q001"}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]

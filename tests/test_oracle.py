@@ -199,6 +199,18 @@ class TestUpperBound:
         assert [r.failed_frames for r in fresh.results] == [(), (2,)]
         assert resumed.results == fresh.results
 
+    def test_log_without_failed_frames_reads_as_none(self, manifest_factory, tmp_path):
+        manifest = manifest_factory(n_samples=2, n_frames=2)
+        log = tmp_path / "framewise.jsonl"
+        log.write_text(json.dumps({"sample_id": "q000", "vector": [False, True],
+                                   "any_correct": True}) + "\n", encoding="utf-8")
+        backend = frame_backend(manifest, {})
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), log_path=log)
+        assert backend.calls == 2  # only q001's two frames
+        assert [(r.sample_id, r.per_frame_correct, r.failed_frames) for r in report.results] \
+            == [("q000", (False, True), ()), ("q001", (False, False), ())]
+        assert report.partition == oracle.Partition(set_s=("q000",), set_u=("q001",))
+
 
 class TestStratified:
     def test_rows_and_hit_rate(self):
