@@ -265,6 +265,8 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             seed=cfg.seed, tool_reward=0.0 if args.no_tool_reward else 0.5)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    if args.env_frames < 1 or args.vocab < 1:
+        raise ConfigError("--env-frames and --vocab must be >= 1")
     import numpy as np
     env_rng = np.random.default_rng(cfg.seed)
     env = grpo.make_env(args.env_frames, [chr(ord("a") + i) for i in range(args.vocab)],

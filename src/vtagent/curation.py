@@ -90,7 +90,9 @@ def _curate(manifest: DatasetManifest, unit, parallelism: int,
             return {"sample_id": sample.sample_id, "outcome": "dropped"}
         return {"sample_id": sample.sample_id, "outcome": "kept", "line": line}
 
-    records = run_units(manifest.samples, one, parallelism, log_path)
+    records = run_units(manifest.samples, one, parallelism, log_path,
+                        lambda r: ("outcome", "line") if r.get("outcome") == "kept"
+                        else ("outcome",))
     counts = Counter(r["outcome"] for r in records)
     stats = CurationStats(kept=counts["kept"], dropped=counts["dropped"],
                           failed=counts["failed"])

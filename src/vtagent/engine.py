@@ -35,7 +35,7 @@ from .backends import (Backend, GenerationRequest, ImagePart, Message, TextPart,
                        request_digest)
 from .data_model import DatasetManifest, FrameRef, Sample, uniform_indices
 from .errors import (TRANSIENT_ERRORS, CacheMiss, ConfigError, EmptySelection,
-                     MissingActionBlock, UnparsableAction)
+                     MalformedRecord, MissingActionBlock, UnparsableAction)
 from .grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                       render_turn, validate_keyframes)
 
@@ -231,17 +231,28 @@ def trajectory_record(traj: Trajectory) -> dict:
 
 
 def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], parallelism: int,
-              log_path: str | Path | None = None) -> list[dict]:
+              log_path: str | Path | None = None,
+              required: Callable[[dict], Sequence[str]] = lambda record: ()) -> list[dict]:
     """Map fn over the samples not yet in log_path, `parallelism` at a time.
 
     fn returns the sample's record, which is appended to log_path and flushed
     as soon as it and every record before it in manifest order are done, so a
     kill loses only unfinished samples. An exception from fn stops the run
     after the records of the samples before it. Returns every sample's
-    record, read from the log or new, in manifest order.
+    record, read from the log or new, in manifest order. A logged record that
+    lacks a string sample_id or a key that required(record) names raises
+    MalformedRecord.
     """
-    records = ({r["sample_id"]: r for r in read_log(log_path)} if log_path is not None
-               else {})
+    records = {}
+    # a bad record is named by its number among the records, which is its
+    # line number in a log that run_units wrote
+    for line_no, r in enumerate(read_log(log_path) if log_path is not None else (), start=1):
+        missing = [key for key in ("sample_id", *required(r)) if key not in r]
+        if missing:
+            raise MalformedRecord(line_no, f"record in {log_path} has no {missing[0]!r}")
+        if not isinstance(r["sample_id"], str):
+            raise MalformedRecord(line_no, f"record in {log_path} has a non-string sample_id")
+        records[r["sample_id"]] = r
     todo = [s for s in samples if s.sample_id not in records]
     if todo:
         if log_path is not None:

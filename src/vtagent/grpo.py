@@ -7,7 +7,10 @@ the features of whatever context it picked. Only the gold frame carries the
 answer-identifying feature, so answering well without selecting is hard.
 
 Optimization is plain gradient ascent with analytic gradients (no autograd),
-which keeps the finite-difference oracle in the tests exact.
+which keeps the finite-difference oracle in the tests exact. Each rollout batch
+gets one ascent step, taken at the sampling policy where every importance ratio
+is exactly 1, so clipping never changes the update: training is REINFORCE with
+group-normalized advantages, and the clip fraction is measured after the step.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonFinite
-
-NO_SELECT = None  # sentinel for the skipped tool action
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,12 @@ class ToyEnv:
     @property
     def gold_answer_idx(self) -> int:
         return self.vocab.index(self.gold_answer)
+
+    @cached_property
+    def contexts(self) -> np.ndarray:
+        """(n_frames + 1, d) answer contexts: each frame's features, then the
+        blurred whole-video view that skipping the tool answers from."""
+        return np.vstack([self.frame_features, self.frame_features.mean(axis=0)])
 
 
 def make_env(n_frames: int, vocab: Sequence[str], rng: np.random.Generator) -> ToyEnv:
@@ -68,7 +76,7 @@ class ToyPolicy:
         return cls(w_select=np.zeros(d), b_noselect=0.0,
                    w_answer=np.zeros((vocab_size, d)))
 
-    # flat parameter view, used by the finite-difference oracle
+    # flat parameter view: the ascent step, and the finite-difference oracle
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.w_select, [self.b_noselect], self.w_answer.ravel()])
 
@@ -87,70 +95,89 @@ class ToyTrajectory:
     old_logp: float
 
 
-@dataclass
-class TrajectoryGroup:
-    env: ToyEnv
-    trajs: list[ToyTrajectory]
-    rewards: np.ndarray
-    advantages: np.ndarray
-
-
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    return z - math.log(np.exp(z).sum())
+    """Over the last axis, with math.log per row: np.log can round differently."""
+    z = z - z.max(axis=-1, keepdims=True)
+    sums = np.exp(z).sum(axis=-1, keepdims=True)
+    return z - np.array([math.log(s) for s in sums.ravel().tolist()]).reshape(sums.shape)
 
 
-def _select_logits(policy: ToyPolicy, env: ToyEnv) -> np.ndarray:
+def _select_log_probs(policy: ToyPolicy, env: ToyEnv) -> np.ndarray:
+    """Log-probs of picking each frame, then of skipping the tool (index n_frames)."""
     frame_scores = env.frame_features @ policy.w_select
-    return np.concatenate([frame_scores, [policy.b_noselect]])
+    return _log_softmax(np.concatenate([frame_scores, [policy.b_noselect]]))
 
 
-def _answer_context(env: ToyEnv, frame: Optional[int]) -> np.ndarray:
-    if frame is None:
-        return env.frame_features.mean(axis=0)  # blurred whole-video view
-    return env.frame_features[frame]
+def _answer_dists(policy: ToyPolicy, env: ToyEnv,
+                  choices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Answer contexts (G, d) and log-probs (G, V) for a group's select choices, one
+    ``w_answer @ context`` per trajectory: a single (G, d) @ (d, V) product rounds
+    differently and would change the sampled answers."""
+    contexts = env.contexts[choices]
+    return contexts, _log_softmax(np.array([policy.w_answer @ ctx for ctx in contexts]))
+
+
+def _draw(log_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn with uniform u[i] from row i of log_probs (or from its one row),
+    by the inverse cdf that ``Generator.choice(n, p=exp(row))`` uses."""
+    cdf = np.exp(log_probs).cumsum(axis=-1)
+    if not math.isfinite(cdf[..., -1].sum()):
+        raise NonFinite("non-finite action probabilities")
+    cdf = cdf / cdf[..., -1:]
+    return (cdf <= u[:, None]).sum(axis=-1)  # = cdf.searchsorted(u, side="right")
+
+
+def _sample_group(policy: ToyPolicy, env: ToyEnv, G: int,
+                  rng: np.random.Generator) -> list[ToyTrajectory]:
+    """G trajectories from one (G, 2) uniform draw whose row i holds trajectory i's
+    select and answer draws: the stream G ``sample_trajectory`` calls consume."""
+    u = rng.random((G, 2))
+    sel_lp = _select_log_probs(policy, env)
+    choices = _draw(sel_lp, u[:, 0]).tolist()
+    _, ans_lp = _answer_dists(policy, env, choices)
+    answers = _draw(ans_lp, u[:, 1])
+    logp = sel_lp[choices] + ans_lp[np.arange(G), answers]
+    return [ToyTrajectory(frame=None if c == env.n_frames else c, answer_idx=a, old_logp=lp)
+            for c, a, lp in zip(choices, answers.tolist(), logp.tolist())]
+
+
+def _logp_and_grad(policy: ToyPolicy, env: ToyEnv, trajs: Sequence[ToyTrajectory],
+                   weigh: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    """The group's log-probs and, given ``weigh``, sum_i w_i * grad logp_i in
+    ToyPolicy shape, where w = weigh(log-probs); without it the gradient is None."""
+    choices = [env.n_frames if t.frame is None else t.frame for t in trajs]
+    answers = [t.answer_idx for t in trajs]
+    sel_lp = _select_log_probs(policy, env)
+    ctxs, ans_lp = _answer_dists(policy, env, choices)
+    rows = np.arange(len(trajs))
+    logp = sel_lp[choices] + ans_lp[rows, answers]
+    if weigh is None:
+        return logp, None
+    w = weigh(logp)
+    # d logp_i / d(w_select, b_noselect) = e_{c_i} - p_select against the frame
+    # features and the skip slot, where e_{c_i} is one-hot on the choice
+    m = np.bincount(choices, weights=w, minlength=env.n_frames + 1) - w.sum() * np.exp(sel_lp)
+    # d logp_i / d w_answer = outer(e_{a_i} - q_i, context_i)
+    dq = -np.exp(ans_lp)
+    dq[rows, answers] += 1.0
+    return logp, ToyPolicy(w_select=m[:-1] @ env.frame_features, b_noselect=float(m[-1]),
+                           w_answer=(w[:, None] * dq).T @ ctxs)
 
 
 def sample_trajectory(policy: ToyPolicy, env: ToyEnv,
                       rng: np.random.Generator) -> ToyTrajectory:
-    sel_lp = _log_softmax(_select_logits(policy, env))
-    choice = int(rng.choice(env.n_frames + 1, p=np.exp(sel_lp)))
-    frame = None if choice == env.n_frames else choice
-    ans_lp = _log_softmax(policy.w_answer @ _answer_context(env, frame))
-    answer_idx = int(rng.choice(len(env.vocab), p=np.exp(ans_lp)))
-    logp = float(sel_lp[choice] + ans_lp[answer_idx])
-    return ToyTrajectory(frame=frame, answer_idx=answer_idx, old_logp=logp)
+    return _sample_group(policy, env, 1, rng)[0]
 
 
 def trajectory_logp(policy: ToyPolicy, env: ToyEnv, traj: ToyTrajectory) -> float:
-    sel_lp = _log_softmax(_select_logits(policy, env))
-    choice = env.n_frames if traj.frame is None else traj.frame
-    ans_lp = _log_softmax(policy.w_answer @ _answer_context(env, traj.frame))
-    return float(sel_lp[choice] + ans_lp[traj.answer_idx])
+    return float(_logp_and_grad(policy, env, [traj])[0][0])
 
 
 def trajectory_logp_grad(policy: ToyPolicy, env: ToyEnv,
                          traj: ToyTrajectory) -> tuple[float, ToyPolicy]:
     """Log-probability and its gradient in ToyPolicy shape (softmax score function)."""
-    sel_lp = _log_softmax(_select_logits(policy, env))
-    p_sel = np.exp(sel_lp)
-    choice = env.n_frames if traj.frame is None else traj.frame
-    context = _answer_context(env, traj.frame)
-    ans_lp = _log_softmax(policy.w_answer @ context)
-    q = np.exp(ans_lp)
-
-    # d logp_select / d w = f_choice[frames only] - sum_j p_j f_j
-    grad_w = -(p_sel[: env.n_frames, None] * env.frame_features).sum(axis=0)
-    if traj.frame is not None:
-        grad_w = grad_w + env.frame_features[traj.frame]
-    grad_b = (1.0 if traj.frame is None else 0.0) - p_sel[-1]
-
-    onehot = np.zeros(len(env.vocab))
-    onehot[traj.answer_idx] = 1.0
-    grad_answer = np.outer(onehot - q, context)
-
-    logp = float(sel_lp[choice] + ans_lp[traj.answer_idx])
-    return logp, ToyPolicy(w_select=grad_w, b_noselect=float(grad_b), w_answer=grad_answer)
+    logp, grad = _logp_and_grad(policy, env, [traj], np.ones_like)
+    return float(logp[0]), grad
 
 
 def compute_reward(traj: ToyTrajectory, env: ToyEnv, tool_reward: float = 0.5) -> float:
@@ -161,13 +188,22 @@ def compute_reward(traj: ToyTrajectory, env: ToyEnv, tool_reward: float = 0.5) -
 
 
 def group_advantages(rewards: Sequence[float], delta: float = 1e-8) -> np.ndarray:
-    """(R_i - mean) / (population std + delta)."""
+    """(R_i - mean) / (population std + delta), summed as np.mean and np.std sum."""
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
         raise ValueError("group size must be >= 2")
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    return (r - r.mean()) / (r.std() + delta)
+    dev = r - r.sum() / r.size
+    return dev / (math.sqrt((dev * dev).sum() / r.size) + delta)
+
+
+def _ratios(new_lp: np.ndarray, old_lp: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        ratios = np.exp(new_lp - old_lp)
+    if not np.isfinite(ratios).all():
+        raise NonFinite("importance ratio overflow")
+    return ratios
 
 
 def grpo_objective(new_logp: Sequence[float], old_logp: Sequence[float],
@@ -180,36 +216,27 @@ def grpo_objective(new_logp: Sequence[float], old_logp: Sequence[float],
         raise ValueError("length mismatch")
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    with np.errstate(over="ignore"):
-        ratios = np.exp(new_lp - old_lp)
-    if not np.all(np.isfinite(ratios)):
-        raise NonFinite("importance ratio overflow")
+    ratios = _ratios(new_lp, old_lp)
     clipped = np.clip(ratios, 1.0 - eps, 1.0 + eps)
     return float(np.minimum(ratios * adv, clipped * adv).mean())
 
 
 def grpo_objective_grad(policy: ToyPolicy, env: ToyEnv, trajs: Sequence[ToyTrajectory],
                         advantages: np.ndarray, eps: float) -> ToyPolicy:
-    """Analytic gradient of the clipped surrogate at the current parameters.
+    """Analytic gradient of the clipped surrogate at the given parameters.
 
     A trajectory inside the clipped-away region (A>0, rho>1+eps or A<0,
     rho<1-eps) contributes zero gradient; otherwise the contribution is
-    A_i * rho_i * grad logp_i.
+    A_i * rho_i * grad logp_i / G.
     """
-    G = len(trajs)
-    acc = ToyPolicy.zeros(policy.w_select.size, policy.w_answer.shape[0])
-    for traj, a in zip(trajs, advantages):
-        logp, grad = trajectory_logp_grad(policy, env, traj)
-        rho = math.exp(logp - traj.old_logp)
-        if not math.isfinite(rho):
-            raise NonFinite("importance ratio overflow")
-        if (a > 0 and rho > 1.0 + eps) or (a < 0 and rho < 1.0 - eps):
-            continue
-        coeff = a * rho / G
-        acc.w_select += coeff * grad.w_select
-        acc.b_noselect += coeff * grad.b_noselect
-        acc.w_answer += coeff * grad.w_answer
-    return acc
+    old_lp = np.array([t.old_logp for t in trajs])
+    adv = np.asarray(advantages, dtype=float)
+
+    def weigh(logp: np.ndarray) -> np.ndarray:
+        rho = _ratios(logp, old_lp)
+        away = ((adv > 0) & (rho > 1.0 + eps)) | ((adv < 0) & (rho < 1.0 - eps))
+        return np.where(away, 0.0, adv * rho / len(trajs))
+    return _logp_and_grad(policy, env, trajs, weigh)[1]
 
 
 @dataclass
@@ -220,45 +247,34 @@ class StepStats:
     clip_frac: float
 
 
-def rollout_group(policy: ToyPolicy, env: ToyEnv, G: int, rng: np.random.Generator,
-                  tool_reward: float = 0.5) -> TrajectoryGroup:
-    trajs = [sample_trajectory(policy, env, rng) for _ in range(G)]
-    rewards = np.array([compute_reward(t, env, tool_reward) for t in trajs])
-    return TrajectoryGroup(env=env, trajs=trajs, rewards=rewards,
-                           advantages=group_advantages(rewards))
-
-
 def grpo_step(policy: ToyPolicy, env_batch: Sequence[ToyEnv], G: int, eps: float,
               lr: float, rng: np.random.Generator,
               tool_reward: float = 0.5) -> tuple[ToyPolicy, StepStats]:
-    """Sample G trajectories per env under the current (old) policy, take one
-    ascent step on the clipped surrogate."""
-    groups = [rollout_group(policy, env, G, rng, tool_reward) for env in env_batch]
-    grad = ToyPolicy.zeros(policy.w_select.size, policy.w_answer.shape[0])
-    for group in groups:
-        g = grpo_objective_grad(policy, group.env, group.trajs, group.advantages, eps)
-        grad.w_select += g.w_select / len(groups)
-        grad.b_noselect += g.b_noselect / len(groups)
-        grad.w_answer += g.w_answer / len(groups)
-    new = ToyPolicy(w_select=policy.w_select + lr * grad.w_select,
-                    b_noselect=policy.b_noselect + lr * grad.b_noselect,
-                    w_answer=policy.w_answer + lr * grad.w_answer)
+    """Sample G trajectories per env under the current (old) policy and take one
+    ascent step on the clipped surrogate, averaged over envs.
 
-    all_trajs = [(gp.env, t) for gp in groups for t in gp.trajs]
+    The step is taken at the sampling policy, where every importance ratio is
+    exactly 1, so clipping never changes it: the update is REINFORCE with
+    group-normalized advantages. ``clip_frac`` is measured after the step.
+    """
+    groups = [(env, _sample_group(policy, env, G, rng)) for env in env_batch]
+    rewards = [np.array([compute_reward(t, env, tool_reward) for t in trajs])
+               for env, trajs in groups]
+    grad = sum(grpo_objective_grad(policy, env, trajs, group_advantages(r), eps).to_vector()
+               for (env, trajs), r in zip(groups, rewards)) / len(groups)
+    new = ToyPolicy.from_vector(policy.to_vector() + lr * grad,
+                                policy.w_select.size, len(policy.w_answer))
+
+    new_lp = np.concatenate([_logp_and_grad(new, env, trajs)[0] for env, trajs in groups])
+    all_trajs = [(env, t) for env, trajs in groups for t in trajs]
+    rho = _ratios(new_lp, np.array([t.old_logp for _, t in all_trajs]))
     n = len(all_trajs)
-    mean_reward = float(np.mean([r for gp in groups for r in gp.rewards]))
-    mean_acc = float(np.mean([1.0 if t.answer_idx == env.gold_answer_idx else 0.0
-                              for env, t in all_trajs]))
-    tool_rate = float(np.mean([1.0 if t.frame is not None else 0.0
-                               for _, t in all_trajs]))
-    # clip fraction measured after the update (ratios are 1 by construction before it)
-    clipped = 0
-    for env, t in all_trajs:
-        rho = math.exp(trajectory_logp(new, env, t) - t.old_logp)
-        if rho < 1.0 - eps or rho > 1.0 + eps:
-            clipped += 1
-    return new, StepStats(mean_reward=mean_reward, mean_acc=mean_acc,
-                          tool_rate=tool_rate, clip_frac=clipped / n)
+    # sums as np.mean takes them: pairwise over the rewards, exact over the counts
+    return new, StepStats(
+        mean_reward=float(np.concatenate(rewards).sum() / n),
+        mean_acc=sum(t.answer_idx == env.gold_answer_idx for env, t in all_trajs) / n,
+        tool_rate=sum(t.frame is not None for _, t in all_trajs) / n,
+        clip_frac=int(np.count_nonzero((rho < 1.0 - eps) | (rho > 1.0 + eps))) / n)
 
 
 @dataclass(frozen=True)
@@ -271,6 +287,8 @@ class TrainConfig:
     tool_reward: float = 0.5
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if self.eps <= 0 or self.lr <= 0:

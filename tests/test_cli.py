@@ -109,6 +109,22 @@ class TestEval:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [{"foo": 1}, {"sample_id": [1], "error": "x"}])
+    def test_resume_log_record_without_sample_id_exit_2(self, manifest_path, tmp_path,
+                                                        capsys, record):
+        path, manifest = manifest_path
+        out = tmp_path / "out"
+        out.mkdir()
+        log = out / "trajectories.jsonl"
+        log.write_text('{"sample_id": "q0000", "error": "x"}\n' + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "scripted",
+                         "--script", str(write_script(tmp_path / "s", manifest)),
+                         "--out-dir", str(out), "--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(log) in err and "sample_id" in err
+
     def test_bad_store_record_exit_2(self, manifest_path, tmp_path, capsys):
         path, _ = manifest_path
         store = tmp_path / "store.jsonl"
@@ -155,6 +171,22 @@ class TestCurate:
         assert cli.main(argv + ["--script", str(empty), "--resume"]) == 0
         assert capsys.readouterr().out == first
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
+
+    @pytest.mark.parametrize("record, key", [({"sample_id": "q0000"}, "outcome"),
+                                             ({"sample_id": "q0000", "outcome": "kept"}, "line")])
+    def test_resume_outcome_record_lacking_a_key_exit_2(self, manifest_path, tmp_path, capsys,
+                                                        record, key):
+        path, manifest = manifest_path
+        out = tmp_path / "out"
+        out.mkdir()
+        log = out / "sft_outcomes.jsonl"
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code = cli.main(["curate-sft", "--manifest", str(path), "--backend", "scripted",
+                         "--script", str(write_script(tmp_path / "s", manifest)),
+                         "--out-dir", str(out), "--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and str(log) in err and repr(key) in err
 
     def test_rl_histogram(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
@@ -219,6 +251,14 @@ class TestGrpoCmd:
 
     def test_invalid_group_exit_2(self, tmp_path):
         assert cli.main(["grpo", "--group", "1", "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-3"),
+                                             ("--env-frames", "0"), ("--vocab", "0")])
+    def test_invalid_size_exit_2_before_any_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert cli.main(["grpo", flag, value, "--out-dir", str(out)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

@@ -198,3 +198,210 @@ class TestTraining:
             rates_with.append(on.final_tool_rate(50))
             rates_without.append(off.final_tool_rate(50))
         assert np.mean(rates_with) >= np.mean(rates_without)
+
+
+# Reference: the per-trajectory step, one Python pass per trajectory, that the
+# group step must reproduce bit for bit in everything it writes.
+
+def ref_log_softmax(z):
+    z = z - z.max()
+    return z - math.log(np.exp(z).sum())
+
+
+def ref_select_lp(policy, env):
+    return ref_log_softmax(np.concatenate([env.frame_features @ policy.w_select,
+                                           [policy.b_noselect]]))
+
+
+def ref_context(env, frame):
+    return env.frame_features.mean(axis=0) if frame is None else env.frame_features[frame]
+
+
+def ref_sample(policy, env, rng):
+    sel_lp = ref_select_lp(policy, env)
+    choice = int(rng.choice(env.n_frames + 1, p=np.exp(sel_lp)))
+    frame = None if choice == env.n_frames else choice
+    ans_lp = ref_log_softmax(policy.w_answer @ ref_context(env, frame))
+    answer_idx = int(rng.choice(len(env.vocab), p=np.exp(ans_lp)))
+    return grpo.ToyTrajectory(frame=frame, answer_idx=answer_idx,
+                              old_logp=float(sel_lp[choice] + ans_lp[answer_idx]))
+
+
+def ref_logp_grad(policy, env, traj):
+    sel_lp = ref_select_lp(policy, env)
+    p_sel = np.exp(sel_lp)
+    choice = env.n_frames if traj.frame is None else traj.frame
+    context = ref_context(env, traj.frame)
+    ans_lp = ref_log_softmax(policy.w_answer @ context)
+    grad_w = -(p_sel[: env.n_frames, None] * env.frame_features).sum(axis=0)
+    if traj.frame is not None:
+        grad_w = grad_w + env.frame_features[traj.frame]
+    grad_b = (1.0 if traj.frame is None else 0.0) - p_sel[-1]
+    onehot = np.zeros(len(env.vocab))
+    onehot[traj.answer_idx] = 1.0
+    grad_answer = np.outer(onehot - np.exp(ans_lp), context)
+    return (float(sel_lp[choice] + ans_lp[traj.answer_idx]),
+            grpo.ToyPolicy(w_select=grad_w, b_noselect=float(grad_b), w_answer=grad_answer))
+
+
+def ref_objective_grad(policy, env, trajs, advantages, eps):
+    acc = grpo.ToyPolicy.zeros(policy.w_select.size, policy.w_answer.shape[0])
+    for traj, a in zip(trajs, advantages):
+        logp, grad = ref_logp_grad(policy, env, traj)
+        rho = math.exp(logp - traj.old_logp)
+        if (a > 0 and rho > 1.0 + eps) or (a < 0 and rho < 1.0 - eps):
+            continue
+        coeff = a * rho / len(trajs)
+        acc.w_select += coeff * grad.w_select
+        acc.b_noselect += coeff * grad.b_noselect
+        acc.w_answer += coeff * grad.w_answer
+    return acc
+
+
+def ref_advantages(rewards, delta=1e-8):
+    r = np.asarray(rewards, dtype=float)
+    return (r - r.mean()) / (r.std() + delta)
+
+
+def ref_step(policy, envs, G, eps, lr, rng, tool_reward):
+    groups = []
+    for env in envs:
+        trajs = [ref_sample(policy, env, rng) for _ in range(G)]
+        rewards = [grpo.compute_reward(t, env, tool_reward) for t in trajs]
+        groups.append((env, trajs, rewards, ref_advantages(rewards)))
+    grad = grpo.ToyPolicy.zeros(policy.w_select.size, policy.w_answer.shape[0])
+    for env, trajs, _, adv in groups:
+        g = ref_objective_grad(policy, env, trajs, adv, eps)
+        grad.w_select += g.w_select / len(groups)
+        grad.b_noselect += g.b_noselect / len(groups)
+        grad.w_answer += g.w_answer / len(groups)
+    new = grpo.ToyPolicy(w_select=policy.w_select + lr * grad.w_select,
+                         b_noselect=policy.b_noselect + lr * grad.b_noselect,
+                         w_answer=policy.w_answer + lr * grad.w_answer)
+    all_trajs = [(env, t) for env, trajs, _, _ in groups for t in trajs]
+    clipped = 0
+    for env, t in all_trajs:
+        rho = math.exp(ref_logp_grad(new, env, t)[0] - t.old_logp)
+        clipped += rho < 1.0 - eps or rho > 1.0 + eps
+    return new, grpo.StepStats(
+        mean_reward=float(np.mean([r for _, _, rs, _ in groups for r in rs])),
+        mean_acc=float(np.mean([1.0 if t.answer_idx == env.gold_answer_idx else 0.0
+                                for env, t in all_trajs])),
+        tool_rate=float(np.mean([1.0 if t.frame is not None else 0.0 for _, t in all_trajs])),
+        clip_frac=clipped / len(all_trajs))
+
+
+def ref_train(envs, config):
+    rng = np.random.default_rng(config.seed)
+    policy = grpo.ToyPolicy.zeros(envs[0].frame_features.shape[1], len(envs[0].vocab))
+    curve = []
+    for _ in range(config.steps):
+        policy, stats = ref_step(policy, envs, config.group_size, config.eps, config.lr,
+                                 rng, config.tool_reward)
+        curve.append(stats)
+    return grpo.TrainResult(policy=policy, curve=curve)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed,group_size,env_frames,vocab,eps,lr,tool_reward", [
+        (7, 4, 8, 6, 0.2, 0.1, 0.5),
+        (5, 4, 8, 6, 0.2, 0.1, 0.5),
+        (1, 2, 8, 6, 0.2, 0.1, 0.0),
+        (2, 8, 3, 4, 0.05, 0.5, 0.5),
+        (3, 16, 20, 12, 0.2, 0.1, 0.5),
+        (4, 4, 1, 1, 0.2, 0.1, 0.5),
+        (6, 5, 8, 6, 0.01, 3.0, 0.0),
+        (8, 3, 12, 2, 0.9, 0.02, 0.25),
+    ])
+    def test_train_writes_the_reference_curve(self, tmp_path, seed, group_size, env_frames,
+                                              vocab, eps, lr, tool_reward):
+        env = grpo.make_env(env_frames, VOCAB[:vocab] if vocab <= len(VOCAB)
+                            else [f"s{i}" for i in range(vocab)], np.random.default_rng(seed))
+        config = grpo.TrainConfig(steps=150, group_size=group_size, eps=eps, lr=lr,
+                                  seed=seed, tool_reward=tool_reward)
+        grpo.write_curve_csv(grpo.train([env], config).curve, tmp_path / "new.csv")
+        grpo.write_curve_csv(ref_train([env], config).curve, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_two_envs_match_the_reference_curve(self):
+        envs = [grpo.make_env(8, VOCAB, np.random.default_rng(s)) for s in (21, 22)]
+        config = grpo.TrainConfig(steps=100, seed=9)
+        assert grpo.train(envs, config).curve == ref_train(envs, config).curve
+
+    def test_group_advantages_match_numpy_mean_and_std(self):
+        rng = np.random.default_rng(43)
+        for size in (2, 3, 4, 7, 8, 9, 16, 33):
+            for rewards in (rng.choice([0.0, 0.3, 0.5, 1.0, 1.3, 1.5], size=size),
+                            rng.standard_normal(size) * 10):
+                assert np.array_equal(grpo.group_advantages(rewards), ref_advantages(rewards))
+
+    def test_sample_trajectory_draws_match_rng_choice(self, env, policy):
+        for skip_logit in (policy.b_noselect, 2.0):  # both with and without tool skips
+            p = grpo.ToyPolicy(w_select=policy.w_select, b_noselect=skip_logit,
+                               w_answer=policy.w_answer)
+            rng_new, rng_ref = np.random.default_rng(31), np.random.default_rng(31)
+            new = [grpo.sample_trajectory(p, env, rng_new) for _ in range(500)]
+            ref = [ref_sample(p, env, rng_ref) for _ in range(500)]
+            assert new == ref
+            assert any(t.frame is None for t in new) and any(t.frame is not None for t in new)
+            assert rng_new.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("G", [2, 4, 16])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_group_draws_and_log_probs_match_the_reference(self, env, policy, G, dense):
+        # the step samples each env's group at once; old_logp must come out
+        # bitwise as one trajectory at a time computes it. Dense features are
+        # where a (G, d) @ (d, V) product differs from G matrix-vector products.
+        if dense:
+            env = grpo.ToyEnv(n_frames=8, gold_frame=0, vocab=VOCAB, gold_answer="a",
+                              frame_features=np.random.default_rng(41).standard_normal((8, 7)))
+        rng_new, rng_ref = np.random.default_rng(37), np.random.default_rng(37)
+        for _ in range(50):
+            group = grpo._sample_group(policy, env, G, rng_new)
+            assert group == [ref_sample(policy, env, rng_ref) for _ in range(G)]
+
+    def test_trajectory_logp_grad_matches_reference(self, env, policy):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            traj = grpo.sample_trajectory(policy, env, rng)
+            logp, grad = grpo.trajectory_logp_grad(policy, env, traj)
+            ref_lp, ref_grad = ref_logp_grad(policy, env, traj)
+            assert logp == ref_lp == grpo.trajectory_logp(policy, env, traj)
+            assert np.allclose(grad.to_vector(), ref_grad.to_vector(), rtol=0, atol=1e-14)
+
+    def test_gradient_with_some_trajectories_clipped_away(self, env, policy):
+        rng = np.random.default_rng(23)
+        trajs = [grpo.sample_trajectory(policy, env, rng) for _ in range(6)]
+        adv = np.array([1.0, -1.0, 0.5, -0.5, 1.5, -1.5])
+        # theta != theta_old: each old log-prob is off by its own amount, so the
+        # ratios at `policy` are exp(shift). Trajectories 0 and 1 are clipped
+        # away; 4 and 5 are outside [1 - eps, 1 + eps] on the side that keeps them
+        shifts = [0.5, -0.5, 0.1, -0.1, -0.3, 0.3]
+        trajs = [grpo.ToyTrajectory(frame=t.frame, answer_idx=t.answer_idx,
+                                    old_logp=grpo.trajectory_logp(policy, env, t) - s)
+                 for t, s in zip(trajs, shifts)]
+        eps = 0.2
+        rho = np.exp(shifts)
+        away = ((adv > 0) & (rho > 1 + eps)) | ((adv < 0) & (rho < 1 - eps))
+        assert away.tolist() == [True, True, False, False, False, False]
+        assert not np.allclose(rho, 1.0)
+        grad = grpo.grpo_objective_grad(policy, env, trajs, adv, eps)
+        expected = ref_objective_grad(policy, env, trajs, adv, eps)
+        assert np.allclose(grad.to_vector(), expected.to_vector(), rtol=0, atol=1e-12)
+        # dropping the clipped-away trajectories leaves the gradient as it is
+        kept = [i for i in range(6) if not away[i]]
+        rescaled = ref_objective_grad(policy, env, [trajs[i] for i in kept], adv[kept], eps)
+        assert np.allclose(grad.to_vector(), rescaled.to_vector() * len(kept) / 6,
+                           rtol=0, atol=1e-12)
+
+    def test_non_finite_probabilities_raise(self, env, policy):
+        bad = grpo.ToyPolicy(w_select=np.full_like(policy.w_select, np.nan),
+                             b_noselect=0.0, w_answer=policy.w_answer)
+        with pytest.raises(NonFinite):
+            grpo.sample_trajectory(bad, env, np.random.default_rng(0))
+        bad = grpo.ToyPolicy(w_select=policy.w_select, b_noselect=policy.b_noselect,
+                             w_answer=np.full_like(policy.w_answer, np.nan))
+        with pytest.raises(NonFinite):
+            grpo.sample_trajectory(bad, env, np.random.default_rng(0))
+        with pytest.raises(ValueError):  # what rng.choice does with such probabilities
+            ref_sample(bad, env, np.random.default_rng(0))
