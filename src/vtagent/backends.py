@@ -138,8 +138,9 @@ def request_digest(request: GenerationRequest) -> str:
 class ScriptedBackend:
     """Returns queued responses in order. Thread-safe single-consumer queue."""
 
-    def __init__(self, responses: list[str], backend_id: str = "scripted"):
-        self.backend_id = backend_id
+    backend_id = "scripted"
+
+    def __init__(self, responses: list[str]):
         self._responses = list(responses)
         self._lock = threading.Lock()
         self.calls = 0
@@ -155,8 +156,9 @@ class ScriptedBackend:
 class FunctionBackend:
     """Computes the response from the request; handy for oracle test doubles."""
 
-    def __init__(self, fn: Callable[[GenerationRequest], str], backend_id: str = "function"):
-        self.backend_id = backend_id
+    backend_id = "function"
+
+    def __init__(self, fn: Callable[[GenerationRequest], str]):
         self._fn = fn
         self._lock = threading.Lock()
         self.calls = 0
@@ -250,16 +252,13 @@ class TranscriptStore:
             self._cache[t.request_digest] = t
         return t
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._cache)
-
 
 class ReplayBackend:
     """Serves stored responses by digest. Strict mode never touches the network."""
 
-    def __init__(self, store: TranscriptStore, backend_id: str = "replay"):
-        self.backend_id = backend_id
+    backend_id = "replay"
+
+    def __init__(self, store: TranscriptStore):
         self.store = store
 
     def complete(self, request: GenerationRequest) -> str:
@@ -286,12 +285,14 @@ class RecordingBackend:
         return response
 
 
+HTTP_TIMEOUT_S = 120.0  # connect and read timeout of one POST
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
     model: str
     api_key: Optional[str] = None
-    timeout_s: float = 120.0
 
 
 def _wire_body(config: EndpointConfig, request: GenerationRequest) -> bytes:
@@ -336,7 +337,7 @@ def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
         headers["Authorization"] = f"Bearer {config.api_key}"
     try:
         resp = requests.post(url, data=_wire_body(config, request),
-                             headers=headers, timeout=config.timeout_s)
+                             headers=headers, timeout=HTTP_TIMEOUT_S)
     except requests.Timeout as e:
         raise BackendTimeout(str(e)) from e
     except requests.RequestException as e:

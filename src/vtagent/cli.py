@@ -214,9 +214,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     reporting.write_score_log(video_scores, video_report, cfg.out_dir / "scores.jsonl")
 
     framewise_log = _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume)
-    report = oracle.oracle_upper_bound(manifest, backend, ecfg,
-                                       video_accuracy=video_report.mean_accuracy,
-                                       log_path=framewise_log)
+    report = oracle.oracle_upper_bound(manifest, backend, ecfg, framewise_log,
+                                       video_accuracy=video_report.mean_accuracy)
     oracle.write_partition(report.partition, cfg.out_dir)
     print(f"{'video ACC.':<16} {video_report.mean_accuracy:8.2f}")
     print(f"{'oracle ACC.':<16} {report.oracle_accuracy:8.2f}")
@@ -294,7 +293,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         name, _, path = spec_arg.partition("=")
         if not path:
             name, path = Path(spec_arg).stem, spec_arg
-        scores, _summary = reporting.read_score_log(path)
+        scores = reporting.read_score_log(path)
         scores_by_system[name] = scores
         reports[name] = aggregate(scores, split_tag=name)
     print(reporting.side_by_side_table(reports))

@@ -2,7 +2,9 @@
 
 Both rerun each sample up to `EngineConfig.max_attempts` times as one-shot
 episodes decoded at temperature 1 (whatever the configured temperature),
-attempt k seeded seed + k, with uniform fallback keyframes.
+attempt k seeded seed + k, with uniform fallback keyframes. Each call of an
+episode gets a single transport try, not `max_attempts` as in eval and the
+oracle: one transient error (a 429, a 503, a timeout) fails the sample.
 
 SFT: stop at the first trajectory that both uses a valid keyframe selection
 and produces a judged-correct answer, then freeze the canonical two-turn
@@ -34,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 from .backends import Backend
 from .data_model import DatasetManifest
-from .engine import EngineConfig, Trajectory, run_episode, run_units
+from .engine import EngineConfig, Trajectory, missing_key, run_episode, run_units
 from .errors import TRANSIENT_ERRORS
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
 from .metrics import anls, exact_accuracy
@@ -68,13 +70,12 @@ def _episodes(sample, backend: Backend,
     episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform",
                              temperature=1.0)
     for attempt in range(1, engine_config.max_attempts + 1):
-        cfg = replace(episode_config,
-                      seed=None if engine_config.seed is None else engine_config.seed + attempt)
-        yield attempt, run_episode(sample, backend, cfg)
+        yield attempt, run_episode(sample, backend,
+                                   replace(episode_config, seed=engine_config.seed + attempt))
 
 
 def _curate(manifest: DatasetManifest, unit, parallelism: int,
-            log_path: str | Path | None) -> tuple[list[dict], CurationStats]:
+            log_path: str | Path) -> tuple[list[dict], CurationStats]:
     """Run `unit` once per sample through the runner, logging each sample's
     outcome, and return the kept corpus lines in manifest order and the totals.
 
@@ -90,9 +91,12 @@ def _curate(manifest: DatasetManifest, unit, parallelism: int,
             return {"sample_id": sample.sample_id, "outcome": "dropped"}
         return {"sample_id": sample.sample_id, "outcome": "kept", "line": line}
 
-    records = run_units(manifest.samples, one, parallelism, log_path,
-                        lambda r: ("outcome", "line") if r.get("outcome") == "kept"
-                        else ("outcome",))
+    def check(r: dict) -> Optional[str]:
+        if r.get("outcome") not in ("kept", "dropped", "failed"):
+            return f"has no known 'outcome' (got {r.get('outcome')!r})"
+        return missing_key(r, "line") if r["outcome"] == "kept" else None
+
+    records = run_units(manifest.samples, one, parallelism, log_path, check)
     counts = Counter(r["outcome"] for r in records)
     stats = CurationStats(kept=counts["kept"], dropped=counts["dropped"],
                           failed=counts["failed"])
@@ -124,7 +128,7 @@ def _check_target(target: str, golds: Sequence[str]) -> bool:
 
 
 def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
-                        engine_config: EngineConfig, log_path: str | Path | None = None,
+                        engine_config: EngineConfig, log_path: str | Path,
                         teacher_id: str = "teacher") -> tuple[list[dict], CurationStats]:
     """Per sample: stochastic episodes until one passes (valid selection + judged
     answer), at most engine_config.max_attempts; never-passing samples are
@@ -147,7 +151,7 @@ def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
 
 
 def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
-                     engine_config: EngineConfig, log_path: str | Path | None = None,
+                     engine_config: EngineConfig, log_path: str | Path,
                      ) -> tuple[list[dict], CurationStats]:
     """Retain samples whose outcomes over engine_config.max_attempts stochastic
     episodes are mixed: 0 < correct < max_attempts.

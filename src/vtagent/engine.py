@@ -26,7 +26,6 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -64,6 +63,7 @@ DIRECT_TEMPLATE = (
 T = TypeVar("T")
 
 FALLBACK_POLICIES = ("uniform", "direct")
+BACKOFF_BASE_S = 0.1  # a transport retry without Retry-After sleeps this x 2 ** try
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class EngineConfig:
     parallelism: int = 1
     fallback_policy: str = "uniform"  # one of FALLBACK_POLICIES
     temperature: float = 0.0
-    seed: Optional[int] = None
-    backoff_base_s: float = 0.1
+    seed: int = 0
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -97,10 +96,8 @@ class Trajectory:
     transcript_digests: tuple[str, ...] = ()
 
 
-def derive_seed(base: Optional[int], sample_id: str, stage: str, attempt: int) -> Optional[int]:
+def derive_seed(base: int, sample_id: str, stage: str, attempt: int) -> int:
     """Per-call seed, stable across runs so replay digests line up."""
-    if base is None:
-        return None
     key = f"{base}:{sample_id}:{stage}:{attempt}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big")
 
@@ -147,8 +144,7 @@ def complete_with_retry(backend: Backend, request: GenerationRequest,
             raise
         except TRANSIENT_ERRORS as e:
             retry_after = getattr(e, "retry_after", None)
-            time.sleep(config.backoff_base_s * 2 ** attempt if retry_after is None
-                       else retry_after)
+            time.sleep(BACKOFF_BASE_S * 2 ** attempt if retry_after is None else retry_after)
     return backend.complete(request)
 
 
@@ -230,9 +226,14 @@ def trajectory_record(traj: Trajectory) -> dict:
     }
 
 
+def missing_key(record: dict, *keys: str) -> Optional[str]:
+    """run_units' fault for a record that lacks one of keys, else None."""
+    return next((f"has no {key!r}" for key in keys if key not in record), None)
+
+
 def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], parallelism: int,
-              log_path: str | Path | None = None,
-              required: Callable[[dict], Sequence[str]] = lambda record: ()) -> list[dict]:
+              log_path: str | Path,
+              check: Callable[[dict], Optional[str]] = lambda record: None) -> list[dict]:
     """Map fn over the samples not yet in log_path, `parallelism` at a time.
 
     fn returns the sample's record, which is appended to log_path and flushed
@@ -240,32 +241,29 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
     kill loses only unfinished samples. An exception from fn stops the run
     after the records of the samples before it. Returns every sample's
     record, read from the log or new, in manifest order. A logged record that
-    lacks a string sample_id or a key that required(record) names raises
-    MalformedRecord.
+    lacks a string sample_id, or whose fault check(record) names (such as
+    "has no 'line'"), raises MalformedRecord.
     """
     records = {}
     # a bad record is named by its number among the records, which is its
     # line number in a log that run_units wrote
-    for line_no, r in enumerate(read_log(log_path) if log_path is not None else (), start=1):
-        missing = [key for key in ("sample_id", *required(r)) if key not in r]
-        if missing:
-            raise MalformedRecord(line_no, f"record in {log_path} has no {missing[0]!r}")
-        if not isinstance(r["sample_id"], str):
-            raise MalformedRecord(line_no, f"record in {log_path} has a non-string sample_id")
+    for line_no, r in enumerate(read_log(log_path), start=1):
+        fault = (missing_key(r, "sample_id")
+                 or (None if isinstance(r["sample_id"], str) else "has a non-string sample_id")
+                 or check(r))
+        if fault:
+            raise MalformedRecord(line_no, f"record in {log_path} {fault}")
         records[r["sample_id"]] = r
     todo = [s for s in samples if s.sample_id not in records]
     if todo:
-        if log_path is not None:
-            Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=parallelism) as pool, \
-                (open(log_path, "a", encoding="utf-8") if log_path is not None
-                 else nullcontext()) as log:
+                open(log_path, "a", encoding="utf-8") as log:
             # pool.map yields in submission order, so the log stays in manifest order
             for sample, record in zip(todo, pool.map(fn, todo)):
                 records[sample.sample_id] = record
-                if log is not None:
-                    log.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    log.flush()
+                log.write(json.dumps(record, ensure_ascii=False) + "\n")
+                log.flush()
     return [records[s.sample_id] for s in samples]
 
 
@@ -273,11 +271,13 @@ def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
               log_path: str | Path) -> list[dict]:
     """Run episodes over the manifest through `run_units` and return every
     sample's record in manifest order: a trajectory, or an error once retries
-    are spent. A rerun skips the sample_ids already logged."""
+    are spent. A rerun skips the sample_ids already logged; a logged record
+    needs an error, or the answer and keyframe_ids that scoring reads."""
     def one(sample: Sample) -> dict:
         try:
             return trajectory_record(run_episode(sample, backend, config))
         except TRANSIENT_ERRORS as e:
             return {"sample_id": sample.sample_id, "error": str(e)}
 
-    return run_units(manifest.samples, one, config.parallelism, log_path)
+    return run_units(manifest.samples, one, config.parallelism, log_path,
+                     lambda r: None if "error" in r else missing_key(r, "answer", "keyframe_ids"))

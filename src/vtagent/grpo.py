@@ -187,15 +187,13 @@ def compute_reward(traj: ToyTrajectory, env: ToyEnv, tool_reward: float = 0.5) -
     return r_acc + r_tool
 
 
-def group_advantages(rewards: Sequence[float], delta: float = 1e-8) -> np.ndarray:
-    """(R_i - mean) / (population std + delta), summed as np.mean and np.std sum."""
+def group_advantages(rewards: Sequence[float]) -> np.ndarray:
+    """(R_i - mean) / (population std + 1e-8), summed as np.mean and np.std sum."""
     r = np.asarray(rewards, dtype=float)
     if r.size < 2:
         raise ValueError("group size must be >= 2")
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
     dev = r - r.sum() / r.size
-    return dev / (math.sqrt((dev * dev).sum() / r.size) + delta)
+    return dev / (math.sqrt((dev * dev).sum() / r.size) + 1e-8)
 
 
 def _ratios(new_lp: np.ndarray, old_lp: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ class MetricReport:
     mean_accuracy: float  # x100
     mean_anls: float      # x100
     hit_rate: Optional[float] = None  # x100, over samples with hit defined
-    n_hit_defined: int = 0
 
 
 def normalize_answer(text: str) -> str:
@@ -109,8 +108,7 @@ def aggregate(scores: Iterable[SampleScore], split_tag: str = "") -> MetricRepor
     hit_rate = (100.0 * sum(1 for s in with_hit if s.hit) / len(with_hit)
                 if with_hit else None)
     return MetricReport(split_tag=split_tag, n=n, mean_accuracy=mean_acc,
-                        mean_anls=mean_anls, hit_rate=hit_rate,
-                        n_hit_defined=len(with_hit))
+                        mean_anls=mean_anls, hit_rate=hit_rate)
 
 
 def format_report(report: MetricReport) -> str:

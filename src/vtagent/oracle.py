@@ -87,12 +87,11 @@ class OracleReport:
 
 
 def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
-                       config: EngineConfig,
-                       video_accuracy: Optional[float] = None,
-                       log_path: str | Path | None = None) -> OracleReport:
+                       config: EngineConfig, log_path: str | Path,
+                       video_accuracy: Optional[float] = None) -> OracleReport:
     """Frame-wise evaluation of every sample, `config.parallelism` samples at a
-    time. With log_path, vectors already logged are reused and each new one
-    is appended (framewise.jsonl format) as soon as it is done."""
+    time. Vectors already in log_path (framewise.jsonl format) are reused,
+    and each new one is appended as soon as it is done."""
     def one(sample: Sample) -> dict:
         result = framewise_eval(sample, backend, config)
         return {"sample_id": result.sample_id,
@@ -103,7 +102,9 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
     # logs written before failed_frames was recorded read as no failures
     results = [FramewiseResult(r["sample_id"], tuple(r["vector"]),
                                tuple(r.get("failed_frames", ())))
-               for r in run_units(manifest.samples, one, config.parallelism, log_path)]
+               for r in run_units(manifest.samples, one, config.parallelism, log_path,
+                                  lambda record: None if isinstance(record.get("vector"), list)
+                                  else "has no list 'vector'")]
     set_s = tuple(r.sample_id for r in results if r.any_correct)
     set_u = tuple(r.sample_id for r in results if not r.any_correct)
     n = len(results) or 1

@@ -26,11 +26,11 @@ def score_records(manifest: DatasetManifest, records: Sequence[dict]) -> list[Sa
         if "error" in rec:
             scores.append(SampleScore(sample_id=sample.sample_id, accuracy=0, anls=0.0))
             continue
-        pred = rec.get("answer", "")
+        pred = rec["answer"]
         acc = exact_accuracy(pred, sample.gold_answers)
         score_anls = anls(pred, sample.gold_answers)
         hit_val: Optional[bool] = None
-        ids = rec.get("keyframe_ids") or []
+        ids = rec["keyframe_ids"]
         if sample.pseudo_keyframes and ids:
             hit_val = hit(KeyframeSet(ids=tuple(ids)), sample.pseudo_keyframes)
         scores.append(SampleScore(sample_id=sample.sample_id, accuracy=acc,
@@ -55,18 +55,16 @@ def write_score_log(scores: Sequence[SampleScore], report: MetricReport,
                             ensure_ascii=False) + "\n")
 
 
-def read_score_log(path: str | Path) -> tuple[list[SampleScore], Optional[dict]]:
-    """Per-sample scores and the summary record of a score log, read with
-    read_log. A bad record is named by its number among the records, which is
-    its line number in a log that write_score_log wrote."""
+def read_score_log(path: str | Path) -> list[SampleScore]:
+    """Per-sample scores of a score log, read with read_log; the summary
+    record is skipped. A bad record is named by its number among the records,
+    which is its line number in a log that write_score_log wrote."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"score log not found: {path}")
     scores: list[SampleScore] = []
-    summary: Optional[dict] = None
     for line_no, obj in enumerate(read_log(path), start=1):
         if obj.get("summary"):
-            summary = obj
             continue
         try:
             scores.append(SampleScore(sample_id=obj["sample_id"],
@@ -75,7 +73,7 @@ def read_score_log(path: str | Path) -> tuple[list[SampleScore], Optional[dict]]
                                       hit=obj.get("hit")))
         except (KeyError, TypeError, ValueError) as e:
             raise MalformedRecord(line_no, f"bad score record in {path}: {e}") from e
-    return scores, summary
+    return scores
 
 
 def side_by_side_table(reports: dict[str, MetricReport]) -> str:

@@ -13,6 +13,13 @@ PNG_BYTES = bytes.fromhex(
 )
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Transport retries back off 0 s, so a test never waits on a real
+    sleep; test backends that sleep to overlap calls still do."""
+    monkeypatch.setattr("vtagent.engine.BACKOFF_BASE_S", 0.0)
+
+
 @pytest.fixture
 def frame_factory(tmp_path):
     def make(video_id: str, count: int) -> list[FrameRef]:
@@ -92,7 +99,7 @@ def oracle_backend_factory():
             gold = golds[request_question(request)]
             return f"<reasoning>the text is visible</reasoning>\n<action>answer: {gold}</action>"
 
-        return FunctionBackend(fn, backend_id="oracle")
+        return FunctionBackend(fn)
     return make
 
 

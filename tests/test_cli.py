@@ -173,7 +173,9 @@ class TestCurate:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == outputs
 
     @pytest.mark.parametrize("record, key", [({"sample_id": "q0000"}, "outcome"),
-                                             ({"sample_id": "q0000", "outcome": "kept"}, "line")])
+                                             ({"sample_id": "q0000", "outcome": "kept"}, "line"),
+                                             ({"sample_id": "q0000", "outcome": "weird"},
+                                              "outcome")])
     def test_resume_outcome_record_lacking_a_key_exit_2(self, manifest_path, tmp_path, capsys,
                                                         record, key):
         path, manifest = manifest_path
@@ -229,6 +231,39 @@ def test_directory_or_missing_input_exit_2(case, manifest_path, tmp_path, capsys
     assert cli.main(argv) == 2
     assert str(named) in capsys.readouterr().err
     assert not out.exists()
+
+
+# a logged record that lacks what its pipeline reads back, after one that it
+# can read: (command, log, good record, bad record, named fault); curation's
+# cases are in TestCurate
+RESUME_FAULTS = {
+    "eval-no-answer": ("eval", "trajectories.jsonl", {"error": "x"}, {}, "'answer'"),
+    "eval-no-keyframes": ("eval", "trajectories.jsonl", {"error": "x"}, {"answer": "a"},
+                          "'keyframe_ids'"),
+    "oracle-no-vector": ("oracle", "framewise.jsonl", {"vector": [False] * 4}, {}, "'vector'"),
+    "oracle-vector-not-list": ("oracle", "framewise.jsonl", {"vector": [False] * 4},
+                               {"vector": 1}, "no list 'vector'"),
+}
+
+
+@pytest.mark.parametrize("case", RESUME_FAULTS)
+def test_resume_record_its_pipeline_cannot_read_exit_2(case, manifest_path, tmp_path, capsys):
+    command, name, good, bad, fault = RESUME_FAULTS[case]
+    path, manifest = manifest_path
+    out = tmp_path / "out"
+    out.mkdir()
+    log = out / name
+    ids = [s.sample_id for s in manifest.samples]
+    logged = (json.dumps({"sample_id": ids[1], **good}) + "\n"
+              + json.dumps({"sample_id": ids[0], **bad}) + "\n")
+    log.write_text(logged, encoding="utf-8")
+    code = cli.main([command, "--manifest", str(path), "--backend", "scripted",
+                     "--script", str(write_script(tmp_path / "s", manifest)),
+                     "--out-dir", str(out), "--resume"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and str(log) in err and fault in err
+    assert log.read_text(encoding="utf-8") == logged
 
 
 class TestGrpoCmd:

@@ -15,12 +15,6 @@ from vtagent.errors import BackendUnavailable
 from vtagent.grammar import Answer, SelectKeyframes, parse_trajectory_text
 
 
-def cfg(**kwargs):
-    defaults = dict(backoff_base_s=0.0, seed=0)
-    defaults.update(kwargs)
-    return EngineConfig(**defaults)
-
-
 def select(ids="0, 1"):
     return f"<reasoning>pick</reasoning>\n<action>select key frame: [{ids}]</action>"
 
@@ -57,15 +51,16 @@ class TestSftCorpus:
     def test_first_attempt_correct(self, manifest_factory, oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=3)
         backend = oracle_backend_factory(manifest)
-        records, stats = generate_sft_corpus(manifest, backend, cfg(),
-                                             log_path=tmp_path / "sft.jsonl")
+        records, stats = generate_sft_corpus(manifest, backend, EngineConfig(),
+                                             tmp_path / "sft.jsonl")
         assert stats.kept == 3 and stats.dropped == 0
         assert all(r["attempts"] == 1 for r in records)
 
     def test_target_round_trips_and_passes_judge(self, manifest_factory,
                                                  oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=2)
-        records, _ = generate_sft_corpus(manifest, oracle_backend_factory(manifest), cfg())
+        records, _ = generate_sft_corpus(manifest, oracle_backend_factory(manifest),
+                                         EngineConfig(), tmp_path / "sft.jsonl")
         by_id = {s.sample_id: s for s in manifest.samples}
         for rec in records:
             turns = parse_trajectory_text(rec["target"])
@@ -73,57 +68,61 @@ class TestSftCorpus:
             assert isinstance(turns[1].action, Answer)
             assert default_judge(turns[1].action.text, by_id[rec["sample_id"]].gold_answers)
 
-    def test_never_correct_dropped(self, manifest_factory):
+    def test_never_correct_dropped(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=1)
         question = manifest.samples[0].question
         backend = OutcomeBackend(manifest, {question: [False] * 5})
-        records, stats = generate_sft_corpus(manifest, backend, cfg(max_attempts=5))
+        records, stats = generate_sft_corpus(manifest, backend, EngineConfig(max_attempts=5),
+                                             tmp_path / "sft.jsonl")
         assert records == [] and stats.dropped == 1
 
-    def test_correct_answer_with_fallback_keyframes_rejected(self, manifest_factory):
+    def test_correct_answer_with_fallback_keyframes_rejected(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=1)
         gold = manifest.samples[0].gold_answers[0]
         # attempt 1: unparsable turn 1 -> fallback -> rejected even though answer correct
         # attempt 2: valid selection and correct answer -> accepted
         backend = ScriptedBackend(["garbage", answer(gold), select(), answer(gold)])
-        records, stats = generate_sft_corpus(manifest, backend, cfg(max_attempts=5))
+        records, stats = generate_sft_corpus(manifest, backend, EngineConfig(max_attempts=5),
+                                             tmp_path / "sft.jsonl")
         assert stats.kept == 1
         assert records[0]["attempts"] == 2
 
     def test_resume_adds_zero(self, manifest_factory, oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=3)
         log = tmp_path / "sft.jsonl"
-        first = generate_sft_corpus(manifest, oracle_backend_factory(manifest), cfg(),
-                                    log_path=log)
+        first = generate_sft_corpus(manifest, oracle_backend_factory(manifest), EngineConfig(),
+                                    log)
         logged = log.read_bytes()
         backend = oracle_backend_factory(manifest)
-        records, stats = generate_sft_corpus(manifest, backend, cfg(), log_path=log)
+        records, stats = generate_sft_corpus(manifest, backend, EngineConfig(), log)
         assert backend.calls == 0
         assert (records, stats) == first and stats == CurationStats(kept=3)
         assert log.read_bytes() == logged
 
 
 class TestRlCorpus:
-    def test_mixed_retained_counts(self, manifest_factory):
+    def test_mixed_retained_counts(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=1)
         question = manifest.samples[0].question
         backend = OutcomeBackend(manifest, {question: [True, False, True, False, False]})
-        records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=5))
+        records, _ = filter_rl_corpus(manifest, backend, EngineConfig(max_attempts=5),
+                                      tmp_path / "rl.jsonl")
         assert len(records) == 1
         assert records[0]["correct_count"] == 2
 
     @pytest.mark.parametrize("pattern", list(itertools.product([False, True], repeat=5)))
-    def test_exhaustive_retention_predicate(self, manifest_factory, pattern):
+    def test_exhaustive_retention_predicate(self, manifest_factory, pattern, tmp_path):
         manifest = manifest_factory(n_samples=1)
         question = manifest.samples[0].question
         backend = OutcomeBackend(manifest, {question: list(pattern)})
-        records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=5))
+        records, _ = filter_rl_corpus(manifest, backend, EngineConfig(max_attempts=5),
+                                      tmp_path / "rl.jsonl")
         retained = bool(records)
         assert retained == (0 < sum(pattern) < 5)
         if retained:
             assert records[0]["correct_count"] == sum(pattern)
 
-    def test_fallback_answers_count_as_incorrect(self, manifest_factory):
+    def test_fallback_answers_count_as_incorrect(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=1)
         gold = manifest.samples[0].gold_answers[0]
         outcomes = [True, False, True, False, False]
@@ -133,7 +132,8 @@ class TestRlCorpus:
                 return "garbage"
             return answer(gold if outcomes.pop(0) else "definitely wrong")
 
-        records, stats = filter_rl_corpus(manifest, FunctionBackend(fn), cfg(max_attempts=5))
+        records, stats = filter_rl_corpus(manifest, FunctionBackend(fn),
+                                          EngineConfig(max_attempts=5), tmp_path / "rl.jsonl")
         assert records == [] and stats.dropped == 1
         assert outcomes == []  # every episode ran
 
@@ -142,11 +142,10 @@ class TestRlCorpus:
         outcomes = {s.question: [True, False, True, False, False] for s in manifest.samples}
         log = tmp_path / "rl.jsonl"
         first = filter_rl_corpus(manifest, OutcomeBackend(manifest, dict(outcomes)),
-                                 cfg(max_attempts=5), log_path=log)
+                                 EngineConfig(max_attempts=5), log)
         logged = log.read_bytes()
         backend = OutcomeBackend(manifest, dict(outcomes))
-        records, stats = filter_rl_corpus(manifest, backend, cfg(max_attempts=5),
-                                          log_path=log)
+        records, stats = filter_rl_corpus(manifest, backend, EngineConfig(max_attempts=5), log)
         assert backend.outcomes == outcomes  # no episode ran
         assert (records, stats) == first and stats == CurationStats(kept=2)
         assert log.read_bytes() == logged
@@ -195,8 +194,8 @@ def test_output_identical_across_parallelism(curate, manifest_factory, tmp_path)
     for par in (1, 8):
         backend = SeededBackend(manifest)
         log, corpus = tmp_path / f"p{par}.log.jsonl", tmp_path / f"p{par}.jsonl"
-        lines, st = curate(manifest, backend, cfg(parallelism=par, temperature=1.0),
-                           log_path=log)
+        lines, st = curate(manifest, backend, EngineConfig(parallelism=par, temperature=1.0),
+                           log)
         write_corpus(lines, corpus)
         outputs.append((log.read_bytes(), corpus.read_bytes()))
         stats.append(st)
@@ -208,7 +207,7 @@ def test_output_identical_across_parallelism(curate, manifest_factory, tmp_path)
 
 
 @pytest.mark.parametrize("curate", [generate_sft_corpus, filter_rl_corpus])
-def test_curation_decodes_at_temperature_one(curate, manifest_factory):
+def test_curation_decodes_at_temperature_one(curate, manifest_factory, tmp_path):
     manifest = manifest_factory(n_samples=2)
     temperatures = []
 
@@ -217,18 +216,20 @@ def test_curation_decodes_at_temperature_one(curate, manifest_factory):
         return select() if request_stage(request) == "anchor" else answer("definitely wrong")
 
     backend = FunctionBackend(fn)
-    _, stats = curate(manifest, backend, cfg(temperature=0.0, max_attempts=3))
+    _, stats = curate(manifest, backend, EngineConfig(temperature=0.0, max_attempts=3),
+                      tmp_path / "outcomes.jsonl")
     assert stats.dropped == 2
     assert set(temperatures) == {1.0}
     # every attempt fails the judge, so both curations run all max_attempts episodes
     assert backend.calls == 2 * 3 * 2
 
 
-def test_rl_runs_exactly_max_attempts_episodes(manifest_factory):
+def test_rl_runs_exactly_max_attempts_episodes(manifest_factory, tmp_path):
     manifest = manifest_factory(n_samples=1)
     outcomes = {manifest.samples[0].question: [True, False, True, False, True, True]}
     backend = OutcomeBackend(manifest, outcomes)
-    records, _ = filter_rl_corpus(manifest, backend, cfg(max_attempts=4))
+    records, _ = filter_rl_corpus(manifest, backend, EngineConfig(max_attempts=4),
+                                  tmp_path / "rl.jsonl")
     (record,) = records
     assert len(record["attempt_answers"]) == 4 and record["correct_count"] == 2
     assert backend.outcomes[manifest.samples[0].question] == [True, True]  # two unused
@@ -250,7 +251,7 @@ def test_resume_after_finished_run_makes_no_call(curate, manifest_factory, tmp_p
         return FunctionBackend(fn)
 
     log, corpus = tmp_path / "outcomes.jsonl", tmp_path / "corpus.jsonl"
-    lines, stats = curate(manifest, backend(), cfg(max_attempts=5), log_path=log)
+    lines, stats = curate(manifest, backend(), EngineConfig(max_attempts=5), log)
     write_corpus(lines, corpus)
     assert stats == CurationStats(kept=1, dropped=1, failed=1)
     assert [(r["sample_id"], r["outcome"]) for r in read_log(log)] == \
@@ -258,7 +259,7 @@ def test_resume_after_finished_run_makes_no_call(curate, manifest_factory, tmp_p
     before = log.read_bytes(), corpus.read_bytes()
 
     again = backend()
-    resumed_lines, resumed = curate(manifest, again, cfg(max_attempts=5), log_path=log)
+    resumed_lines, resumed = curate(manifest, again, EngineConfig(max_attempts=5), log)
     write_corpus(resumed_lines, corpus)
     assert again.calls == 0
     assert resumed == stats and resumed_lines == lines
@@ -269,20 +270,20 @@ def test_resume_after_finished_run_makes_no_call(curate, manifest_factory, tmp_p
 def test_kill_mid_run_keeps_finished_prefix(curate, manifest_factory, tmp_path):
     manifest = manifest_factory(n_samples=10)
     k = 4
-    config = cfg(parallelism=4, temperature=1.0)
+    config = EngineConfig(parallelism=4, temperature=1.0)
     whole = SeededBackend(manifest)
-    lines, stats = curate(manifest, whole, config, log_path=tmp_path / "whole.jsonl")
+    lines, stats = curate(manifest, whole, config, tmp_path / "whole.jsonl")
     write_corpus(lines, tmp_path / "whole.corpus.jsonl")
 
     log = tmp_path / "outcomes.jsonl"
     with pytest.raises(RuntimeError):
         curate(manifest, SeededBackend(manifest, killed=manifest.samples[k].question),
-               config, log_path=log)
+               config, log)
     assert [r["sample_id"] for r in read_log(log)] == \
         [s.sample_id for s in manifest.samples[:k]]
 
     rest = SeededBackend(manifest)
-    resumed_lines, resumed = curate(manifest, rest, config, log_path=log)
+    resumed_lines, resumed = curate(manifest, rest, config, log)
     write_corpus(resumed_lines, tmp_path / "corpus.jsonl")
     assert rest.asked == Counter({s.question: whole.asked[s.question]
                                   for s in manifest.samples[k:]})

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import request_image_count, request_question, request_stage
+from vtagent import engine
 from vtagent.backends import (FunctionBackend, GenerationRequest, ImagePart,
                               RecordingBackend, ReplayBackend, ScriptedBackend, TextPart,
                               TranscriptStore, request_digest)
@@ -13,12 +14,6 @@ from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prom
                             run_episode)
 from vtagent.errors import BackendUnavailable
 from vtagent.grammar import Answer, KeyframeSet, SelectKeyframes, Turn, render_turn
-
-
-def fast_config(**kwargs):
-    defaults = dict(backoff_base_s=0.0, seed=0)
-    defaults.update(kwargs)
-    return EngineConfig(**defaults)
 
 
 class TestPrompts:
@@ -58,7 +53,7 @@ class TestRunEpisode:
     def test_happy_path(self, sample_factory):
         sample = sample_factory(n_frames=4)
         backend = ScriptedBackend([valid_select(), valid_answer()])
-        traj = run_episode(sample, backend, fast_config())
+        traj = run_episode(sample, backend, EngineConfig())
         assert not traj.used_fallback
         assert traj.attempts_turn1 == 1 and traj.attempts_turn2 == 1
         assert traj.keyframes.ids == (0, 2)
@@ -67,13 +62,13 @@ class TestRunEpisode:
     def test_engine_does_not_judge(self, sample_factory):
         sample = sample_factory(answers=("Lisboa",))
         backend = ScriptedBackend([valid_select(), valid_answer("lisboa")])
-        traj = run_episode(sample, backend, fast_config())
+        traj = run_episode(sample, backend, EngineConfig())
         assert traj.turn2.action.text == "lisboa"  # correctness is downstream
 
     def test_uniform_fallback_after_garbage(self, sample_factory):
         sample = sample_factory(n_frames=10)
         backend = ScriptedBackend(["garbage"] * 5 + [valid_answer("x")])
-        config = fast_config(max_attempts=5, keyframe_cap=4)
+        config = EngineConfig(max_attempts=5, keyframe_cap=4)
         traj = run_episode(sample, backend, config)
         assert traj.used_fallback
         assert traj.attempts_turn1 == 5
@@ -83,7 +78,7 @@ class TestRunEpisode:
     def test_direct_fallback(self, sample_factory):
         sample = sample_factory(n_frames=6)
         backend = ScriptedBackend(["junk"] * 2 + [valid_answer("direct")])
-        config = fast_config(max_attempts=2, fallback_policy="direct")
+        config = EngineConfig(max_attempts=2, fallback_policy="direct")
         traj = run_episode(sample, backend, config)
         assert traj.used_fallback
         assert traj.turn2.action == Answer("direct")
@@ -92,7 +87,7 @@ class TestRunEpisode:
     def test_turn2_persistent_failure_empty_answer(self, sample_factory):
         sample = sample_factory()
         backend = ScriptedBackend([valid_select()] + ["nonsense"] * 3)
-        traj = run_episode(sample, backend, fast_config(max_attempts=3))
+        traj = run_episode(sample, backend, EngineConfig(max_attempts=3))
         assert traj.used_fallback
         assert traj.turn2.action == Answer("")
 
@@ -106,7 +101,7 @@ class TestRunEpisode:
 
         backend = FunctionBackend(lambda r: failing(r))
         with pytest.raises(BackendUnavailable):
-            run_episode(sample, backend, fast_config(max_attempts=3))
+            run_episode(sample, backend, EngineConfig(max_attempts=3))
         assert len(calls) == 3
 
     # each shape: config, replies in call order, then the (stage, attempt) of
@@ -138,7 +133,7 @@ class TestRunEpisode:
             return queue.pop(0)
 
         traj = run_episode(sample, FunctionBackend(fn),
-                           fast_config(max_attempts=3, seed=11, **overrides))
+                           EngineConfig(max_attempts=3, seed=11, **overrides))
         assert [(request_stage(r), r.seed) for r in seen] == \
             [(stage, derive_seed(11, sample.sample_id, stage, k)) for stage, k in calls]
         assert (traj.attempts_turn1, traj.attempts_turn2) == attempts
@@ -157,7 +152,7 @@ class TestRunEpisode:
                 return valid_select("1, 4, 6")
             return valid_answer()
 
-        traj = run_episode(sample, FunctionBackend(fn), fast_config())
+        traj = run_episode(sample, FunctionBackend(fn), EngineConfig())
         answer_requests = [r for r in seen if request_stage(r) == "answer"]
         assert request_image_count(answer_requests[0]) == 3
         assert set(traj.keyframes.ids) <= {f.index for f in sample.frames}
@@ -167,6 +162,7 @@ class TestCompleteWithRetry:
     def test_retry_after_then_exponential_backoff(self, sample_factory, monkeypatch):
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
+        monkeypatch.setattr(engine, "BACKOFF_BASE_S", 10)
         errors = [BackendUnavailable("rate limited (429)", retry_after=0.0),
                   BackendUnavailable("HTTP 503")]
 
@@ -176,9 +172,8 @@ class TestCompleteWithRetry:
             return "ok"
 
         request = GenerationRequest(messages=build_anchor_prompt(sample_factory()))
-        assert complete_with_retry(FunctionBackend(fn), request,
-                                   EngineConfig(backoff_base_s=10)) == "ok"
-        assert sleeps == [0.0, 20]  # Retry-After, then backoff_base_s * 2 ** 1
+        assert complete_with_retry(FunctionBackend(fn), request, EngineConfig()) == "ok"
+        assert sleeps == [0.0, 20]  # Retry-After, then BACKOFF_BASE_S * 2 ** 1
 
 
 class TestRunBatch:
@@ -188,7 +183,7 @@ class TestRunBatch:
     def test_order_and_count(self, manifest_factory, oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=10)
         backend = oracle_backend_factory(manifest)
-        records = run_batch(manifest, backend, fast_config(parallelism=4),
+        records = run_batch(manifest, backend, EngineConfig(parallelism=4),
                             tmp_path / "log.jsonl")
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
         logged = read_log(tmp_path / "log.jsonl")
@@ -199,9 +194,9 @@ class TestRunBatch:
         backend = oracle_backend_factory(manifest)
         log = tmp_path / "log.jsonl"
         half = replace(manifest, samples=manifest.samples[:3])
-        run_batch(half, backend, fast_config(), log)
+        run_batch(half, backend, EngineConfig(), log)
         assert backend.calls == 6  # 2 per episode
-        records = run_batch(manifest, backend, fast_config(), log)
+        records = run_batch(manifest, backend, EngineConfig(), log)
         assert backend.calls == 12  # only 3 new episodes ran
         assert len(records) == 6
 
@@ -210,11 +205,11 @@ class TestRunBatch:
         manifest = manifest_factory(n_samples=8)
         store = TranscriptStore(tmp_path / "store.jsonl")
         recording = RecordingBackend(oracle_backend_factory(manifest), store)
-        run_batch(manifest, recording, fast_config(parallelism=2), tmp_path / "seed.jsonl")
+        run_batch(manifest, recording, EngineConfig(parallelism=2), tmp_path / "seed.jsonl")
 
         replay = ReplayBackend(store)
-        run_batch(manifest, replay, fast_config(parallelism=1), tmp_path / "p1.jsonl")
-        run_batch(manifest, replay, fast_config(parallelism=8), tmp_path / "p8.jsonl")
+        run_batch(manifest, replay, EngineConfig(parallelism=1), tmp_path / "p1.jsonl")
+        run_batch(manifest, replay, EngineConfig(parallelism=8), tmp_path / "p8.jsonl")
         assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p8.jsonl").read_bytes()
 
     def test_per_sample_failure_recorded(self, manifest_factory, tmp_path):
@@ -224,7 +219,7 @@ class TestRunBatch:
             raise BackendUnavailable("always down")
 
         records = run_batch(manifest, FunctionBackend(flaky),
-                            fast_config(max_attempts=1), tmp_path / "log.jsonl")
+                            EngineConfig(max_attempts=1), tmp_path / "log.jsonl")
         assert all("error" in r for r in records)
         assert len(records) == 3
 
@@ -243,12 +238,12 @@ class TestRunBatch:
 
         log = tmp_path / "log.jsonl"
         with pytest.raises(RuntimeError):
-            run_batch(manifest, FunctionBackend(dies_on_k), fast_config(parallelism=4), log)
+            run_batch(manifest, FunctionBackend(dies_on_k), EngineConfig(parallelism=4), log)
         assert [r["sample_id"] for r in read_log(log)] == \
             [s.sample_id for s in manifest.samples[:k]]
 
         backend = oracle_backend_factory(manifest)
-        records = run_batch(manifest, backend, fast_config(parallelism=4), log)
+        records = run_batch(manifest, backend, EngineConfig(parallelism=4), log)
         assert backend.calls == 2 * (len(manifest.samples) - k)
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
         assert [r["sample_id"] for r in read_log(log)] == \
@@ -259,7 +254,7 @@ class TestRunBatch:
         monkeypatch.setattr(time, "sleep", sleeps.append)
         manifest = manifest_factory(n_samples=1)
         replay = ReplayBackend(TranscriptStore(tmp_path / "empty.jsonl"))
-        records = run_batch(manifest, replay, EngineConfig(max_attempts=5, seed=0),
+        records = run_batch(manifest, replay, EngineConfig(max_attempts=5),
                             tmp_path / "log.jsonl")
         assert records == [{"sample_id": "q000", "error": "cache miss"}]
         assert sleeps == []
@@ -273,7 +268,7 @@ class TestRunBatch:
         script = ScriptedBackend([
             "<reasoning>p</reasoning>\n<action>select key frame: [0]</action>",
             f"<reasoning>r</reasoning>\n<action>answer: {gold}</action>"])
-        records = run_batch(manifest, script, EngineConfig(max_attempts=5, seed=0),
+        records = run_batch(manifest, script, EngineConfig(max_attempts=5),
                             tmp_path / "log.jsonl")
         assert records[0]["sample_id"] == "q000" and "error" not in records[0]
         assert records[1:] == [{"sample_id": s.sample_id, "error": "script exhausted"}
@@ -285,12 +280,12 @@ class TestRunBatch:
                                          tmp_path):
         manifest = manifest_factory(n_samples=3)
         log = tmp_path / "log.jsonl"
-        run_batch(manifest, oracle_backend_factory(manifest), fast_config(), log)
+        run_batch(manifest, oracle_backend_factory(manifest), EngineConfig(), log)
         whole = log.read_text(encoding="utf-8").splitlines(keepends=True)
         log.write_text(whole[0] + whole[1] + whole[2][:60], encoding="utf-8")
 
         backend = oracle_backend_factory(manifest)
-        records = run_batch(manifest, backend, fast_config(), log)
+        records = run_batch(manifest, backend, EngineConfig(), log)
         assert backend.calls == 2  # one episode: the torn sample's
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
         lines = log.read_text(encoding="utf-8").splitlines(keepends=True)

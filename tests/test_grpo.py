@@ -61,18 +61,18 @@ class TestAdvantages:
 
     def test_scale_quasi_invariance(self):
         r = np.array([1.5, 0.5, 0.0, 1.0])
-        delta = 1e-8
+        delta = 1e-8  # the std floor group_advantages adds
         k = 5.0
-        a = grpo.group_advantages(r, delta)
-        b = grpo.group_advantages(k * r, delta)
+        a = grpo.group_advantages(r)
+        b = grpo.group_advantages(k * r)
         # exact delta-aware factor, tends to 1 as delta -> 0
         factor = (k * r.std() / (k * r.std() + delta)) / (r.std() / (r.std() + delta))
         assert np.allclose(b, a * factor, atol=1e-12)
 
     def test_moments(self):
         r = np.array([1.5, 0.5, 0.0, 1.0])
-        delta = 1e-8
-        a = grpo.group_advantages(r, delta)
+        delta = 1e-8  # the std floor group_advantages adds
+        a = grpo.group_advantages(r)
         assert abs(a.mean()) <= delta
         assert 1 - delta / r.std() <= a.std() <= 1.0
 

@@ -14,7 +14,7 @@ from vtagent.reporting import subset_table
 
 
 def cfg(**kwargs):
-    defaults = dict(backoff_base_s=0.0, max_attempts=1, seed=0)
+    defaults = dict(max_attempts=1)
     defaults.update(kwargs)
     return EngineConfig(**defaults)
 
@@ -32,7 +32,7 @@ def frame_backend(manifest: DatasetManifest, correct_frames: dict[str, set[int]]
                 return f"<reasoning>seen</reasoning>\n<action>answer: {golds[question]}</action>"
         return "<reasoning>blur</reasoning>\n<action>answer: cannot tell</action>"
 
-    return FunctionBackend(fn, backend_id="framewise")
+    return FunctionBackend(fn)
 
 
 class TestFramewiseEval:
@@ -124,35 +124,37 @@ class TestPseudoKeyframes:
 
 
 class TestUpperBound:
-    def test_oracle_accuracy_and_partition(self, manifest_factory):
+    def test_oracle_accuracy_and_partition(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=4, n_frames=3)
         solvable = {s.question: {1} for s in manifest.samples[:3]}
         backend = frame_backend(manifest, solvable)
-        report = oracle.oracle_upper_bound(manifest, backend, cfg())
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
         assert report.oracle_accuracy == pytest.approx(75.0)
         assert len(report.partition.set_s) == 3
         assert len(report.partition.set_s) + len(report.partition.set_u) == 4
         assert set(report.partition.set_s).isdisjoint(report.partition.set_u)
 
-    def test_positive_gap_when_video_fails(self, manifest_factory):
+    def test_positive_gap_when_video_fails(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=4)
         backend = frame_backend(manifest, {s.question: {2} for s in manifest.samples})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), video_accuracy=0.0)
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl",
+                                           video_accuracy=0.0)
         assert report.gap == pytest.approx(100.0)
 
-    def test_zero_gap_when_identical(self, manifest_factory):
+    def test_zero_gap_when_identical(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=2)
         backend = frame_backend(manifest, {s.question: {0} for s in manifest.samples})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), video_accuracy=100.0)
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl",
+                                           video_accuracy=100.0)
         assert report.gap == pytest.approx(0.0)
 
-    def test_oracle_dominates_fixed_frame(self, manifest_factory):
+    def test_oracle_dominates_fixed_frame(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=3, n_frames=4)
         correct = {manifest.samples[0].question: {0},
                    manifest.samples[1].question: {3},
                    manifest.samples[2].question: set()}
         backend = frame_backend(manifest, correct)
-        report = oracle.oracle_upper_bound(manifest, backend, cfg())
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
         n = len(manifest.samples)
         for k in range(4):
             fixed_acc = 100.0 * sum(r.per_frame_correct[k] for r in report.results) / n
@@ -163,14 +165,13 @@ class TestUpperBound:
         manifest = manifest_factory(n_samples=6, n_frames=3)
         solvable = {s.question: {1} for s in manifest.samples[::2]}
         fresh = oracle.oracle_upper_bound(manifest, frame_backend(manifest, solvable),
-                                          cfg(parallelism=4))
+                                          cfg(parallelism=4), tmp_path / "fresh.jsonl")
 
         log = tmp_path / "framewise.jsonl"
         head = replace(manifest, samples=manifest.samples[:4])
-        oracle.oracle_upper_bound(head, frame_backend(manifest, solvable), cfg(), log_path=log)
+        oracle.oracle_upper_bound(head, frame_backend(manifest, solvable), cfg(), log)
         backend = frame_backend(manifest, solvable)
-        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(parallelism=4),
-                                            log_path=log)
+        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(parallelism=4), log)
         assert backend.calls == 2 * 3  # two unlogged samples, three frames each
         assert resumed.partition == fresh.partition
         assert resumed.oracle_accuracy == fresh.oracle_accuracy
@@ -192,9 +193,9 @@ class TestUpperBound:
             return inner.complete(request)
 
         log = tmp_path / "framewise.jsonl"
-        fresh = oracle.oracle_upper_bound(manifest, FunctionBackend(fn), cfg(), log_path=log)
+        fresh = oracle.oracle_upper_bound(manifest, FunctionBackend(fn), cfg(), log)
         backend = FunctionBackend(fn)
-        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(), log_path=log)
+        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(), log)
         assert backend.calls == 0
         assert [r.failed_frames for r in fresh.results] == [(), (2,)]
         assert resumed.results == fresh.results
@@ -205,7 +206,7 @@ class TestUpperBound:
         log.write_text(json.dumps({"sample_id": "q000", "vector": [False, True],
                                    "any_correct": True}) + "\n", encoding="utf-8")
         backend = frame_backend(manifest, {})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), log_path=log)
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), log)
         assert backend.calls == 2  # only q001's two frames
         assert [(r.sample_id, r.per_frame_correct, r.failed_frames) for r in report.results] \
             == [("q000", (False, True), ()), ("q001", (False, False), ())]
