@@ -4,7 +4,11 @@ Three implementations share one `complete(request) -> str` surface:
 
 * HttpBackend     — chat-completions wire client (text + image_url parts); the
                     body is assembled as bytes with each frame's base64 spliced
-                    in unescaped, byte-identical to `json.dumps` of the payload
+                    in unescaped, byte-identical to `json.dumps` of the payload.
+                    One standard-library `urllib` POST per call, on a
+                    connection of its own: proxies come from the environment,
+                    netrc is not read, and the key is an unredirected header,
+                    so a redirect never carries it
 * ScriptedBackend — queue of canned responses for tests and dry runs
 * ReplayBackend   — deterministic cache keyed by a canonical request digest
 
@@ -21,10 +25,11 @@ import mimetypes
 import threading
 import time
 from dataclasses import dataclass
+from http.client import HTTPException, HTTPMessage
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Protocol, Union
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, ConfigError,
                      MalformedRecord, ResponseEmpty, StoreWriteFailed)
@@ -329,30 +334,46 @@ def _wire_body(config: EndpointConfig, request: GenerationRequest) -> bytes:
     return b"".join(chunks)
 
 
+def _exchange(request: Request) -> tuple[int, HTTPMessage, bytes]:
+    """Status, headers and body of one urllib exchange, whatever the status;
+    a transport failure raises BackendTimeout or BackendUnavailable."""
+    try:
+        try:
+            with urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
+                return resp.status, resp.headers, resp.read()
+        except HTTPError as e:  # a reply, but not a 2xx one
+            with e:  # an unclosed HTTPError keeps its socket open
+                return e.code, e.headers, e.read()
+    # a connect timeout comes wrapped in a URLError, a read timeout bare; a
+    # URL without a scheme raises ValueError
+    except (OSError, HTTPException, ValueError) as e:
+        if isinstance(e, TimeoutError) or isinstance(getattr(e, "reason", None), TimeoutError):
+            raise BackendTimeout(str(e)) from e
+        raise BackendUnavailable(str(e)) from e
+
+
 def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
     """One POST to {base_url}/chat/completions. Never retries internally."""
-    url = config.base_url.rstrip("/") + "/chat/completions"
-    headers = {"Content-Type": "application/json"}
+    req = Request(config.base_url.rstrip("/") + "/chat/completions",
+                  data=_wire_body(config, request),
+                  headers={"Content-Type": "application/json"})
     if config.api_key:
-        headers["Authorization"] = f"Bearer {config.api_key}"
-    try:
-        resp = requests.post(url, data=_wire_body(config, request),
-                             headers=headers, timeout=HTTP_TIMEOUT_S)
-    except requests.Timeout as e:
-        raise BackendTimeout(str(e)) from e
-    except requests.RequestException as e:
-        raise BackendUnavailable(str(e)) from e
-    if resp.status_code == 429:
+        # an unredirected header is never forwarded to a redirect's target
+        req.add_unredirected_header("Authorization", f"Bearer {config.api_key}")
+    status, headers, raw = _exchange(req)
+    if status == 429:
         # only the delay-seconds form; for an HTTP-date the engine backs off
-        seconds = resp.headers.get("Retry-After", "").strip()
+        seconds = headers.get("Retry-After", "").strip()
         raise BackendUnavailable("rate limited (429)",
                                  retry_after=float(seconds) if seconds.isdecimal() else None)
-    if not 200 <= resp.status_code < 300:
-        raise BackendUnavailable(f"HTTP {resp.status_code}: {resp.text[:200]}")
+    if not 200 <= status < 300:
+        raise BackendUnavailable(f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
     try:
-        body = resp.json()
+        body = json.loads(raw)
     except ValueError as e:
         raise BackendUnavailable(f"non-JSON response body: {e}") from e
+    if not isinstance(body, dict):
+        raise BackendUnavailable("malformed response body: not a JSON object")
     choices = body.get("choices") or []
     if not choices:
         raise ResponseEmpty("empty choices array")
@@ -362,6 +383,8 @@ def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
         raise BackendUnavailable(f"malformed response body: {e}") from e
     if content is None or content == "":
         raise ResponseEmpty("empty message content")
+    if not isinstance(content, str):
+        raise BackendUnavailable("malformed response body: content is not a string")
     return content
 
 

@@ -15,10 +15,11 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from http.client import HTTPException
 from pathlib import Path
 from typing import Optional
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import urlopen
 
 from . import curation, grpo, oracle, reporting
 from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
@@ -152,8 +153,11 @@ def preflight(cfg: RunConfig) -> None:
     if cfg.backend != "http":
         return
     try:
-        requests.get(cfg.api_base, timeout=10)
-    except requests.RequestException as e:
+        with urlopen(cfg.api_base, timeout=10):
+            pass
+    except HTTPError as e:
+        e.close()  # a reply of any status, such as 404 for GET /v1, means reachable
+    except (OSError, HTTPException, ValueError) as e:
         raise _Unreachable(str(e)) from e
 
 
@@ -172,12 +176,13 @@ def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifes
 
 
 def _prepare(args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest, Backend]:
-    """The prologue of every model-calling command: settings, preflight,
-    sampled manifest, backend, and the output directory."""
+    """The prologue of every model-calling command: settings, sampled
+    manifest, backend, preflight, and the output directory. Every
+    configuration error (exit 2) comes before the preflight (exit 3)."""
     cfg = resolve_config(args)
-    preflight(cfg)
     manifest = _load_sampled_manifest(cfg, args.manifest)
     backend = build_backend(cfg)
+    preflight(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, manifest, backend
 

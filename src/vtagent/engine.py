@@ -272,12 +272,22 @@ def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
     """Run episodes over the manifest through `run_units` and return every
     sample's record in manifest order: a trajectory, or an error once retries
     are spent. A rerun skips the sample_ids already logged; a logged record
-    needs an error, or the answer and keyframe_ids that scoring reads."""
+    needs an error, or the string answer and the list of int keyframe_ids
+    that scoring reads."""
     def one(sample: Sample) -> dict:
         try:
             return trajectory_record(run_episode(sample, backend, config))
         except TRANSIENT_ERRORS as e:
             return {"sample_id": sample.sample_id, "error": str(e)}
 
-    return run_units(manifest.samples, one, config.parallelism, log_path,
-                     lambda r: None if "error" in r else missing_key(r, "answer", "keyframe_ids"))
+    def check(r: dict) -> Optional[str]:
+        if "error" in r:
+            return None
+        if not isinstance(r.get("answer"), str):
+            return "has no string 'answer'"
+        ids = r.get("keyframe_ids")
+        if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
+            return "has no list of ints 'keyframe_ids'"
+        return None
+
+    return run_units(manifest.samples, one, config.parallelism, log_path, check)

@@ -99,12 +99,24 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
                 "any_correct": result.any_correct,
                 "failed_frames": list(result.failed_frames)}
 
+    n_frames = {s.sample_id: len(s.frames) for s in manifest.samples}
+
+    def check(record: dict) -> Optional[str]:
+        vector = record.get("vector")
+        if not isinstance(vector, list):
+            return "has no list 'vector'"
+        if not all(type(v) is bool for v in vector):
+            return "has a 'vector' entry that is not a bool"
+        # a record of a sample not in the manifest is never read
+        n = n_frames.get(record["sample_id"], len(vector))
+        if len(vector) != n:
+            return f"has a 'vector' of {len(vector)} entries for {n} frames"
+        return None
+
     # logs written before failed_frames was recorded read as no failures
     results = [FramewiseResult(r["sample_id"], tuple(r["vector"]),
                                tuple(r.get("failed_frames", ())))
-               for r in run_units(manifest.samples, one, config.parallelism, log_path,
-                                  lambda record: None if isinstance(record.get("vector"), list)
-                                  else "has no list 'vector'")]
+               for r in run_units(manifest.samples, one, config.parallelism, log_path, check)]
     set_s = tuple(r.sample_id for r in results if r.any_correct)
     set_u = tuple(r.sample_id for r in results if not r.any_correct)
     n = len(results) or 1

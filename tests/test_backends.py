@@ -3,6 +3,9 @@ import hashlib
 import json
 import math
 import os
+import socket
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -12,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vtagent
+from vtagent import cli
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
                               _wire_body, canonicalize_request, http_complete,
                               request_digest)
-from vtagent.errors import (TRANSIENT_ERRORS, BackendUnavailable, CacheMiss, MalformedRecord,
-                            ResponseEmpty)
+from vtagent.errors import (TRANSIENT_ERRORS, BackendTimeout, BackendUnavailable, CacheMiss,
+                            MalformedRecord, ResponseEmpty)
 
 
 def simple_request(text="hello", seed=None):
@@ -232,24 +237,42 @@ class TestReplay:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Records each request and replies as `behavior` says: "ok" (the
+    payload), "empty_choices", "429", "404" or "500" (a "boom" body), or
+    "redirect" (302 to `location`)."""
     behavior = "ok"
     retry_after = "7"
-    seen = []
+    payload = {"choices": [{"message": {"content": "pong"}}]}
+    location = ""
+    seen = []  # POST bodies
+    auth = []  # the Authorization header of each request, None if absent
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen.append(body)
+        self.reply()
+
+    def do_GET(self):
+        self.reply()
+
+    def reply(self):
+        type(self).auth.append(self.headers.get("Authorization"))
         if self.behavior == "429":
             self.send_response(429)
             self.send_header("Retry-After", self.retry_after)
             self.end_headers()
             return
-        if self.behavior == "empty_choices":
-            payload = {"choices": []}
+        if self.behavior == "redirect":
+            self.send_response(302)
+            self.send_header("Location", self.location)
+            self.end_headers()
+            return
+        if self.behavior in ("404", "500"):
+            status, data = int(self.behavior), b"boom"
         else:
-            payload = {"choices": [{"message": {"content": "pong"}}]}
-        data = json.dumps(payload).encode()
-        self.send_response(200)
+            payload = {"choices": []} if self.behavior == "empty_choices" else self.payload
+            status, data = 200, json.dumps(payload).encode()
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -259,18 +282,36 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _RedirectTarget(_Handler):
+    behavior = "ok"
+    auth = []
+
+
 @pytest.fixture
-def fake_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.seen = []
+def serve():
+    """start(handler) serves handler on a free loopback port and returns its URL."""
+    servers = []
+
+    def start(handler):
+        server = HTTPServer(("127.0.0.1", 0), handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_port}"
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def fake_server(serve):
+    _Handler.seen, _Handler.auth, _RedirectTarget.auth = [], [], []
     _Handler.behavior = "ok"
     _Handler.retry_after = "7"
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    return serve(_Handler)
 
 
 class TestHttp:
@@ -320,6 +361,67 @@ class TestHttp:
         config = EndpointConfig(base_url="http://127.0.0.1:1", model="m")
         with pytest.raises(BackendUnavailable):
             http_complete(config, simple_request())
+
+    def test_read_timeout(self, monkeypatch):
+        monkeypatch.setattr("vtagent.backends.HTTP_TIMEOUT_S", 0.3)
+        # the kernel completes the handshake into the backlog; nothing answers
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            config = self.config(f"http://127.0.0.1:{silent.getsockname()[1]}")
+            with pytest.raises(BackendTimeout):
+                http_complete(config, simple_request())
+
+    def test_500_names_the_status(self, fake_server):
+        _Handler.behavior = "500"
+        with pytest.raises(BackendUnavailable, match="HTTP 500: boom"):
+            http_complete(self.config(fake_server), simple_request())
+
+    @pytest.mark.parametrize("payload", [[], {"choices": [{"message": {"content": 5}}]}],
+                             ids=["list_body", "int_content"])
+    def test_malformed_200_body(self, fake_server, monkeypatch, payload):
+        monkeypatch.setattr(_Handler, "payload", payload)
+        with pytest.raises(BackendUnavailable, match="malformed response body"):
+            http_complete(self.config(fake_server), simple_request())
+
+    def test_redirect_never_carries_the_key(self, fake_server, serve):
+        _Handler.behavior = "redirect"
+        _Handler.location = serve(_RedirectTarget) + "/elsewhere"
+        config = EndpointConfig(base_url=fake_server, model="m", api_key="k")
+        assert http_complete(config, simple_request()) == "pong"
+        assert _Handler.auth == ["Bearer k"]
+        assert _RedirectTarget.auth == [None]
+
+    def test_netrc_is_not_read(self, fake_server, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        config = EndpointConfig(base_url=fake_server, model="m", api_key="k")
+        assert http_complete(config, simple_request()) == "pong"
+        assert _Handler.auth == ["Bearer k"]
+
+    def test_preflight_accepts_a_404(self, fake_server):
+        _Handler.behavior = "404"  # as real endpoints answer GET /v1
+        args = cli.build_parser().parse_args(
+            ["eval", "--manifest", "m.jsonl", "--backend", "http", "--api-base",
+             fake_server + "/v1"])
+        cli.preflight(cli.resolve_config(args))
+        assert _Handler.auth == [None]  # one GET, which carries no key
+
+
+def test_no_module_imports_requests():
+    """Every vtagent module imports without requests or urllib3."""
+    code = ("import importlib, json, pkgutil, sys, vtagent\n"
+            "names = [m.name for m in pkgutil.iter_modules(vtagent.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('vtagent.' + name)\n"
+            "print(json.dumps([names, sorted({'requests', 'urllib3'} & set(sys.modules))]))\n")
+    src = str(Path(vtagent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    names, leaked = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                              capture_output=True, text=True,
+                                              check=True).stdout)
+    assert {"backends", "cli", "engine", "oracle"} <= set(names)
+    assert leaked == []
 
 
 def test_base64_image_mode(tmp_path):

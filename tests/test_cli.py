@@ -55,6 +55,13 @@ class TestEval:
                          "--api-base", "http://127.0.0.1:1"])
         assert code == 3
 
+    def test_http_without_api_base_exit_2(self, manifest_path, monkeypatch, capsys):
+        path, _ = manifest_path
+        monkeypatch.delenv("VTAGENT_API_BASE", raising=False)
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "http"])
+        assert code == 2
+        assert "http backend requires --api-base" in capsys.readouterr().err
+
     def test_replay_determinism_across_parallelism(self, manifest_path, tmp_path,
                                                    oracle_backend_factory):
         path, manifest = manifest_path
@@ -241,8 +248,17 @@ RESUME_FAULTS = {
     "eval-no-keyframes": ("eval", "trajectories.jsonl", {"error": "x"}, {"answer": "a"},
                           "'keyframe_ids'"),
     "oracle-no-vector": ("oracle", "framewise.jsonl", {"vector": [False] * 4}, {}, "'vector'"),
+    "eval-answer-not-string": ("eval", "trajectories.jsonl", {"error": "x"},
+                               {"answer": 5, "keyframe_ids": [0]}, "no string 'answer'"),
+    "eval-keyframes-not-ints": ("eval", "trajectories.jsonl", {"error": "x"},
+                                {"answer": "a", "keyframe_ids": ["0"]},
+                                "no list of ints 'keyframe_ids'"),
     "oracle-vector-not-list": ("oracle", "framewise.jsonl", {"vector": [False] * 4},
                                {"vector": 1}, "no list 'vector'"),
+    "oracle-vector-not-bools": ("oracle", "framewise.jsonl", {"vector": [False] * 4},
+                                {"vector": [0] * 4}, "not a bool"),
+    "oracle-vector-wrong-length": ("oracle", "framewise.jsonl", {"vector": [False] * 4},
+                                   {"vector": [True]}, "1 entries for 4 frames"),
 }
 
 
