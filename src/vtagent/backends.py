@@ -3,12 +3,15 @@
 Three implementations share one `complete(request) -> str` surface:
 
 * HttpBackend     — chat-completions wire client (text + image_url parts); the
-                    body is assembled as bytes with each frame's base64 spliced
+                    body is streamed as bytes with each frame's base64 spliced
                     in unescaped, byte-identical to `json.dumps` of the payload.
-                    One standard-library `urllib` POST per call, on a
-                    connection of its own: proxies come from the environment,
-                    netrc is not read, and the key is an unredirected header,
-                    so a redirect never carries it
+                    Its Content-Length comes from the frames' file sizes, and
+                    the stream holds one frame's base64 at a time. A frame
+                    missing when the call starts raises MissingFrameFile, which
+                    the CLI reports with exit 2. One standard-library `urllib`
+                    POST per call, on a connection of its own: proxies come
+                    from the environment, netrc is not read, and the key is an
+                    unredirected header, so a redirect never carries it
 * ScriptedBackend — queue of canned responses for tests and dry runs
 * ReplayBackend   — deterministic cache keyed by a canonical request digest
 
@@ -22,6 +25,7 @@ import hashlib
 import json
 import math
 import mimetypes
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -32,7 +36,8 @@ from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, ConfigError,
-                     MalformedRecord, ResponseEmpty, StoreWriteFailed)
+                     MalformedRecord, MissingFrameFile, ResponseEmpty, StoreWriteFailed,
+                     VtagentError)
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def canonicalize_request(request: GenerationRequest) -> str:
             else:
                 chunks += ['{"index":', int.__repr__(p.index), ',"path":', _escape(p.path),
                            ',"type":"image"}', ","]
-        # as in _wire_body, a trailing separator is always there to replace
+        # as in _wire_stream, a trailing separator is always there to replace
         chunks[-1] = '],"role":'  # the last part's separator closes the parts
         chunks += [_escape(m.role), "}", ","]
     chunks[-1] = "],"  # the last message's separator closes the messages
@@ -300,16 +305,42 @@ class EndpointConfig:
     api_key: Optional[str] = None
 
 
-def _wire_body(config: EndpointConfig, request: GenerationRequest) -> bytes:
-    """The chat-completions request body, byte for byte
-    `json.dumps(payload, allow_nan=False).encode()` of the OpenAI-style payload.
+def _frame_base64(path: str, size: int) -> bytes:
+    """The base64 of a frame that _wire_stream stat'ed at `size` bytes; its
+    raw bytes are freed on return, before the stream joins the base64 to text.
+
+    Any fault raises a VtagentError naming the path: an OSError raised inside
+    urlopen would become a URLError, and so a transient BackendUnavailable,
+    whose retry would declare the same wrong length again.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise VtagentError(f"frame file unreadable while sending: {path}: {e}") from e
+    if len(data) != size:
+        raise VtagentError(f"frame file changed size while sending: {path}")
+    return base64.b64encode(data)
+
+
+def _wire_stream(config: EndpointConfig,
+                 request: GenerationRequest) -> tuple[int, Iterator[bytes]]:
+    """The chat-completions request body as (length, chunks). Joined, the
+    chunks are byte for byte `json.dumps(payload, allow_nan=False).encode()`
+    of the OpenAI-style payload, and length is their byte count.
 
     Each frame's base64 is spliced in as bytes: base64 needs no JSON escaping,
-    so the encoder never scans frame data, and the body is joined once.
+    so the encoder never scans frame data. Frames are stat'ed here, so a
+    missing one raises MissingFrameFile before any connection opens, and its
+    base64 length, 4 * ceil(size / 3), comes from the file size. Each chunk is
+    the JSON text before one frame joined with that frame's base64, read and
+    encoded only when the stream reaches it; a last chunk carries the tail.
+    So a call holds one frame's base64 at a time.
     """
     def dump(obj) -> bytes:
         return json.dumps(obj, allow_nan=False).encode()
 
+    texts = []  # the JSON text before each frame, then the tail
+    frames = []  # (path, size) of each frame
     chunks = [b'{"model": ', dump(config.model), b', "messages": [']
     for m in request.messages:
         chunks += [b'{"role": ', dump(m.role), b', "content": [']
@@ -317,11 +348,17 @@ def _wire_body(config: EndpointConfig, request: GenerationRequest) -> bytes:
             if isinstance(p, TextPart):
                 chunks.append(dump({"type": "text", "text": p.text}))
             else:
+                try:  # follows symlinks, as the manifest load's check does
+                    size = os.stat(p.path).st_size
+                except OSError as e:
+                    raise MissingFrameFile(p.path) from e
                 mime = mimetypes.guess_type(p.path)[0] or "image/png"
                 # the URL string's dump without its closing quote
-                chunks += [b'{"type": "image_url", "image_url": {"url": '
-                           + dump(f"data:{mime};base64,")[:-1],
-                           base64.b64encode(Path(p.path).read_bytes()), b'"}}']
+                chunks.append(b'{"type": "image_url", "image_url": {"url": '
+                              + dump(f"data:{mime};base64,")[:-1])
+                texts.append(b"".join(chunks))
+                frames.append((p.path, size))
+                chunks = [b'"}}']
             chunks.append(b", ")
         # Message and GenerationRequest reject empty parts and messages, so a
         # trailing separator is always there to replace
@@ -331,7 +368,15 @@ def _wire_body(config: EndpointConfig, request: GenerationRequest) -> bytes:
     if request.seed is not None:
         tail["seed"] = request.seed
     chunks.append(dump(tail)[1:])  # its fields, then the closing brace
-    return b"".join(chunks)
+    texts.append(b"".join(chunks))
+    length = sum(map(len, texts)) + sum(4 * -(-size // 3) for _, size in frames)
+
+    def stream() -> Iterator[bytes]:
+        for text, (path, size) in zip(texts, frames):
+            yield text + _frame_base64(path, size)
+        yield texts[-1]
+
+    return length, stream()
 
 
 def _exchange(request: Request) -> tuple[int, HTTPMessage, bytes]:
@@ -354,9 +399,11 @@ def _exchange(request: Request) -> tuple[int, HTTPMessage, bytes]:
 
 def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
     """One POST to {base_url}/chat/completions. Never retries internally."""
-    req = Request(config.base_url.rstrip("/") + "/chat/completions",
-                  data=_wire_body(config, request),
-                  headers={"Content-Type": "application/json"})
+    length, body = _wire_stream(config, request)
+    # a fresh stream per call: a retry resends the whole body
+    req = Request(config.base_url.rstrip("/") + "/chat/completions", data=body,
+                  headers={"Content-Type": "application/json",
+                           "Content-Length": str(length)})
     if config.api_key:
         # an unredirected header is never forwarded to a redirect's target
         req.add_unredirected_header("Authorization", f"Bearer {config.api_key}")

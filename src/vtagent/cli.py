@@ -298,6 +298,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         name, _, path = spec_arg.partition("=")
         if not path:
             name, path = Path(spec_arg).stem, spec_arg
+        if name in reports:
+            raise ConfigError(f"system name {name!r} given twice; name each log "
+                              "with name=path")
         scores = reporting.read_score_log(path)
         scores_by_system[name] = scores
         reports[name] = aggregate(scores, split_tag=name)

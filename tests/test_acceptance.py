@@ -6,14 +6,19 @@ import itertools
 import json
 import random
 import string
+import threading
 import time
+import tracemalloc
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
 from conftest import write_manifest_file
 from vtagent import cli, grpo, oracle
-from vtagent.backends import FunctionBackend, RecordingBackend, TranscriptStore
+from vtagent.backends import (EndpointConfig, FunctionBackend, GenerationRequest, ImagePart,
+                              Message, RecordingBackend, TextPart, TranscriptStore,
+                              http_complete)
 from vtagent.curation import filter_rl_corpus
 from vtagent.data_model import DatasetManifest
 from vtagent.engine import EngineConfig, run_batch
@@ -296,3 +301,53 @@ def test_cmd_eval_replay_determinism(manifest_factory, oracle_backend_factory, t
                 == (tmp_path / "p8" / "trajectories.jsonl").read_bytes())
         assert ((tmp_path / "p1" / "scores.jsonl").read_bytes()
                 == (tmp_path / "p8" / "scores.jsonl").read_bytes())
+
+
+class _DiscardingHandler(BaseHTTPRequestHandler):
+    """Reads each POST body in 64 KB pieces and keeps none of it, so the
+    traced peak is the client's."""
+
+    def do_POST(self):
+        left = int(self.headers["Content-Length"])
+        while left:
+            left -= len(self.rfile.read(min(left, 65536)))
+        data = json.dumps({"choices": [{"message": {"content": "pong"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_call_memory(tmp_path):
+    with timed("one http call of 32 x 150 KB frames peaks below 1.5 MB traced", limit_s=30):
+        rng = random.Random(0)
+        parts = []
+        for i in range(32):
+            frame = tmp_path / f"{i:04d}.png"
+            frame.write_bytes(rng.randbytes(150_000))
+            parts += [TextPart(f"Frame {i}:"), ImagePart(str(frame), i)]
+        request = GenerationRequest(messages=(Message("user", tuple(parts)),))
+        server = HTTPServer(("127.0.0.1", 0), _DiscardingHandler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        config = EndpointConfig(base_url=f"http://127.0.0.1:{server.server_port}", model="m")
+        try:
+            # the first call in a process also fills mimetypes' and urllib's caches
+            assert http_complete(config, request) == "pong"
+            tracemalloc.start()
+            try:
+                assert http_complete(config, request) == "pong"
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        # a body joined in memory would hold all 32 frames' base64, 6.4 MB
+        assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"

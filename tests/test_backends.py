@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from conftest import write_manifest_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,11 @@ from vtagent import cli
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
-                              _wire_body, canonicalize_request, http_complete,
+                              _wire_stream, canonicalize_request, http_complete,
                               request_digest)
+from vtagent.engine import EngineConfig, complete_with_retry
 from vtagent.errors import (TRANSIENT_ERRORS, BackendTimeout, BackendUnavailable, CacheMiss,
-                            MalformedRecord, ResponseEmpty)
+                            MalformedRecord, MissingFrameFile, ResponseEmpty, VtagentError)
 
 
 def simple_request(text="hello", seed=None):
@@ -238,19 +240,20 @@ class TestReplay:
 
 class _Handler(BaseHTTPRequestHandler):
     """Records each request and replies as `behavior` says: "ok" (the
-    payload), "empty_choices", "429", "404" or "500" (a "boom" body), or
-    "redirect" (302 to `location`)."""
+    payload), "empty_choices", "429", "404" or "500" (a "boom" body),
+    "503_once" (a 503, then "ok"), or "redirect" (302 to `location`)."""
     behavior = "ok"
     retry_after = "7"
     payload = {"choices": [{"message": {"content": "pong"}}]}
     location = ""
-    seen = []  # POST bodies
+    seen = []  # POST bodies, as bytes
     auth = []  # the Authorization header of each request, None if absent
 
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).seen.append(body)
-        self.reply()
+        length = int(self.headers["Content-Length"])
+        type(self).seen.append(self.rfile.read(length))
+        if len(self.seen[-1]) == length:  # else the client gave up mid-body
+            self.reply()
 
     def do_GET(self):
         self.reply()
@@ -267,7 +270,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Location", self.location)
             self.end_headers()
             return
-        if self.behavior in ("404", "500"):
+        if self.behavior == "503_once":
+            type(self).behavior = "ok"
+            status, data = 503, b"boom"
+        elif self.behavior in ("404", "500"):
             status, data = int(self.behavior), b"boom"
         else:
             payload = {"choices": []} if self.behavior == "empty_choices" else self.payload
@@ -326,7 +332,7 @@ class TestHttp:
         req = GenerationRequest(messages=(Message(role="user", parts=(
             TextPart("look"), ImagePart(str(img1), 0), ImagePart(str(img2), 1))),))
         assert http_complete(self.config(fake_server), req) == "pong"
-        body = _Handler.seen[-1]
+        body = json.loads(_Handler.seen[-1])
         content = body["messages"][0]["content"]
         assert [c["type"] for c in content] == ["text", "image_url", "image_url"]
         assert body["model"] == "m"
@@ -429,7 +435,7 @@ def test_base64_image_mode(tmp_path):
     img.write_bytes(b"\x89PNG")
     req = GenerationRequest(messages=(Message(role="user", parts=(
         TextPart("t"), ImagePart(str(img), 0))),))
-    body = json.loads(_wire_body(EndpointConfig(base_url="http://x", model="m"), req))
+    body = json.loads(wire_body(EndpointConfig(base_url="http://x", model="m"), req))
     url = body["messages"][0]["content"][1]["image_url"]["url"]
     assert url == "data:image/png;base64," + base64.b64encode(b"\x89PNG").decode("ascii")
 
@@ -452,6 +458,14 @@ def reference_payload(config, request):
     return payload
 
 
+def wire_body(config, request):
+    """The joined stream, after checking its declared length against it."""
+    length, chunks = _wire_stream(config, request)
+    body = b"".join(chunks)
+    assert length == len(body)
+    return body
+
+
 class TestWireBody:
     CASES = {
         "text_only": ("m", lambda imgs: simple_request("hello")),
@@ -467,6 +481,11 @@ class TestWireBody:
         "int_seed": ("m", lambda imgs: simple_request(seed=2**40)),
         "jpg_only": ("m", lambda imgs: GenerationRequest(messages=(
             Message("user", (ImagePart(imgs[1], 0),)),))),
+        # frame sizes 768, 1000, 1001 and 0: each remainder mod 3, and empty
+        "sizes_mod_3_and_empty": ("m", lambda imgs: GenerationRequest(messages=(
+            Message("user", (TextPart("Frame 0:"), ImagePart(imgs[0], 0),
+                             ImagePart(imgs[2], 1), ImagePart(imgs[3], 2),
+                             TextPart("last"), ImagePart(imgs[4], 3))),))),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -474,10 +493,14 @@ class TestWireBody:
         png, jpg = tmp_path / "f0.png", tmp_path / "f1.jpg"
         png.write_bytes(bytes(range(256)) * 3)
         jpg.write_bytes(b"\xff\xd8\xff" + b'"\\\n' * 50)
+        imgs = [str(png), str(jpg)]
+        for size in (1000, 1001, 0):
+            imgs.append(str(tmp_path / f"s{size}.png"))
+            Path(imgs[-1]).write_bytes(os.urandom(size))
         model, build = self.CASES[case]
         config = EndpointConfig(base_url="http://x", model=model)
-        request = build([str(png), str(jpg)])
-        assert _wire_body(config, request) == \
+        request = build(imgs)
+        assert wire_body(config, request) == \
             json.dumps(reference_payload(config, request), allow_nan=False).encode()
 
     def test_frame_round_trips_through_the_server(self, fake_server, tmp_path):
@@ -486,7 +509,77 @@ class TestWireBody:
         req = GenerationRequest(messages=(Message(role="user", parts=(
             TextPart("Frame 0:"), ImagePart(str(frame), 0))),))
         assert http_complete(EndpointConfig(base_url=fake_server, model="m"), req) == "pong"
-        url = _Handler.seen[-1]["messages"][0]["content"][1]["image_url"]["url"]
+        url = json.loads(_Handler.seen[-1])["messages"][0]["content"][1]["image_url"]["url"]
         head, _, data = url.partition(",")
         assert head == "data:image/png;base64"
         assert base64.b64decode(data, validate=True) == frame.read_bytes()
+
+    def test_retry_resends_the_whole_body(self, fake_server, tmp_path):
+        frames = [tmp_path / f"f{i}.png" for i in range(2)]
+        for frame in frames:
+            frame.write_bytes(os.urandom(100_000))
+        config = EndpointConfig(base_url=fake_server, model="m")
+        req = GenerationRequest(messages=(Message(role="user", parts=(
+            TextPart("look"), *(ImagePart(str(f), i) for i, f in enumerate(frames)))),))
+        _Handler.behavior = "503_once"
+        assert complete_with_retry(HttpBackend(config), req, EngineConfig(max_attempts=2)) == "pong"
+        assert _Handler.seen == [wire_body(config, req)] * 2
+
+    def test_missing_frame_raises_before_any_connection(self, fake_server, tmp_path):
+        req = GenerationRequest(messages=(Message(role="user", parts=(
+            TextPart("look"), ImagePart(str(tmp_path / "gone.png"), 0))),))
+        with pytest.raises(MissingFrameFile, match="gone.png"):
+            http_complete(EndpointConfig(base_url=fake_server, model="m"), req)
+        assert _Handler.seen == []
+
+    @pytest.mark.parametrize("change", ["vanished", "resized"])
+    def test_frame_changed_while_sending_is_not_transient(self, fake_server, tmp_path,
+                                                          monkeypatch, change):
+        frame = tmp_path / "f0.png"
+        frame.write_bytes(os.urandom(1000))
+
+        def stat_then_change(config, request):
+            stream = _wire_stream(config, request)
+            if change == "vanished":
+                frame.unlink()
+            else:
+                frame.write_bytes(os.urandom(1001))
+            return stream
+
+        monkeypatch.setattr("vtagent.backends._wire_stream", stat_then_change)
+        req = GenerationRequest(messages=(Message(role="user", parts=(
+            TextPart("look"), ImagePart(str(frame), 0))),))
+        with pytest.raises(VtagentError, match="f0.png") as exc:
+            http_complete(EndpointConfig(base_url=fake_server, model="m"), req)
+        assert not isinstance(exc.value, TRANSIENT_ERRORS)
+
+
+def test_frame_missing_after_load_exits_2_and_resume_continues(
+        fake_server, manifest_factory, tmp_path, monkeypatch, capsys):
+    manifest = manifest_factory(n_samples=3)
+    path = write_manifest_file(manifest, tmp_path / "manifest.jsonl")
+    frame = Path(manifest.samples[1].frames[0].source_path)
+    load = cli._load_sampled_manifest
+
+    def load_then_lose_a_frame(cfg, manifest_path):
+        loaded = load(cfg, manifest_path)
+        frame.rename(frame.with_suffix(".bak"))
+        return loaded
+
+    argv = ["eval", "--manifest", str(path), "--backend", "http", "--api-base", fake_server,
+            "--parallelism", "1", "--max-attempts", "1", "--out-dir", str(tmp_path / "out")]
+    log = tmp_path / "out" / "trajectories.jsonl"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_load_sampled_manifest", load_then_lose_a_frame)
+        assert cli.main(argv) == 2
+    assert f"frame file not found: {frame}" in capsys.readouterr().err
+    assert [r["sample_id"] for r in map(json.loads, log.read_text().splitlines())] == ["q000"]
+    # the stat failed before q001's connection opened
+    assert not any(b"question 1?" in body for body in _Handler.seen)
+
+    frame.with_suffix(".bak").rename(frame)
+    _Handler.seen = []
+    assert cli.main(argv + ["--resume"]) == 0
+    assert [r["sample_id"] for r in map(json.loads, log.read_text().splitlines())] == \
+        ["q000", "q001", "q002"]
+    assert _Handler.seen and not any(b"question 0?" in body for body in _Handler.seen)

@@ -368,6 +368,20 @@ class TestReport:
             assert code == 2
             assert f"line {line_no}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("named", [False, True], ids=["stem", "name=path"])
+    def test_repeated_system_name_exit_2(self, tmp_path, capsys, named):
+        specs = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            log = tmp_path / d / "scores.jsonl"
+            self.make_score_log(log, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0,
+                                       "hit": None}], {"summary": True})
+            specs.append(f"x={log}" if named else str(log))
+        assert cli.main(["report", "--scores", *specs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("'x'" if named else "'scores'") in captured.err
+
     def test_missing_score_log_exit_2(self, tmp_path, capsys):
         assert cli.main(["report", "--scores", f"sys={tmp_path / 'none.jsonl'}"]) == 2
         assert "score log not found" in capsys.readouterr().err
