@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from http.client import HTTPException, HTTPMessage
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Protocol, Union
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -216,6 +216,18 @@ def read_log(path: str | Path) -> Iterator[dict]:
     elif not line.endswith("\n"):
         with path.open("ab") as fh:
             fh.write(b"\n")
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to a temporary file beside path, then
+    rename it over path. A kill or an error mid-write leaves the previous
+    file whole: a reader never sees a torn one, as it can a log."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    os.replace(tmp, path)
 
 
 class TranscriptStore:

@@ -1,7 +1,9 @@
 """Single entry point wiring all pipelines.
 
-Configuration precedence is flag > env > config file > default; everything is
-resolved before any work starts. Outputs go only under --out-dir. Exit codes:
+Configuration precedence is flag > env > config file > default. `RunConfig`
+extends the engine's `EngineConfig`, so each setting is declared once and
+checked once, when `resolve_config` builds it: before the manifest load, the
+preflight and any write. Outputs go only under --out-dir. Exit codes:
 0 success (per-sample failures are counted, not fatal), 2 configuration
 error, 3 backend unreachable at preflight.
 """
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -26,9 +27,9 @@ from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
                        ReplayBackend, ScriptedBackend, TranscriptStore)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_frames)
-from .engine import FALLBACK_POLICIES, EngineConfig, run_batch
+from .engine import EngineConfig, run_batch
 from .errors import ConfigError, VtagentError
-from .metrics import REPORT_HEADER, aggregate, format_report
+from .metrics import REPORT_HEADER, MetricReport, aggregate, format_report
 
 ENV_KEYS = {"api_base": "VTAGENT_API_BASE", "api_key": "VTAGENT_API_KEY",
             "model": "VTAGENT_MODEL"}
@@ -36,26 +37,28 @@ ENV_KEYS = {"api_base": "VTAGENT_API_BASE", "api_key": "VTAGENT_API_KEY",
 BACKENDS = ("http", "scripted", "replay")
 
 
-@dataclass
-class RunConfig:
-    """Every run setting with its default, in `config show` order; a file, env
-    or flag value is converted with the type of its default."""
+@dataclass(frozen=True)
+class RunConfig(EngineConfig):
+    """Every run setting with its default, in `config show` order: the
+    engine's settings first, then the rest. A file, env or flag value is
+    converted with the type of its default and checked when the config is
+    built. `fallback` is set in a config file only: it has no flag."""
     backend: str = "http"
     api_base: str = ""
     api_key: str = ""
     model: str = ""
     frames: int = 32
-    cap: int = 8
-    parallelism: int = 1
-    max_attempts: int = 5
-    seed: int = 0
-    temperature: float = 0.0
     out_dir: Path = Path("out")
-    fallback: str = "uniform"  # config file only: no flag
     # per-invocation arguments, not settings
     script: Optional[Path] = None
     store: Optional[Path] = None
     resume: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.frames < 1:
+            raise ConfigError(f"invalid configuration value: frames must be >= 1, "
+                              f"got {self.frames}")
 
 
 SETTINGS = tuple(f for f in fields(RunConfig) if f.name not in ("script", "store", "resume"))
@@ -93,33 +96,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                     if f.name in values}
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid configuration value: {e}") from e
-    temperature = settings.get("temperature", 0.0)
-    if not (math.isfinite(temperature) and temperature >= 0):
-        raise ConfigError(f"invalid configuration value: temperature must be finite "
-                          f"and >= 0, got {temperature!r}")
-    for name in ("frames", "cap", "parallelism", "max_attempts"):
-        if settings.get(name, 1) < 1:
-            raise ConfigError(f"invalid configuration value: {name} must be >= 1, "
-                              f"got {settings[name]}")
-    if settings.get("fallback", "uniform") not in FALLBACK_POLICIES:
-        raise ConfigError(f"invalid configuration value: fallback must be one of "
-                          f"{FALLBACK_POLICIES}, got {settings['fallback']!r}")
     return RunConfig(
         **settings,
         script=Path(args.script) if getattr(args, "script", None) else None,
         store=Path(args.store) if getattr(args, "store", None) else None,
         resume=bool(getattr(args, "resume", False)),
-    )
-
-
-def engine_config(cfg: RunConfig) -> EngineConfig:
-    return EngineConfig(
-        keyframe_cap=cfg.cap,
-        max_attempts=cfg.max_attempts,
-        parallelism=cfg.parallelism,
-        fallback_policy=cfg.fallback,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
     )
 
 
@@ -193,14 +174,20 @@ def _fresh(path: Path, resume: bool) -> Path:
     return path
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg, manifest, backend = _prepare(args)
+def _score_episodes(cfg: RunConfig, manifest: DatasetManifest,
+                    backend: Backend) -> tuple[MetricReport, int]:
+    """Run the episodes into trajectories.jsonl and write their scores to
+    scores.jsonl; returns the report and the number of failed samples."""
     log_path = _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume)
-    records = run_batch(manifest, backend, engine_config(cfg), log_path)
-    failures = sum(1 for r in records if "error" in r)
+    records = run_batch(manifest, backend, cfg, log_path)
     scores = reporting.score_records(manifest, records)
     report = aggregate(scores, split_tag=manifest.samples[0].split_tag if manifest.samples else "")
     reporting.write_score_log(scores, report, cfg.out_dir / "scores.jsonl")
+    return report, sum(1 for r in records if "error" in r)
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    report, failures = _score_episodes(*_prepare(args))
     print(REPORT_HEADER)
     print(format_report(report))
     if failures:
@@ -210,21 +197,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg, manifest, backend = _prepare(args)
-    ecfg = engine_config(cfg)
-
-    video_log = _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume)
-    records = run_batch(manifest, backend, ecfg, video_log)
-    video_scores = reporting.score_records(manifest, records)
-    video_report = aggregate(video_scores)
-    reporting.write_score_log(video_scores, video_report, cfg.out_dir / "scores.jsonl")
-
-    framewise_log = _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume)
-    report = oracle.oracle_upper_bound(manifest, backend, ecfg, framewise_log,
-                                       video_accuracy=video_report.mean_accuracy)
+    video, _ = _score_episodes(cfg, manifest, backend)
+    report = oracle.oracle_upper_bound(manifest, backend, cfg,
+                                       _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume))
     oracle.write_partition(report.partition, cfg.out_dir)
-    print(f"{'video ACC.':<16} {video_report.mean_accuracy:8.2f}")
+    print(f"{'video ACC.':<16} {video.mean_accuracy:8.2f}")
     print(f"{'oracle ACC.':<16} {report.oracle_accuracy:8.2f}")
-    print(f"{'oracle - video':<16} {report.gap:+8.2f}")
+    print(f"{'oracle - video':<16} {report.oracle_accuracy - video.mean_accuracy:+8.2f}")
     print(f"Set_s {len(report.partition.set_s)}  Set_u {len(report.partition.set_u)}")
     return 0
 
@@ -239,7 +218,7 @@ def cmd_curate_sft(args: argparse.Namespace) -> int:
     manifest = replace(manifest, samples=tuple(dedupe_samples(manifest.samples)))
     corpus = _fresh(cfg.out_dir / "sft_corpus.jsonl", cfg.resume)
     lines, stats = curation.generate_sft_corpus(
-        manifest, backend, engine_config(cfg),
+        manifest, backend, cfg,
         log_path=_fresh(cfg.out_dir / "sft_outcomes.jsonl", cfg.resume),
         teacher_id=cfg.model or "teacher")
     curation.write_corpus(lines, corpus)
@@ -251,7 +230,7 @@ def cmd_curate_rl(args: argparse.Namespace) -> int:
     cfg, manifest, backend = _prepare(args)
     corpus = _fresh(cfg.out_dir / "rl_corpus.jsonl", cfg.resume)
     lines, stats = curation.filter_rl_corpus(
-        manifest, backend, engine_config(cfg),
+        manifest, backend, cfg,
         log_path=_fresh(cfg.out_dir / "rl_outcomes.jsonl", cfg.resume))
     curation.write_corpus(lines, corpus)
     _print_totals(stats)

@@ -28,13 +28,12 @@ done.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .backends import Backend
+from .backends import Backend, write_lines
 from .data_model import DatasetManifest
 from .engine import EngineConfig, Trajectory, missing_key, run_episode, run_units
 from .errors import TRANSIENT_ERRORS
@@ -67,7 +66,7 @@ def _episodes(sample, backend: Backend,
     greedy path. Parse retries are curation attempts, not engine retries, and
     fallback keyframes are always uniform.
     """
-    episode_config = replace(engine_config, max_attempts=1, fallback_policy="uniform",
+    episode_config = replace(engine_config, max_attempts=1, fallback="uniform",
                              temperature=1.0)
     for attempt in range(1, engine_config.max_attempts + 1):
         yield attempt, run_episode(sample, backend,
@@ -104,13 +103,8 @@ def _curate(manifest: DatasetManifest, unit, parallelism: int,
 
 
 def write_corpus(lines: Sequence[dict], path: str | Path) -> None:
-    """One JSON line per corpus line, written to a temporary file and renamed
-    over path, so a kill mid-write never leaves a truncated corpus."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
-    os.replace(tmp, path)
+    """One JSON line per corpus line, replacing path whole."""
+    write_lines(path, (json.dumps(line, ensure_ascii=False) for line in lines))
 
 
 def _sft_target(traj: Trajectory) -> str:

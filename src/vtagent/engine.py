@@ -17,13 +17,16 @@ exhausted script fails at once.
 `run_units` is the work-unit runner of every pipeline that calls the model.
 A unit returns one record per sample, the record its log holds, and the
 runner returns every sample's record, logged earlier or new, in manifest
-order.
+order. A unit that raises ends the run: samples already started finish,
+and no other sample is begun.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,20 +71,26 @@ BACKOFF_BASE_S = 0.1  # a transport retry without Retry-After sleeps this x 2 **
 
 @dataclass(frozen=True)
 class EngineConfig:
-    keyframe_cap: int = 8
-    max_attempts: int = 5
+    """The engine's settings under the names a user types, checked when the
+    config is built: a bad value raises ConfigError before any work starts."""
+    cap: int = 8
     parallelism: int = 1
-    fallback_policy: str = "uniform"  # one of FALLBACK_POLICIES
-    temperature: float = 0.0
+    max_attempts: int = 5
     seed: int = 0
+    temperature: float = 0.0
+    fallback: str = "uniform"  # one of FALLBACK_POLICIES
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        if self.fallback_policy not in FALLBACK_POLICIES:
-            raise ConfigError(f"unknown fallback policy {self.fallback_policy!r}")
+        for name in ("cap", "parallelism", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"invalid configuration value: {name} must be >= 1, "
+                                  f"got {getattr(self, name)}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"invalid configuration value: temperature must be finite "
+                              f"and >= 0, got {self.temperature!r}")
+        if self.fallback not in FALLBACK_POLICIES:
+            raise ConfigError(f"invalid configuration value: fallback must be one of "
+                              f"{FALLBACK_POLICIES}, got {self.fallback!r}")
 
 
 @dataclass(frozen=True)
@@ -184,17 +193,17 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
 
     def anchored(turn: Turn) -> Optional[tuple[Turn, KeyframeSet]]:
         if isinstance(turn.action, SelectKeyframes):
-            return turn, validate_keyframes(turn.action, frame_count, config.keyframe_cap)
+            return turn, validate_keyframes(turn.action, frame_count, config.cap)
         return None
 
     anchor, attempts1, _ = ask(sample, backend, config, "anchor", build_anchor_prompt(sample),
                                config.max_attempts, digests, anchored)
-    direct = anchor is None and config.fallback_policy == "direct"
+    direct = anchor is None and config.fallback == "direct"
     if anchor is not None:
         turn1, keyframes = anchor
     else:
         ids = (tuple(f.index for f in sample.frames) if direct
-               else tuple(uniform_indices(frame_count, config.keyframe_cap)))
+               else tuple(uniform_indices(frame_count, config.cap)))
         keyframes = KeyframeSet(ids=ids)
         turn1 = Turn(reasoning="", action=SelectKeyframes(frame_ids=ids), raw="")
     if direct:
@@ -239,10 +248,11 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
     fn returns the sample's record, which is appended to log_path and flushed
     as soon as it and every record before it in manifest order are done, so a
     kill loses only unfinished samples. An exception from fn stops the run
-    after the records of the samples before it. Returns every sample's
-    record, read from the log or new, in manifest order. A logged record that
-    lacks a string sample_id, or whose fault check(record) names (such as
-    "has no 'line'"), raises MalformedRecord.
+    after the records of the samples before it, and no sample that has not
+    started by then is begun. Returns every sample's record, read from the
+    log or new, in manifest order. A logged record that lacks a string
+    sample_id, or whose fault check(record) names (such as "has no 'line'"),
+    raises MalformedRecord.
     """
     records = {}
     # a bad record is named by its number among the records, which is its
@@ -255,12 +265,27 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
             raise MalformedRecord(line_no, f"record in {log_path} {fault}")
         records[r["sample_id"]] = r
     todo = [s for s in samples if s.sample_id not in records]
+    failed = threading.Event()
+
+    def unit(sample: Sample) -> Optional[dict]:
+        # Workers take samples in submission order, which is manifest order,
+        # so a sample not yet started when a unit fails lies after the failing
+        # one. The loop below stops at the failing sample and never reads
+        # such a sample's result: skipping it loses no record.
+        if failed.is_set():
+            return None
+        try:
+            return fn(sample)
+        except BaseException:
+            failed.set()
+            raise
+
     if todo:
         Path(log_path).parent.mkdir(parents=True, exist_ok=True)
         with ThreadPoolExecutor(max_workers=parallelism) as pool, \
                 open(log_path, "a", encoding="utf-8") as log:
             # pool.map yields in submission order, so the log stays in manifest order
-            for sample, record in zip(todo, pool.map(fn, todo)):
+            for sample, record in zip(todo, pool.map(unit, todo)):
                 records[sample.sample_id] = record
                 log.write(json.dumps(record, ensure_ascii=False) + "\n")
                 log.flush()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import Backend, Message
+from .backends import Backend, Message, write_lines
 from .data_model import DatasetManifest, Sample
 from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
 from .errors import TRANSIENT_ERRORS, ConfigError, NotFrameSolvable
@@ -77,18 +77,10 @@ class OracleReport:
     oracle_accuracy: float  # x100
     partition: Partition
     results: list[FramewiseResult]
-    video_accuracy: Optional[float] = None  # x100, paired video-level run
-
-    @property
-    def gap(self) -> Optional[float]:
-        if self.video_accuracy is None:
-            return None
-        return self.oracle_accuracy - self.video_accuracy
 
 
 def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
-                       config: EngineConfig, log_path: str | Path,
-                       video_accuracy: Optional[float] = None) -> OracleReport:
+                       config: EngineConfig, log_path: str | Path) -> OracleReport:
     """Frame-wise evaluation of every sample, `config.parallelism` samples at a
     time. Vectors already in log_path (framewise.jsonl format) are reused,
     and each new one is appended as soon as it is done."""
@@ -123,7 +115,7 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
     oracle_acc = 100.0 * len(set_s) / n
     return OracleReport(oracle_accuracy=oracle_acc,
                         partition=Partition(set_s=set_s, set_u=set_u),
-                        results=results, video_accuracy=video_accuracy)
+                        results=results)
 
 
 def stratified_report(scores: Sequence[SampleScore], partition: Partition,
@@ -140,12 +132,9 @@ def stratified_report(scores: Sequence[SampleScore], partition: Partition,
 
 
 def write_partition(partition: Partition, out_dir: str | Path) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "set_s.ids").write_text("".join(i + "\n" for i in partition.set_s),
-                                       encoding="utf-8")
-    (out_dir / "set_u.ids").write_text("".join(i + "\n" for i in partition.set_u),
-                                       encoding="utf-8")
+    """set_s.ids and set_u.ids, one sample_id a line, each replaced whole."""
+    write_lines(Path(out_dir) / "set_s.ids", partition.set_s)
+    write_lines(Path(out_dir) / "set_u.ids", partition.set_u)
 
 
 def read_partition(out_dir: str | Path) -> Partition:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import read_log
+from .backends import read_log, write_lines
 from .data_model import DatasetManifest
 from .errors import ConfigError, MalformedRecord
 from .grammar import KeyframeSet
@@ -40,19 +41,14 @@ def score_records(manifest: DatasetManifest, records: Sequence[dict]) -> list[Sa
 
 def write_score_log(scores: Sequence[SampleScore], report: MetricReport,
                     path: str | Path) -> None:
-    """Per-sample records plus one trailing summary record, full precision."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for s in scores:
-            fh.write(json.dumps({"sample_id": s.sample_id, "accuracy": s.accuracy,
-                                 "anls": s.anls, "hit": s.hit},
-                                ensure_ascii=False) + "\n")
-        fh.write(json.dumps({"summary": True, "split": report.split_tag, "n": report.n,
-                             "mean_accuracy": report.mean_accuracy,
-                             "mean_anls": report.mean_anls,
-                             "hit_rate": report.hit_rate},
-                            ensure_ascii=False) + "\n")
+    """Per-sample records plus one trailing summary record, full precision,
+    replacing path whole."""
+    summary = {"summary": True, "split": report.split_tag, "n": report.n,
+               "mean_accuracy": report.mean_accuracy, "mean_anls": report.mean_anls,
+               "hit_rate": report.hit_rate}
+    records = chain(({"sample_id": s.sample_id, "accuracy": s.accuracy, "anls": s.anls,
+                      "hit": s.hit} for s in scores), (summary,))
+    write_lines(path, (json.dumps(r, ensure_ascii=False) for r in records))
 
 
 def read_score_log(path: str | Path) -> list[SampleScore]:

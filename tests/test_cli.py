@@ -1,13 +1,15 @@
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import write_manifest_file
-from vtagent import cli
+from vtagent import cli, reporting
 from vtagent.backends import RecordingBackend, TranscriptStore
 from vtagent.engine import EngineConfig, run_batch
+from vtagent.metrics import SampleScore, aggregate
 
 
 def select_then_answer(gold):
@@ -69,12 +71,12 @@ class TestEval:
         store = TranscriptStore(store_path)
         recording = RecordingBackend(oracle_backend_factory(manifest), store)
         # seed the replay store with a real run at the CLI's engine settings
-        from vtagent.cli import engine_config, resolve_config
+        from vtagent.cli import resolve_config
         args = cli.build_parser().parse_args(
             ["eval", "--manifest", str(path), "--backend", "replay",
              "--store", str(store_path)])
         run_batch(cli._load_sampled_manifest(resolve_config(args), str(path)),
-                  recording, engine_config(resolve_config(args)), tmp_path / "seed.jsonl")
+                  recording, resolve_config(args), tmp_path / "seed.jsonl")
 
         for par, out in (("1", "p1"), ("8", "p8")):
             code = cli.main(["eval", "--manifest", str(path), "--backend", "replay",
@@ -88,6 +90,18 @@ class TestEval:
         s8 = (tmp_path / "p8" / "scores.jsonl").read_bytes()
         assert s1 == s8
 
+
+    def test_oracle_writes_the_scores_eval_writes(self, manifest_path, tmp_path,
+                                                  oracle_backend_factory, monkeypatch):
+        path, manifest = manifest_path
+        monkeypatch.setattr(cli, "build_backend",
+                            lambda cfg: oracle_backend_factory(manifest))
+        for command in ("eval", "oracle"):
+            assert cli.main([command, "--manifest", str(path), "--backend", "scripted",
+                             "--out-dir", str(tmp_path / command)]) == 0
+        scores = (tmp_path / "eval" / "scores.jsonl").read_bytes()
+        assert b'"split": "toy-val"' in scores
+        assert (tmp_path / "oracle" / "scores.jsonl").read_bytes() == scores
 
     def test_resume_after_torn_log_line(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
@@ -312,6 +326,26 @@ class TestGrpoCmd:
         assert not out.exists()
 
 
+def test_failed_score_log_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "scores.jsonl"
+    scores = [SampleScore("q000", 1, 1.0), SampleScore("q001", 0, 0.25)]
+    report = aggregate(scores, split_tag="toy-val")
+    reporting.write_score_log(scores, report, path)
+    before = path.read_bytes()
+    dumped = []
+
+    def dumps(obj, **kwargs):
+        if dumped:
+            raise OSError("disk full")
+        dumped.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(reporting, "json", SimpleNamespace(dumps=dumps))
+    with pytest.raises(OSError, match="disk full"):
+        reporting.write_score_log(scores[::-1], report, path)
+    assert path.read_bytes() == before
+
+
 class TestReport:
     def make_score_log(self, path, rows, summary):
         with path.open("w", encoding="utf-8") as fh:
@@ -467,6 +501,16 @@ class TestConfig:
         assert built == []
         assert [p.name for p in out.iterdir()] == ["trajectories.jsonl"]
         assert (out / "trajectories.jsonl").read_text() == finished
+
+    @pytest.mark.parametrize("argv", [["config", "show"], ["grpo", "--steps", "1"]])
+    def test_bad_file_setting_exit_2(self, argv, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("cap=0\n")
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", str(tmp_path / "run.cfg"),
+                                "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "cap must be >= 1, got 0" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_unknown_file_key_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 from dataclasses import replace
 
@@ -12,8 +13,16 @@ from vtagent.backends import (FunctionBackend, GenerationRequest, ImagePart,
 from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prompt,
                             complete_with_retry, derive_seed, read_log, run_batch,
                             run_episode)
-from vtagent.errors import BackendUnavailable
+from vtagent.errors import BackendUnavailable, ConfigError, VtagentError
 from vtagent.grammar import Answer, KeyframeSet, SelectKeyframes, Turn, render_turn
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("cap", 0), ("parallelism", 0), ("max_attempts", 0), ("temperature", float("nan")),
+    ("temperature", -1.0), ("fallback", "bogus")])
+def test_config_rejects_a_bad_value_when_built(setting, value):
+    with pytest.raises(ConfigError, match=f"{setting} must be"):
+        EngineConfig(**{setting: value})
 
 
 class TestPrompts:
@@ -68,7 +77,7 @@ class TestRunEpisode:
     def test_uniform_fallback_after_garbage(self, sample_factory):
         sample = sample_factory(n_frames=10)
         backend = ScriptedBackend(["garbage"] * 5 + [valid_answer("x")])
-        config = EngineConfig(max_attempts=5, keyframe_cap=4)
+        config = EngineConfig(max_attempts=5, cap=4)
         traj = run_episode(sample, backend, config)
         assert traj.used_fallback
         assert traj.attempts_turn1 == 5
@@ -78,7 +87,7 @@ class TestRunEpisode:
     def test_direct_fallback(self, sample_factory):
         sample = sample_factory(n_frames=6)
         backend = ScriptedBackend(["junk"] * 2 + [valid_answer("direct")])
-        config = EngineConfig(max_attempts=2, fallback_policy="direct")
+        config = EngineConfig(max_attempts=2, fallback="direct")
         traj = run_episode(sample, backend, config)
         assert traj.used_fallback
         assert traj.turn2.action == Answer("direct")
@@ -114,7 +123,7 @@ class TestRunEpisode:
             {}, ["nonsense", valid_select("99"), valid_answer(), valid_answer()],
             [("anchor", 0), ("anchor", 1), ("anchor", 2), ("answer", 0)], (3, 1), True),
         "direct_fallback": (
-            {"fallback_policy": "direct"}, ["nonsense"] * 3 + [valid_select(), valid_answer()],
+            {"fallback": "direct"}, ["nonsense"] * 3 + [valid_select(), valid_answer()],
             [("anchor", 0), ("anchor", 1), ("anchor", 2), ("direct", 0), ("direct", 1)],
             (3, 2), True),
         "answer_exhausted": (
@@ -248,6 +257,31 @@ class TestRunBatch:
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
         assert [r["sample_id"] for r in read_log(log)] == \
             [s.sample_id for s in manifest.samples]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_no_sample_begins_after_a_fatal_one(self, manifest_factory, tmp_path,
+                                                 parallelism):
+        manifest = manifest_factory(n_samples=6, n_frames=1)
+        ran = []
+        q001_failing = threading.Event()
+
+        def fn(sample):
+            ran.append(sample.sample_id)
+            if sample.sample_id == "q000" and parallelism == 2:
+                # hold this worker until q001 has failed, then give the failure
+                # time to stop the run before the worker takes another sample
+                assert q001_failing.wait(timeout=10)
+                time.sleep(0.05)
+            if sample.sample_id == "q001":
+                q001_failing.set()
+                raise VtagentError("fatal")
+            return {"sample_id": sample.sample_id}
+
+        log = tmp_path / "log.jsonl"
+        with pytest.raises(VtagentError, match="fatal"):
+            engine.run_units(manifest.samples, fn, parallelism, log)
+        assert sorted(ran) == ["q000", "q001"]
+        assert [r["sample_id"] for r in read_log(log)] == ["q000"]
 
     def test_replay_miss_fails_without_backoff(self, manifest_factory, tmp_path, monkeypatch):
         sleeps = []

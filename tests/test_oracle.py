@@ -137,16 +137,14 @@ class TestUpperBound:
     def test_positive_gap_when_video_fails(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=4)
         backend = frame_backend(manifest, {s.question: {2} for s in manifest.samples})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl",
-                                           video_accuracy=0.0)
-        assert report.gap == pytest.approx(100.0)
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        assert report.oracle_accuracy - 0.0 == pytest.approx(100.0)
 
     def test_zero_gap_when_identical(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=2)
         backend = frame_backend(manifest, {s.question: {0} for s in manifest.samples})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl",
-                                           video_accuracy=100.0)
-        assert report.gap == pytest.approx(0.0)
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        assert report.oracle_accuracy - 100.0 == pytest.approx(0.0)
 
     def test_oracle_dominates_fixed_frame(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=3, n_frames=4)
