@@ -13,7 +13,9 @@ Three implementations share one `complete(request) -> str` surface:
                     from the environment, netrc is not read, and the key is an
                     unredirected header, so a redirect never carries it
 * ScriptedBackend — queue of canned responses for tests and dry runs
-* ReplayBackend   — deterministic cache keyed by a canonical request digest
+* ReplayBackend   — deterministic cache keyed by a canonical request digest,
+                    spliced from the JSON fragment each prompt part writes
+                    once, when it is built
 
 Retry policy lives in the engine, never here.
 """
@@ -28,7 +30,7 @@ import mimetypes
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.client import HTTPException, HTTPMessage
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
@@ -40,15 +42,30 @@ from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, ConfigError,
                      VtagentError)
 
 
-@dataclass(frozen=True)
+# json.dumps(s, ensure_ascii=False) of a str s, without the encoder set-up
+_escape = json.encoder.encode_basestring
+
+
+@dataclass(frozen=True, slots=True)
 class TextPart:
     text: str
+    # this part's object in the canonical form, made once: see canonicalize_request
+    canonical: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "canonical", f'{{"text":{_escape(self.text)},"type":"text"}}')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImagePart:
     path: str
     index: int  # frame index label shown to the model
+    canonical: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the int through int's repr, as json writes it
+        object.__setattr__(self, "canonical", f'{{"index":{int.__repr__(self.index)},'
+                                              f'"path":{_escape(self.path)},"type":"image"}}')
 
 
 Part = Union[TextPart, ImagePart]
@@ -91,22 +108,10 @@ class GenerationRequest:
         return digest
 
 
-@dataclass(frozen=True)
-class Transcript:
-    request_digest: str
-    response_text: str
-    latency_ms: int
-    backend_id: str
-
-
 class Backend(Protocol):
     backend_id: str
 
     def complete(self, request: GenerationRequest) -> str: ...
-
-
-# json.dumps(s, ensure_ascii=False) of a str s, without the encoder set-up
-_escape = json.encoder.encode_basestring
 
 
 def canonicalize_request(request: GenerationRequest) -> str:
@@ -116,25 +121,20 @@ def canonicalize_request(request: GenerationRequest) -> str:
     Byte for byte `json.dumps(tree, sort_keys=True, ensure_ascii=False,
     separators=(",", ":"))` of the tree {max_new_tokens, messages: [{role,
     parts: [{type: "text", text} | {type: "image", path, index}]}],
-    temperature, seed}, but spliced rather than dumped: each object's keys are
-    written in sorted order around its values, strings go through json's own
-    escaper, the ints max_new_tokens and index through int's repr as json
-    writes them, and seed and temperature through one small `json.dumps`, so
-    None and floats stay exactly as json writes them.
+    temperature, seed}, but spliced rather than dumped. Each part's object is
+    its `canonical` fragment, written once when the part is built, so a part
+    that several prompts share (a frame's label and image) is escaped once;
+    the fragments are joined inside the keys of each message and of the
+    request, in sorted order. Strings go through json's own escaper, the ints
+    max_new_tokens and index through int's repr as json writes them, and seed
+    and temperature through one small `json.dumps`, so None and floats stay
+    exactly as json writes them.
     """
     chunks = ['{"max_new_tokens":', int.__repr__(request.max_new_tokens), ',"messages":[']
     for m in request.messages:
-        chunks.append('{"parts":[')
-        for p in m.parts:
-            if isinstance(p, TextPart):
-                chunks += ['{"text":', _escape(p.text), ',"type":"text"}', ","]
-            else:
-                chunks += ['{"index":', int.__repr__(p.index), ',"path":', _escape(p.path),
-                           ',"type":"image"}', ","]
-        # as in _wire_stream, a trailing separator is always there to replace
-        chunks[-1] = '],"role":'  # the last part's separator closes the parts
-        chunks += [_escape(m.role), "}", ","]
-    chunks[-1] = "],"  # the last message's separator closes the messages
+        chunks += ['{"parts":[', ",".join([p.canonical for p in m.parts]), '],"role":',
+                   _escape(m.role), "},"]
+    chunks[-1] = "}],"  # the last message closes the messages
     tail = json.dumps({"seed": request.seed, "temperature": request.temperature},
                       separators=(",", ":"))
     chunks.append(tail[1:])  # its fields, then the closing brace
@@ -221,49 +221,52 @@ def read_log(path: str | Path) -> Iterator[dict]:
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line and a newline to a temporary file beside path, then
     rename it over path. A kill or an error mid-write leaves the previous
-    file whole: a reader never sees a torn one, as it can a log."""
+    file whole: a reader never sees a torn one, as it can a log. An error
+    also removes the temporary file before it propagates."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class TranscriptStore:
-    """Append-only JSONL keyed by request digest; newest entry wins on reload."""
+    """Append-only JSONL keyed by request digest; newest entry wins on reload.
+    Only the response is kept in memory: a record's latency_ms and
+    backend_id are written for the reader of the file."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._cache: dict[str, Transcript] = {}
+        self._responses: dict[str, str] = {}
         # a bad record is named by its number among the records, which is its
         # line number in a store that record wrote
         for line_no, obj in enumerate(read_log(self.path), start=1):
             digest, response = obj.get("digest"), obj.get("response")
-            latency_ms = obj.get("latency_ms", 0)
             if not (isinstance(digest, str) and isinstance(response, str)):
                 raise MalformedRecord(line_no, f"bad store record in {self.path}: "
                                                "digest and response must be strings")
-            if type(latency_ms) is not int:  # not a bool or a float either
+            if type(obj.get("latency_ms", 0)) is not int:  # not a bool or a float either
                 raise MalformedRecord(line_no, f"bad store record in {self.path}: "
                                                "latency_ms must be an integer")
-            self._cache[digest] = Transcript(request_digest=digest, response_text=response,
-                                             latency_ms=latency_ms,
-                                             backend_id=obj.get("backend_id", ""))
+            self._responses[digest] = response
 
-    def get(self, digest: str) -> Optional[Transcript]:
+    def get(self, digest: str) -> Optional[str]:
+        """The stored response to the request with this digest, or None."""
         with self._lock:
-            return self._cache.get(digest)
+            return self._responses.get(digest)
 
     def record(self, request: GenerationRequest, response: str,
-               latency_ms: int = 0, backend_id: str = "") -> Transcript:
-        t = Transcript(request_digest=request.digest, response_text=response,
-                       latency_ms=latency_ms, backend_id=backend_id)
-        line = json.dumps({
-            "digest": t.request_digest, "response": t.response_text,
-            "latency_ms": t.latency_ms, "backend_id": t.backend_id,
-        }, ensure_ascii=False)
+               latency_ms: int = 0, backend_id: str = "") -> None:
+        digest = request.digest
+        line = json.dumps({"digest": digest, "response": response,
+                           "latency_ms": latency_ms, "backend_id": backend_id},
+                          ensure_ascii=False)
         with self._lock:
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -271,8 +274,7 @@ class TranscriptStore:
                     fh.write(line + "\n")
             except OSError as e:
                 raise StoreWriteFailed(str(e)) from e
-            self._cache[t.request_digest] = t
-        return t
+            self._responses[digest] = response
 
 
 class ReplayBackend:
@@ -284,10 +286,10 @@ class ReplayBackend:
         self.store = store
 
     def complete(self, request: GenerationRequest) -> str:
-        t = self.store.get(request.digest)
-        if t is None:
+        response = self.store.get(request.digest)
+        if response is None:
             raise CacheMiss("cache miss")
-        return t.response_text
+        return response
 
 
 class RecordingBackend:

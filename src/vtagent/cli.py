@@ -197,7 +197,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg, manifest, backend = _prepare(args)
-    video, _ = _score_episodes(cfg, manifest, backend)
+    video, failures = _score_episodes(cfg, manifest, backend)
     report = oracle.oracle_upper_bound(manifest, backend, cfg,
                                        _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume))
     oracle.write_partition(report.partition, cfg.out_dir)
@@ -205,6 +205,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"{'oracle ACC.':<16} {report.oracle_accuracy:8.2f}")
     print(f"{'oracle - video':<16} {report.oracle_accuracy - video.mean_accuracy:+8.2f}")
     print(f"Set_s {len(report.partition.set_s)}  Set_u {len(report.partition.set_u)}")
+    if failures:
+        print(f"per-sample failures: {failures}")
+    failed = [len(r.failed_frames) for r in report.results if r.failed_frames]
+    if failed:
+        # a frame the backend never answered counts as incorrect
+        print(f"failed frames: {sum(failed)} in {len(failed)} samples")
     return 0
 
 

@@ -9,18 +9,24 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRef:
     index: int
     source_path: str
     timestamp_s: Optional[float] = None
+    # the engine's label and image parts for this frame, made on first use
+    # and shared by every sample that shares the FrameRef. Two threads that
+    # fill it at once build equal parts, so either may win; `replace` makes a
+    # FrameRef without them.
+    prompt_parts: Optional[tuple] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
 
 @dataclass(frozen=True)

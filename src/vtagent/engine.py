@@ -111,13 +111,22 @@ def derive_seed(base: int, sample_id: str, stage: str, attempt: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big")
 
 
+def _frame_parts(frame: FrameRef) -> tuple[TextPart, ImagePart]:
+    """The frame's "Frame {i}:" label and image, built once per FrameRef."""
+    parts = frame.prompt_parts
+    if parts is None:
+        parts = (TextPart(f"Frame {frame.index}:"),
+                 ImagePart(path=frame.source_path, index=frame.index))
+        object.__setattr__(frame, "prompt_parts", parts)
+    return parts
+
+
 def frames_turn(instruction: str, frames: Iterable[FrameRef], question: str) -> Message:
     """User turn: the instruction, each frame as a "Frame {i}:" label followed by
     its image, then the question."""
     parts = [TextPart(instruction)]
     for frame in frames:
-        parts.append(TextPart(f"Frame {frame.index}:"))
-        parts.append(ImagePart(path=frame.source_path, index=frame.index))
+        parts += _frame_parts(frame)
     parts.append(TextPart(f"Question: {question}"))
     return Message(role="user", parts=tuple(parts))
 
@@ -130,8 +139,8 @@ def build_anchor_prompt(sample: Sample) -> tuple[Message, ...]:
 def build_answer_prompt(sample: Sample, turn1: Turn,
                         keyframes: KeyframeSet) -> tuple[Message, ...]:
     assistant = Message(role="assistant", parts=(TextPart(render_turn(turn1)),))
-    by_index = {f.index: f for f in sample.frames}
-    keyframe_refs = [by_index[fid] for fid in keyframes.ids]
+    # Sample guarantees that frame i sits at position i
+    keyframe_refs = [sample.frames[fid] for fid in keyframes.ids]
     return (assistant, frames_turn(ANSWER_TEMPLATE, keyframe_refs, sample.question))
 
 

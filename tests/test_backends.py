@@ -113,6 +113,21 @@ def test_canonical_form_is_the_sorted_json_dump(req):
     assert canonicalize_request(req) == reference_canonical(req)
 
 
+@given(st.data())
+@settings(max_examples=100)
+def test_canonical_form_of_shared_parts(data):
+    """Parts reused across messages and requests, as a frame's label and
+    image are, splice the same bytes wherever they appear."""
+    pool = data.draw(_parts)
+    shared = st.lists(st.sampled_from(pool), min_size=1, max_size=6).map(tuple)
+    for _ in range(2):
+        earlier = data.draw(st.lists(st.builds(Message, st.sampled_from(["user", "assistant"]),
+                                               shared), max_size=2))
+        req = GenerationRequest(messages=(*earlier, Message("user", data.draw(shared))),
+                                seed=data.draw(st.one_of(st.none(), st.integers(0, 9))))
+        assert canonicalize_request(req) == reference_canonical(req)
+
+
 # sha256 digests computed before canonicalize_request was spliced: every
 # recorded transcript store is keyed by these bytes
 GOLDEN_DIGESTS = (
@@ -181,10 +196,15 @@ class TestReplay:
 
     def test_two_requests_two_entries(self, tmp_path):
         store = TranscriptStore(tmp_path / "store.jsonl")
-        store.record(simple_request("a"), "ra")
+        store.record(simple_request("a"), "ra", latency_ms=7, backend_id="http(m\u00e9)")
         store.record(simple_request("b"), "rb")
+        # the line format every recorded store holds
+        assert (tmp_path / "store.jsonl").read_text(encoding="utf-8").splitlines() == [
+            f'{{"digest": "{request_digest(simple_request(t))}", "response": "r{t}", '
+            f'"latency_ms": {ms}, "backend_id": "{b}"}}'
+            for t, ms, b in (("a", 7, "http(m\u00e9)"), ("b", 0, ""))]
         for loaded in (store, TranscriptStore(tmp_path / "store.jsonl")):
-            assert [loaded.get(request_digest(simple_request(text))).response_text
+            assert [loaded.get(request_digest(simple_request(text)))
                     for text in "ab"] == ["ra", "rb"]
 
     def test_miss_is_permanent_but_still_a_backend_failure(self, tmp_path):
@@ -202,7 +222,7 @@ class TestReplay:
         path.write_text(whole[0] + whole[1] + whole[2][:60], encoding="utf-8")
 
         reloaded = TranscriptStore(path)
-        assert [reloaded.get(request_digest(simple_request(text))).response_text
+        assert [reloaded.get(request_digest(simple_request(text)))
                 for text in "ab"] == ["ra", "rb"]
         assert reloaded.get(request_digest(simple_request("c"))) is None
         reloaded.record(simple_request("c"), "rc")
@@ -235,7 +255,7 @@ class TestReplay:
         store.record(simple_request(), "old")
         store.record(simple_request(), "new")
         reloaded = TranscriptStore(path)
-        assert reloaded.get(request_digest(simple_request())).response_text == "new"
+        assert reloaded.get(request_digest(simple_request())) == "new"
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import write_manifest_file
+from conftest import request_question, write_manifest_file
 from vtagent import cli, reporting
-from vtagent.backends import RecordingBackend, TranscriptStore
+from vtagent.backends import FunctionBackend, RecordingBackend, TranscriptStore
 from vtagent.engine import EngineConfig, run_batch
+from vtagent.errors import BackendUnavailable
 from vtagent.metrics import SampleScore, aggregate
 
 
@@ -102,6 +103,29 @@ class TestEval:
         scores = (tmp_path / "eval" / "scores.jsonl").read_bytes()
         assert b'"split": "toy-val"' in scores
         assert (tmp_path / "oracle" / "scores.jsonl").read_bytes() == scores
+
+    def test_oracle_prints_its_failures(self, manifest_factory, tmp_path,
+                                        oracle_backend_factory, monkeypatch, capsys):
+        manifest = manifest_factory(n_samples=12)
+        path = write_manifest_file(manifest, tmp_path / "manifest.jsonl")
+        answering = oracle_backend_factory(manifest)
+
+        def fn(request):
+            if request_question(request) == "question 3?":
+                raise BackendUnavailable("HTTP 503: busy")
+            return answering.complete(request)
+
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(fn))
+        argv = ["--manifest", str(path), "--backend", "scripted", "--max-attempts", "1"]
+        assert cli.main(["oracle", *argv, "--out-dir", str(tmp_path / "oracle")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["per-sample failures: 1", "failed frames: 4 in 1 samples"]
+        assert cli.main(["eval", *argv, "--out-dir", str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "per-sample failures: 1"
+        # neither line when nothing failed
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: answering)
+        assert cli.main(["oracle", *argv, "--out-dir", str(tmp_path / "ok")]) == 0
+        assert "fail" not in capsys.readouterr().out
 
     def test_resume_after_torn_log_line(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
@@ -344,6 +368,18 @@ def test_failed_score_log_write_keeps_the_previous_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         reporting.write_score_log(scores[::-1], report, path)
     assert path.read_bytes() == before
+
+
+def test_failed_score_log_write_removes_its_temporary_file(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    scores = [SampleScore("q000", 1, 1.0)]
+    reporting.write_score_log(scores, aggregate(scores, split_tag="toy-val"), path)
+    before = path.read_bytes()
+    bad = [SampleScore("q000", object(), 1.0)]  # an accuracy json cannot write
+    with pytest.raises(TypeError):
+        reporting.write_score_log(bad, aggregate(scores, split_tag="toy-val"), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.jsonl"]
 
 
 class TestReport:

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import request_image_count, request_question, request_stage
+from conftest import (request_image_count, request_question, request_stage,
+                      write_manifest_file)
 from vtagent import engine
 from vtagent.backends import (FunctionBackend, GenerationRequest, ImagePart,
                               RecordingBackend, ReplayBackend, ScriptedBackend, TextPart,
                               TranscriptStore, request_digest)
+from vtagent.data_model import (DatasetManifest, FrameRef, Sample, SamplingPolicy,
+                                load_manifest, sample_frames)
 from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prompt,
                             complete_with_retry, derive_seed, read_log, run_batch,
                             run_episode)
@@ -48,6 +51,43 @@ class TestPrompts:
         assert messages[0].parts[0] == TextPart(render_turn(turn1))
         user_images = [p for p in messages[1].parts if isinstance(p, ImagePart)]
         assert [p.index for p in user_images] == [3, 7]
+
+    def test_sampled_frames_get_parts_of_their_own(self, sample_factory):
+        sample = sample_factory(n_frames=8)
+        build_anchor_prompt(sample)  # fills each FrameRef's parts
+        sampled = sample_frames(sample, SamplingPolicy.uniform(4))
+        (msg,) = build_anchor_prompt(sampled)
+        assert [p.text for p in msg.parts[1:-1:2]] == [f"Frame {i}:" for i in range(4)]
+        images = msg.parts[2:-1:2]
+        assert [p.index for p in images] == [0, 1, 2, 3]
+        assert [p.path for p in images] == [sample.frames[i].source_path for i in (0, 2, 4, 7)]
+        assert sampled.frames[1].prompt_parts == (TextPart("Frame 1:"), images[1])
+        assert sample.frames[2].prompt_parts[0] == TextPart("Frame 2:")
+
+    def test_samples_of_one_video_share_frame_parts(self, sample_factory, tmp_path):
+        video = sample_factory(sample_id="v", video_id="v1", n_frames=3)
+        path = write_manifest_file(DatasetManifest(samples=tuple(
+            replace(video, sample_id=f"q{i}", question=f"question {i}?") for i in range(2)),
+            source_uri="memory"), tmp_path / "m.jsonl")
+        a, b = (build_anchor_prompt(s)[0].parts for s in load_manifest(path).samples)
+        # the instruction and the question are per prompt, the frame parts per FrameRef
+        assert [pa is pb for pa, pb in zip(a, b)] == [False, *[True] * 6, False]
+
+    def test_golden_prompt_digests(self):
+        """sha256 digests of engine-built prompts, computed before frame parts
+        were kept on their FrameRefs: recorded stores are keyed by them."""
+        sample = Sample(sample_id="g0", video_id="v0",
+                        frames=tuple(FrameRef(i, f"frames/v0/{i:04d}.png") for i in range(3)),
+                        question='What does the "EXIT" sign say?', gold_answers=("exit",))
+        turn1 = Turn("the sign is in frame 2", SelectKeyframes((0, 2)))
+        for _ in range(2):  # digests of parts built now and of the kept ones
+            anchor = GenerationRequest(messages=build_anchor_prompt(sample), seed=11)
+            answer = GenerationRequest(
+                messages=build_answer_prompt(sample, turn1, KeyframeSet(ids=(0, 2))), seed=12)
+            assert request_digest(anchor) == (
+                "61173108fc3b2362fdb93e95da3b9c4f522e703fb8b0931f0ab7f495ac718ec0")
+            assert request_digest(answer) == (
+                "ddc20f70ed579981fa5625cae29d9c6ed8e53a47fe8b5a3bbffbc625aca7a812")
 
 
 def valid_select(ids="0, 2"):
