@@ -1,8 +1,9 @@
 """Generate a synthetic toy manifest with placeholder frame images.
 
 Useful for smoke-testing the eval, oracle, and curation commands without
-real video data. Each sample gets n placeholder frames and a unique
-question/answer pair.
+real video data. As in real data, each video is asked two questions:
+samples 2k and 2k+1 share video k's n placeholder frames. Every sample has
+a unique question/answer pair.
 
     python3 scripts/make_synthetic_manifest.py --out-dir /tmp/toy --samples 20
 """
@@ -17,6 +18,8 @@ PNG_BYTES = bytes.fromhex(
     "89504e470d0a1a0a0000000d49484452000000010000000108060000001f15c489"
     "0000000d49444154789c626001000000ffff03000006000557bfabd40000000049454e44ae426082"
 )
+
+QUESTIONS_PER_VIDEO = 2
 
 
 def make_frames(root: Path, video_id: str, count: int) -> tuple[FrameRef, ...]:
@@ -42,11 +45,13 @@ def main() -> None:
     root.mkdir(parents=True, exist_ok=True)
     samples = []
     for i in range(args.samples):
-        video_id = f"v{i:04d}"
+        video_id = f"v{i // QUESTIONS_PER_VIDEO:04d}"
+        if i % QUESTIONS_PER_VIDEO == 0:
+            frames = make_frames(root, video_id, args.frames)
         samples.append(Sample(
             sample_id=f"q{i:04d}",
             video_id=video_id,
-            frames=make_frames(root, video_id, args.frames),
+            frames=frames,
             question=f"what does sign {i} say?",
             gold_answers=(f"text {i}",),
             split_tag=args.split,

@@ -179,6 +179,29 @@ class FunctionBackend:
         return self._fn(request)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"  # the whitespace json skips around a value
+
+
+def _decode_line(line: str):
+    """json.loads(line) in one decoder call, for the JSONL readers: the value
+    that starts at the line's first character json does not skip as
+    whitespace. Values, errors and their positions, counted in the whole
+    line, are json.loads's own; json.loads would add three calls and two
+    regex scans to every line."""
+    try:
+        obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+    except json.JSONDecodeError:
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                       line, 0) from None
+        raise
+    rest = line[end:].lstrip(_JSON_SPACE)
+    if rest:
+        raise json.JSONDecodeError("Extra data", line, len(line) - len(rest))
+    return obj
+
+
 def read_log(path: str | Path) -> Iterator[dict]:
     """Yield the records of an append-only JSONL log (none if it does not
     exist; a path that is not a file raises ConfigError).
@@ -198,10 +221,10 @@ def read_log(path: str | Path) -> Iterator[dict]:
     # byte length survives for the cut below
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for line_no, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():  # what str.strip() empties
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
             except ValueError as e:
                 torn = not line.endswith("\n")  # only the last line can lack it
                 if torn:
@@ -278,7 +301,10 @@ class TranscriptStore:
 
 
 class ReplayBackend:
-    """Serves stored responses by digest. Strict mode never touches the network."""
+    """Serves stored responses by digest. Strict mode never touches the network.
+
+    The digest holds each frame's path, not its bytes: a frame re-extracted
+    under the same path replays the answer recorded for the old one."""
 
     backend_id = "replay"
 

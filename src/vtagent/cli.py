@@ -152,7 +152,8 @@ def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifes
         raise ConfigError(f"manifest not found: {path}")
     manifest = load_manifest(path)
     policy = SamplingPolicy.uniform(cfg.frames)
-    samples = tuple(sample_frames(s, policy) for s in manifest.samples)
+    shared: dict = {}  # the samples of a video share their sampled FrameRefs
+    samples = tuple(sample_frames(s, policy, shared) for s in manifest.samples)
     return replace(manifest, samples=samples)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .backends import _decode_line, write_lines
 from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 
 
@@ -84,22 +85,26 @@ def uniform_indices(count: int, n: int) -> list[int]:
     return [(i * (count - 1)) // (n - 1) for i in range(n)]
 
 
-def _sample_from_record(obj: dict, line_no: int, refs: dict[tuple, FrameRef],
-                        checked: set[str]) -> Sample:
-    """One manifest record as a Sample. `refs` (FrameRefs by their fields) and
-    `checked` (paths found to exist) live for one load_manifest call."""
-    for field in ("sample_id", "video_id", "question", "answers", "frames"):
-        if field not in obj:
-            raise MalformedRecord(line_no, f"missing field {field!r}")
+def _frame_refs(raw_frames: list, line_no: int, refs: dict[tuple, FrameRef],
+                checked: set[str]) -> tuple[FrameRef, ...]:
+    """A record's frame entries as FrameRefs. `refs` (FrameRefs by their
+    fields) and `checked` (paths found to exist) live for one load_manifest
+    call. An index is taken when int() converts it without loss (3, 3.0,
+    "3"), and a path must be a string, so entries that compare equal (`==`)
+    give equal FrameRefs."""
     frames = []
-    raw_frames = obj["frames"]
-    if not isinstance(raw_frames, list) or not raw_frames:
-        raise MalformedRecord(line_no, "empty frames")
     for fr in raw_frames:
         if not isinstance(fr, dict) or "index" not in fr or "path" not in fr:
             raise MalformedRecord(line_no, "frame entries need index and path")
-        path = str(fr["path"])
-        key = (int(fr["index"]), path, float(fr["t"]) if "t" in fr else None)
+        index, path = fr["index"], fr["path"]
+        if not isinstance(path, str):
+            raise MalformedRecord(line_no, f"frame path must be a string, got {path!r}")
+        try:
+            key = (int(index), path, float(fr["t"]) if "t" in fr else None)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise MalformedRecord(line_no, f"bad frame entry {fr!r}: {e}") from e
+        if isinstance(index, float) and key[0] != index:
+            raise MalformedRecord(line_no, f"frame index must be a whole number, got {index!r}")
         ref = refs.get(key)
         if ref is None:
             if path not in checked:
@@ -109,6 +114,11 @@ def _sample_from_record(obj: dict, line_no: int, refs: dict[tuple, FrameRef],
                 checked.add(path)
             ref = refs[key] = FrameRef(*key)
         frames.append(ref)
+    return tuple(frames)
+
+
+def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -> Sample:
+    """One manifest record, whose frame entries are `frames`, as a Sample."""
     answers = obj["answers"]
     if not isinstance(answers, list) or not answers:
         raise MalformedRecord(line_no, "empty answers")
@@ -117,7 +127,7 @@ def _sample_from_record(obj: dict, line_no: int, refs: dict[tuple, FrameRef],
         return Sample(
             sample_id=str(obj["sample_id"]),
             video_id=str(obj["video_id"]),
-            frames=tuple(frames),
+            frames=frames,
             question=str(obj["question"]),
             gold_answers=tuple(str(a) for a in answers),
             pseudo_keyframes=frozenset(int(i) for i in kf) if kf is not None else None,
@@ -132,24 +142,36 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Every frame file must exist when the load checks it; MissingFrameFile
     names the first missing path in file order. Samples that repeat a frame
-    share its FrameRef.
+    share its FrameRef, and a record whose frame list equals the previous
+    record's, as the questions about one video do, shares that record's
+    frames tuple.
     """
     path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
     refs: dict[tuple, FrameRef] = {}
     checked: set[str] = set()
+    last_raw, last_frames = None, ()
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # what str.strip() empties
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
+                obj = _decode_line(line)
+            except ValueError as e:
                 raise MalformedRecord(line_no, f"invalid JSON: {e}") from e
             if not isinstance(obj, dict):
                 raise MalformedRecord(line_no, "record must be an object")
-            sample = _sample_from_record(obj, line_no, refs, checked)
+            for name in ("sample_id", "video_id", "question", "answers", "frames"):
+                if name not in obj:
+                    raise MalformedRecord(line_no, f"missing field {name!r}")
+            raw_frames = obj["frames"]
+            if not isinstance(raw_frames, list) or not raw_frames:
+                raise MalformedRecord(line_no, "empty frames")
+            if raw_frames != last_raw:
+                last_raw, last_frames = raw_frames, _frame_refs(raw_frames, line_no,
+                                                                refs, checked)
+            sample = _sample_from_record(obj, line_no, last_frames)
             if sample.sample_id in seen:
                 raise DuplicateSampleId(sample.sample_id)
             seen.add(sample.sample_id)
@@ -177,28 +199,35 @@ def _sample_to_record(sample: Sample) -> dict:
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for sample in manifest.samples:
-            fh.write(json.dumps(_sample_to_record(sample), ensure_ascii=False) + "\n")
+    """Write the manifest whole, through a temporary file (write_lines)."""
+    write_lines(path, (json.dumps(_sample_to_record(sample), ensure_ascii=False)
+                       for sample in manifest.samples))
 
 
-def sample_frames(sample: Sample, policy: SamplingPolicy) -> Sample:
+def sample_frames(sample: Sample, policy: SamplingPolicy,
+                  shared: Optional[dict] = None) -> Sample:
     """Keep a uniform-by-index subsequence of frames, re-numbered contiguously.
 
     Pseudo-keyframe annotations are remapped through the survivor mapping;
-    annotations on dropped frames are discarded.
+    annotations on dropped frames are discarded. `shared`, a dict the caller
+    keeps while the sampled FrameRefs live, maps each sequence sampled so
+    far, by the identities of its FrameRefs, to its sampled FrameRefs: the
+    samples of a video, which a load gives the same FrameRefs, then share
+    the sampled ones and the engine's prompt parts kept on them.
     """
     count = len(sample.frames)
     if policy.n >= count:
         return sample
     keep = uniform_indices(count, policy.n)
-    mapping = {orig: new for new, orig in enumerate(keep)}
-    frames = tuple(
-        replace(sample.frames[orig], index=new) for orig, new in mapping.items()
-    )
+    shared = {} if shared is None else shared
+    key = tuple(map(id, sample.frames))
+    frames = shared.get(key)
+    if frames is None:
+        frames = shared[key] = tuple(replace(sample.frames[orig], index=new)
+                                     for new, orig in enumerate(keep))
     kf = sample.pseudo_keyframes
     if kf is not None:
+        mapping = {orig: new for new, orig in enumerate(keep)}
         kf = frozenset(mapping[i] for i in kf if i in mapping) or None
         # all annotated frames dropped -> annotation removed entirely
     return replace(sample, frames=frames, pseudo_keyframes=kf)

@@ -22,7 +22,7 @@ from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
                               _wire_stream, canonicalize_request, http_complete,
-                              request_digest)
+                              read_log, request_digest)
 from vtagent.engine import EngineConfig, complete_with_retry
 from vtagent.errors import (TRANSIENT_ERRORS, BackendTimeout, BackendUnavailable, CacheMiss,
                             MalformedRecord, MissingFrameFile, ResponseEmpty, VtagentError)
@@ -256,6 +256,86 @@ class TestReplay:
         store.record(simple_request(), "new")
         reloaded = TranscriptStore(path)
         assert reloaded.get(request_digest(simple_request())) == "new"
+
+
+_log_text = st.text(st.sampled_from(['a', '"', "\\", "\r", "\n", "\u2028", "\u00e9", "\u6f22",
+                                      "\U0001F600", " "]), max_size=6)
+_log_objects = st.dictionaries(_log_text, st.one_of(
+    _log_text, st.integers(), st.none(), st.booleans(), st.lists(_log_text, max_size=2)),
+    max_size=3)
+_object_lines = st.builds(lambda pad, obj, ascii_only, trail: (
+    pad + json.dumps(obj, ensure_ascii=ascii_only) + trail),
+    st.sampled_from(["", " ", "\t", " \t "]), _log_objects, st.booleans(),
+    st.sampled_from(["", " ", "\t"]))
+# lines that str.strip() empties; none holds a character that ends a line
+_blank_lines = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\u2028 ", "\u00a0"])
+# each invalid as JSON, per json.loads
+_invalid_lines = st.sampled_from(['{"a": ', '{"a": 1} x', "\x0c{}", "\ufeff{}", '{"a" 1}', "nul",
+                                  '{"a": 1}}', ' {"a": "\udcff'])
+
+
+@st.composite
+def jsonl_logs(draw):
+    """(complete lines, a torn last line as bytes or None): JSONL as appends
+    leave it, newline-terminated with one line ending throughout."""
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [line + ending for line in draw(st.lists(st.one_of(_object_lines, _blank_lines),
+                                                     max_size=6))]
+    torn = None
+    if draw(st.booleans()):  # a kill mid-append: the last line cut anywhere, even mid-character
+        whole = (draw(_object_lines) + ending).encode("utf-8")
+        torn = whole[:draw(st.integers(1, len(whole) - 1))]
+    return lines, ending, torn
+
+
+def _read_log_until_error(path):
+    records = []
+    try:
+        for obj in read_log(path):
+            records.append(obj)
+    except MalformedRecord as e:
+        return records, e
+    return records, None
+
+
+@given(jsonl_logs())
+@settings(max_examples=300)
+def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log):
+    lines, _, torn = log
+    path = tmp_path_factory.getbasetemp() / "log.jsonl"
+    data = "".join(lines).encode("utf-8") + (torn or b"")
+    path.write_bytes(data)
+    expected = [json.loads(line) for line in lines if line.strip()]
+    left = data
+    if torn is not None:
+        last = torn.decode("utf-8", "surrogateescape")
+        try:
+            if last.strip():
+                expected.append(json.loads(last))
+            left += b"\n"  # a last line that parses gets its newline
+        except ValueError:
+            left = data[:-len(torn)]  # one that does not is cut off
+    assert _read_log_until_error(path) == (expected, None)
+    assert path.read_bytes() == left
+
+
+@given(jsonl_logs(), st.data())
+@settings(max_examples=200)
+def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory, log, data):
+    lines, ending, torn = log
+    at = data.draw(st.integers(0, len(lines)))
+    bad = data.draw(_invalid_lines)
+    lines = lines[:at] + [bad + ending] + lines[at:]
+    path = tmp_path_factory.getbasetemp() / "log.jsonl"
+    raw = "".join(lines).encode("utf-8", "surrogateescape") + (torn or b"")
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as json_error:
+        json.loads(bad + ending)
+    records, error = _read_log_until_error(path)
+    assert records == [json.loads(line) for line in lines[:at] if line.strip()]
+    assert (error.line_no, error.reason) == (at + 1,
+                                             f"invalid JSON in {path}: {json_error.value}")
+    assert path.read_bytes() == raw
 
 
 class _Handler(BaseHTTPRequestHandler):

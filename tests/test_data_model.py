@@ -2,8 +2,10 @@ import json
 import os
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from conftest import write_manifest_file
 
 from vtagent import data_model
 from vtagent.data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
@@ -55,11 +57,57 @@ def test_shared_frames_are_one_ref_and_stay_per_sample(sample_factory, tmp_path)
     path = tmp_path / "m.jsonl"
     write_manifest(shared_video_manifest(sample_factory, n_samples=2), path)
     a, b = load_manifest(path).samples
-    assert a.frames == b.frames
-    assert all(fa is fb for fa, fb in zip(a.frames, b.frames))
+    assert a.frames is b.frames  # an equal frame list gives the previous record's tuple
     sampled = sample_frames(a, SamplingPolicy.uniform(2))
     assert [(f.index, f.timestamp_s) for f in sampled.frames] == [(0, 0.0), (1, 2.5)]
     assert [(f.index, f.timestamp_s) for f in b.frames] == [(i, 0.5 * i) for i in range(6)]
+
+
+def two_frame_records(sample_factory, tmp_path) -> tuple[Path, list[dict]]:
+    path = write_manifest_file(DatasetManifest(samples=tuple(
+        sample_factory(sample_id=f"q{i}", n_frames=2) for i in range(2)), source_uri="memory"),
+        tmp_path / "m.jsonl")
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("entries", [
+    [{"index": "zero"}, {}], [{"index": None}, {}], [{"index": [0]}, {}],
+    [{}, {"t": "abc"}], [{"index": 0.9}, {"index": 1.2}], [{}, {"path": 5}]])
+def test_malformed_frame_entry_names_its_line(sample_factory, tmp_path, entries):
+    path, (first, second) = two_frame_records(sample_factory, tmp_path)
+    for frame, changes in zip(second["frames"], entries):
+        frame.update(changes)
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_manifest(path)
+    assert exc.value.line_no == 2
+
+
+def test_index_and_t_taken_when_int_and_float_convert_them_exactly(sample_factory, tmp_path):
+    path, (first, third) = two_frame_records(sample_factory, tmp_path)
+    # the first record's list again, its values equal but of another type
+    second = dict(first, sample_id="q2", frames=[dict(f, index=float(f["index"]))
+                                                   for f in first["frames"]])
+    third["frames"][0].update(index=0.0, t="0.5")
+    third["frames"][1].update(index="1", t=2)
+    path.write_text("".join(json.dumps(r) + "\n" for r in (first, second, third)))
+    a, b, c = load_manifest(path).samples
+    assert b.frames is a.frames
+    assert [(f.index, f.timestamp_s) for f in c.frames] == [(0, 0.5), (1, 2.0)]
+
+
+def test_failed_manifest_write_keeps_the_old_file_and_removes_its_temporary_file(
+        manifest_factory, tmp_path):
+    path = tmp_path / "out" / "m.jsonl"
+    path.parent.mkdir()
+    manifest = manifest_factory(n_samples=2)
+    write_manifest(manifest, path)
+    before = path.read_bytes()
+    bad = replace(manifest.samples[1], question=object())  # a question json cannot write
+    with pytest.raises(TypeError):
+        write_manifest(replace(manifest, samples=(manifest.samples[0], bad)), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == ["m.jsonl"]
 
 
 def test_duplicate_sample_id(manifest_factory, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (request_image_count, request_question, request_stage,
                       write_manifest_file)
-from vtagent import engine
+from vtagent import cli, engine
 from vtagent.backends import (FunctionBackend, GenerationRequest, ImagePart,
                               RecordingBackend, ReplayBackend, ScriptedBackend, TextPart,
                               TranscriptStore, request_digest)
@@ -66,12 +66,16 @@ class TestPrompts:
 
     def test_samples_of_one_video_share_frame_parts(self, sample_factory, tmp_path):
         video = sample_factory(sample_id="v", video_id="v1", n_frames=3)
-        path = write_manifest_file(DatasetManifest(samples=tuple(
-            replace(video, sample_id=f"q{i}", question=f"question {i}?") for i in range(2)),
-            source_uri="memory"), tmp_path / "m.jsonl")
-        a, b = (build_anchor_prompt(s)[0].parts for s in load_manifest(path).samples)
-        # the instruction and the question are per prompt, the frame parts per FrameRef
-        assert [pa is pb for pa, pb in zip(a, b)] == [False, *[True] * 6, False]
+        other = sample_factory(sample_id="w", video_id="v2", n_frames=3)
+        q0, q1 = (replace(video, sample_id=f"q{i}", question=f"question {i}?") for i in range(2))
+        # a question about another video between them: only their FrameRefs tie them
+        path = write_manifest_file(DatasetManifest(samples=(q0, other, q1), source_uri="memory"),
+                                   tmp_path / "m.jsonl")
+        for samples, n in ((load_manifest(path).samples, 3),
+                           (cli._load_sampled_manifest(cli.RunConfig(frames=2), path).samples, 2)):
+            a, b = (build_anchor_prompt(s)[0].parts for s in samples[::2])
+            # the instruction and the question are per prompt, the frame parts per FrameRef
+            assert [pa is pb for pa, pb in zip(a, b)] == [False, *[True] * (2 * n), False]
 
     def test_golden_prompt_digests(self):
         """sha256 digests of engine-built prompts, computed before frame parts
