@@ -26,7 +26,7 @@ from . import curation, grpo, oracle, reporting
 from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
                        ReplayBackend, ScriptedBackend, TranscriptStore)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
-                         load_manifest, sample_frames)
+                         load_manifest, sample_manifest)
 from .engine import EngineConfig, run_batch
 from .errors import ConfigError, VtagentError
 from .metrics import REPORT_HEADER, MetricReport, aggregate, format_report
@@ -150,11 +150,7 @@ def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifes
     path = Path(manifest_path)
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
-    manifest = load_manifest(path)
-    policy = SamplingPolicy.uniform(cfg.frames)
-    shared: dict = {}  # the samples of a video share their sampled FrameRefs
-    samples = tuple(sample_frames(s, policy, shared) for s in manifest.samples)
-    return replace(manifest, samples=samples)
+    return sample_manifest(load_manifest(path), SamplingPolicy.uniform(cfg.frames))
 
 
 def _prepare(args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest, Backend]:

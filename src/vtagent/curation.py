@@ -33,11 +33,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .backends import Backend, write_lines
+from .backends import Backend
 from .data_model import DatasetManifest
 from .engine import EngineConfig, Trajectory, missing_key, run_episode, run_units
 from .errors import TRANSIENT_ERRORS
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
+from .jsonl import write_lines
 from .metrics import anls, exact_accuracy
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .backends import _decode_line, write_lines
 from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
+from .jsonl import _decode_line, write_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,27 +204,39 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
                        for sample in manifest.samples))
 
 
-def sample_frames(sample: Sample, policy: SamplingPolicy,
-                  shared: Optional[dict] = None) -> Sample:
+def sample_frames(sample: Sample, policy: SamplingPolicy) -> Sample:
     """Keep a uniform-by-index subsequence of frames, re-numbered contiguously.
 
     Pseudo-keyframe annotations are remapped through the survivor mapping;
-    annotations on dropped frames are discarded. `shared`, a dict the caller
-    keeps while the sampled FrameRefs live, maps each sequence sampled so
-    far, by the identities of its FrameRefs, to its sampled FrameRefs: the
-    samples of a video, which a load gives the same FrameRefs, then share
-    the sampled ones and the engine's prompt parts kept on them.
+    annotations on dropped frames are discarded.
     """
+    return _sample_frames(sample, policy, {})
+
+
+def sample_manifest(manifest: DatasetManifest, policy: SamplingPolicy) -> DatasetManifest:
+    """sample_frames on every sample. Samples whose frames are the same
+    FrameRefs, as a load gives the questions about one video, share one
+    sampled tuple, and with it the prompt parts the engine keeps on it."""
+    sampled: dict[tuple[int, ...], tuple[FrameRef, ...]] = {}
+    samples = tuple(_sample_frames(s, policy, sampled) for s in manifest.samples)
+    return replace(manifest, samples=samples)
+
+
+def _sample_frames(sample: Sample, policy: SamplingPolicy,
+                   sampled: dict[tuple[int, ...], tuple[FrameRef, ...]]) -> Sample:
+    """sample_frames, taking the sampled FrameRefs from `sampled`, keyed by the
+    identities of the FrameRefs they were sampled from, when it has them.
+    The caller keeps those FrameRefs alive while it keeps `sampled`, so no
+    key's ids are reused, and samples with one policy."""
     count = len(sample.frames)
     if policy.n >= count:
         return sample
     keep = uniform_indices(count, policy.n)
-    shared = {} if shared is None else shared
     key = tuple(map(id, sample.frames))
-    frames = shared.get(key)
+    frames = sampled.get(key)
     if frames is None:
-        frames = shared[key] = tuple(replace(sample.frames[orig], index=new)
-                                     for new, orig in enumerate(keep))
+        frames = sampled[key] = tuple(replace(sample.frames[orig], index=new)
+                                      for new, orig in enumerate(keep))
     kf = sample.pseudo_keyframes
     if kf is not None:
         mapping = {orig: new for new, orig in enumerate(keep)}

@@ -33,13 +33,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from .backends import (Backend, GenerationRequest, ImagePart, Message, TextPart, read_log,
+from .backends import (Backend, GenerationRequest, ImagePart, Message, TextPart,
                        request_digest)
 from .data_model import DatasetManifest, FrameRef, Sample, uniform_indices
 from .errors import (TRANSIENT_ERRORS, CacheMiss, ConfigError, EmptySelection,
                      MalformedRecord, MissingActionBlock, UnparsableAction)
 from .grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                       render_turn, validate_keyframes)
+from .jsonl import read_log
 
 ANCHOR_TEMPLATE = (
     "You are given {n} video frames, each labeled with its index, and a question "

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import Backend, Message, write_lines
+from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
 from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
 from .errors import TRANSIENT_ERRORS, ConfigError, NotFrameSolvable
+from .jsonl import write_lines
 from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
 
 

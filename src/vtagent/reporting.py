@@ -8,7 +8,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .backends import read_log, write_lines
+from .jsonl import read_log, write_lines
 from .data_model import DatasetManifest
 from .errors import ConfigError, MalformedRecord
 from .grammar import KeyframeSet

@@ -9,8 +9,8 @@ from conftest import write_manifest_file
 
 from vtagent import data_model
 from vtagent.data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
-                                load_manifest, sample_frames, uniform_indices,
-                                write_manifest)
+                                load_manifest, sample_frames, sample_manifest,
+                                uniform_indices, write_manifest)
 from vtagent.errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 
 
@@ -197,6 +197,25 @@ def test_sample_frames_idempotent(sample_factory):
     once = sample_frames(sample, SamplingPolicy.uniform(4))
     twice = sample_frames(once, SamplingPolicy.uniform(4))
     assert twice == once
+
+
+def test_sample_manifest_shares_sampled_frames_per_video_and_policy(sample_factory, tmp_path):
+    video = sample_factory(sample_id="v", video_id="v1", n_frames=6, keyframes={0, 3})
+    other = sample_factory(sample_id="w", video_id="v2", n_frames=6)
+    manifest = DatasetManifest(samples=(
+        replace(video, sample_id="q0"), other,
+        replace(video, sample_id="q1", pseudo_keyframes=frozenset({5}))), source_uri="memory")
+    path = write_manifest_file(manifest, tmp_path / "m.jsonl")
+    loads = [load_manifest(path) for _ in range(2)]
+    for n in (2, 3):
+        policy = SamplingPolicy.uniform(n)
+        outs = [sample_manifest(m, policy).samples for m in loads]
+        for (a, w, b), loaded in zip(outs, loads):
+            # each sample is what sample_frames gives it, keyframes remapped per sample
+            assert (a, w, b) == tuple(sample_frames(s, policy) for s in loaded.samples)
+            assert a.frames is b.frames and w.frames is not a.frames
+        assert outs[0][0].frames is not outs[1][0].frames  # one call shares, not two
+    assert sample_manifest(loads[0], SamplingPolicy.uniform(6)).samples == loads[0].samples
 
 
 def test_dedupe(sample_factory):
