@@ -14,8 +14,8 @@ Three implementations share one `complete(request) -> str` surface:
                     unredirected header, so a redirect never carries it
 * ScriptedBackend — queue of canned responses for tests and dry runs
 * ReplayBackend   — deterministic cache keyed by a canonical request digest,
-                    spliced from the JSON fragment each prompt part writes
-                    once, when it is built
+                    spliced from the JSON fragment each prompt part and each
+                    message writes once, when it is built
 
 Retry policy lives in the engine, never here.
 """
@@ -75,12 +75,17 @@ Part = Union[TextPart, ImagePart]
 class Message:
     role: str  # system | user | assistant
     parts: tuple[Part, ...]
+    # this message's object in the canonical form, joined once from its
+    # parts' fragments: see canonicalize_request
+    canonical: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ("system", "user", "assistant"):
             raise ValueError(f"bad role {self.role!r}")
         if not self.parts:
             raise ValueError("message needs at least one part")
+        object.__setattr__(self, "canonical", '{"parts":[' + ",".join(
+            [p.canonical for p in self.parts]) + '],"role":' + _escape(self.role) + "}")
 
 
 @dataclass(frozen=True)
@@ -121,24 +126,22 @@ def canonicalize_request(request: GenerationRequest) -> str:
     Byte for byte `json.dumps(tree, sort_keys=True, ensure_ascii=False,
     separators=(",", ":"))` of the tree {max_new_tokens, messages: [{role,
     parts: [{type: "text", text} | {type: "image", path, index}]}],
-    temperature, seed}, but spliced rather than dumped. Each part's object is
-    its `canonical` fragment, written once when the part is built, so a part
-    that several prompts share (a frame's label and image) is escaped once;
-    the fragments are joined inside the keys of each message and of the
-    request, in sorted order. Strings go through json's own escaper, the ints
-    max_new_tokens and index through int's repr as json writes them, and seed
-    and temperature through one small `json.dumps`, so None and floats stay
-    exactly as json writes them.
+    temperature, seed}, but spliced rather than dumped. Each part's and each
+    message's object is its `canonical` fragment, written once when it is
+    built, so a part that several prompts share (a frame's label and image)
+    is escaped once and a message that several requests share (a curation
+    sample's anchor turn) is joined once; the fragments are joined inside the
+    keys of each message and of the request, in sorted order. Strings go
+    through json's own escaper, the ints max_new_tokens and index through
+    int's repr as json writes them, and seed and temperature through one
+    small `json.dumps`, so None and floats stay exactly as json writes them.
     """
-    chunks = ['{"max_new_tokens":', int.__repr__(request.max_new_tokens), ',"messages":[']
-    for m in request.messages:
-        chunks += ['{"parts":[', ",".join([p.canonical for p in m.parts]), '],"role":',
-                   _escape(m.role), "},"]
-    chunks[-1] = "}],"  # the last message closes the messages
     tail = json.dumps({"seed": request.seed, "temperature": request.temperature},
                       separators=(",", ":"))
-    chunks.append(tail[1:])  # its fields, then the closing brace
-    return "".join(chunks)
+    # the tail's fields, then its closing brace
+    return "".join(['{"max_new_tokens":', int.__repr__(request.max_new_tokens),
+                    ',"messages":[', ",".join([m.canonical for m in request.messages]),
+                    "],", tail[1:]])
 
 
 def request_digest(request: GenerationRequest) -> str:

@@ -5,6 +5,9 @@ episodes decoded at temperature 1 (whatever the configured temperature),
 attempt k seeded seed + k, with uniform fallback keyframes. Each call of an
 episode gets a single transport try, not `max_attempts` as in eval and the
 oracle: one transient error (a 429, a 503, a timeout) fails the sample.
+Only what changes between episodes is made per episode: the episode configs
+are built once per run, and a sample's anchor prompt once per sample, so
+every episode of a sample sends the same anchor Message with its own seed.
 
 SFT: stop at the first trajectory that both uses a valid keyframe selection
 and produces a judged-correct answer, then freeze the canonical two-turn
@@ -35,7 +38,8 @@ from typing import Iterator, Optional, Sequence
 
 from .backends import Backend
 from .data_model import DatasetManifest
-from .engine import EngineConfig, Trajectory, missing_key, run_episode, run_units
+from .engine import (EngineConfig, Trajectory, build_anchor_prompt, missing_key, run_episode,
+                     run_units)
 from .errors import TRANSIENT_ERRORS
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
 from .jsonl import write_lines
@@ -59,9 +63,9 @@ class CurationStats:
         return f"kept {100.0 * self.kept / (total or 1):.1f}% of inputs"
 
 
-def _episodes(sample, backend: Backend,
-              engine_config: EngineConfig) -> Iterator[tuple[int, Trajectory]]:
-    """Up to `engine_config.max_attempts` one-shot episodes, attempt k seeded seed + k.
+def _episode_configs(engine_config: EngineConfig) -> tuple[EngineConfig, ...]:
+    """The configs of attempts 1..`engine_config.max_attempts`, attempt k
+    seeded seed + k; built once per run.
 
     Decoding is stochastic (temperature 1): retries only make sense off the
     greedy path. Parse retries are curation attempts, not engine retries, and
@@ -69,9 +73,18 @@ def _episodes(sample, backend: Backend,
     """
     episode_config = replace(engine_config, max_attempts=1, fallback="uniform",
                              temperature=1.0)
-    for attempt in range(1, engine_config.max_attempts + 1):
-        yield attempt, run_episode(sample, backend,
-                                   replace(episode_config, seed=engine_config.seed + attempt))
+    return tuple(replace(episode_config, seed=engine_config.seed + attempt)
+                 for attempt in range(1, engine_config.max_attempts + 1))
+
+
+def _episodes(sample, backend: Backend,
+              configs: Sequence[EngineConfig]) -> Iterator[tuple[int, Trajectory]]:
+    """One one-shot episode per config, with its attempt number, while the
+    caller asks for more. The sample's anchor prompt is built once and sent
+    by every episode; only the seed changes between their requests."""
+    anchor_prompt = build_anchor_prompt(sample)
+    for attempt, config in enumerate(configs, start=1):
+        yield attempt, run_episode(sample, backend, config, anchor_prompt)
 
 
 def _curate(manifest: DatasetManifest, unit, parallelism: int,
@@ -128,8 +141,10 @@ def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
     """Per sample: stochastic episodes until one passes (valid selection + judged
     answer), at most engine_config.max_attempts; never-passing samples are
     dropped."""
+    configs = _episode_configs(engine_config)
+
     def unit(sample) -> Optional[dict]:
-        for attempt, traj in _episodes(sample, teacher_backend, engine_config):
+        for attempt, traj in _episodes(sample, teacher_backend, configs):
             if traj.used_fallback:
                 continue  # fallback keyframes are not valid supervision
             target = _sft_target(traj)
@@ -154,10 +169,12 @@ def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
     Malformed answers, and the answer of an episode whose anchoring fell back,
     count as incorrect.
     """
+    configs = _episode_configs(engine_config)
+
     def unit(sample) -> Optional[dict]:
         answers: list[str] = []
         correct = 0
-        for _, traj in _episodes(sample, model_backend, engine_config):
+        for _, traj in _episodes(sample, model_backend, configs):
             answer = traj.turn2.action.text if isinstance(traj.turn2.action, Answer) else ""
             answers.append(answer)
             if answer and not traj.used_fallback and default_judge(answer, sample.gold_answers):

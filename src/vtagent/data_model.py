@@ -85,26 +85,36 @@ def uniform_indices(count: int, n: int) -> list[int]:
     return [(i * (count - 1)) // (n - 1) for i in range(n)]
 
 
+def _whole_number(value, line_no: int, what: str) -> int:
+    """value as an int when int() converts it without loss (3, 3.0, "3"),
+    else MalformedRecord naming the line."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise MalformedRecord(line_no, f"{what} must be a whole number, got {value!r}") from e
+    if isinstance(value, float) and number != value:
+        raise MalformedRecord(line_no, f"{what} must be a whole number, got {value!r}")
+    return number
+
+
 def _frame_refs(raw_frames: list, line_no: int, refs: dict[tuple, FrameRef],
                 checked: set[str]) -> tuple[FrameRef, ...]:
     """A record's frame entries as FrameRefs. `refs` (FrameRefs by their
     fields) and `checked` (paths found to exist) live for one load_manifest
-    call. An index is taken when int() converts it without loss (3, 3.0,
-    "3"), and a path must be a string, so entries that compare equal (`==`)
-    give equal FrameRefs."""
+    call. An index is a whole number (_whole_number) and a path a string, so
+    entries that compare equal (`==`) give equal FrameRefs."""
     frames = []
     for fr in raw_frames:
         if not isinstance(fr, dict) or "index" not in fr or "path" not in fr:
             raise MalformedRecord(line_no, "frame entries need index and path")
-        index, path = fr["index"], fr["path"]
+        path = fr["path"]
         if not isinstance(path, str):
             raise MalformedRecord(line_no, f"frame path must be a string, got {path!r}")
+        index = _whole_number(fr["index"], line_no, "frame index")
         try:
-            key = (int(index), path, float(fr["t"]) if "t" in fr else None)
+            key = (index, path, float(fr["t"]) if "t" in fr else None)
         except (TypeError, ValueError, OverflowError) as e:
             raise MalformedRecord(line_no, f"bad frame entry {fr!r}: {e}") from e
-        if isinstance(index, float) and key[0] != index:
-            raise MalformedRecord(line_no, f"frame index must be a whole number, got {index!r}")
         ref = refs.get(key)
         if ref is None:
             if path not in checked:
@@ -118,11 +128,16 @@ def _frame_refs(raw_frames: list, line_no: int, refs: dict[tuple, FrameRef],
 
 
 def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -> Sample:
-    """One manifest record, whose frame entries are `frames`, as a Sample."""
+    """One manifest record, whose frame entries are `frames`, as a Sample.
+    Its keyframes, when present, are a list of whole numbers (_whole_number)."""
     answers = obj["answers"]
     if not isinstance(answers, list) or not answers:
         raise MalformedRecord(line_no, "empty answers")
     kf = obj.get("keyframes")
+    if kf is not None:
+        if not isinstance(kf, list):
+            raise MalformedRecord(line_no, f"keyframes must be a list, got {kf!r}")
+        kf = frozenset(_whole_number(i, line_no, "keyframe") for i in kf)
     try:
         return Sample(
             sample_id=str(obj["sample_id"]),
@@ -130,7 +145,7 @@ def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -
             frames=frames,
             question=str(obj["question"]),
             gold_answers=tuple(str(a) for a in answers),
-            pseudo_keyframes=frozenset(int(i) for i in kf) if kf is not None else None,
+            pseudo_keyframes=kf,
             split_tag=str(obj.get("split", "")),
         )
     except ValueError as e:

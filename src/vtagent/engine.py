@@ -194,10 +194,16 @@ def ask(sample: Sample, backend: Backend, config: EngineConfig, stage: str,
     return None, replies, raw
 
 
-def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Trajectory:
+def run_episode(sample: Sample, backend: Backend, config: EngineConfig,
+                anchor_prompt: Optional[tuple[Message, ...]] = None) -> Trajectory:
     """Anchor keyframes, then answer from them only. When no anchor reply is a
     usable selection, the fallback policy answers from uniformly spaced
-    keyframes or directly from every frame, and the trajectory is flagged."""
+    keyframes or directly from every frame, and the trajectory is flagged.
+
+    anchor_prompt is build_anchor_prompt(sample), built here when not given;
+    a caller that runs several episodes of one sample builds it once."""
+    if anchor_prompt is None:
+        anchor_prompt = build_anchor_prompt(sample)
     digests: list[str] = []
     frame_count = len(sample.frames)
 
@@ -206,7 +212,7 @@ def run_episode(sample: Sample, backend: Backend, config: EngineConfig) -> Traje
             return turn, validate_keyframes(turn.action, frame_count, config.cap)
         return None
 
-    anchor, attempts1, _ = ask(sample, backend, config, "anchor", build_anchor_prompt(sample),
+    anchor, attempts1, _ = ask(sample, backend, config, "anchor", anchor_prompt,
                                config.max_attempts, digests, anchored)
     direct = anchor is None and config.fallback == "direct"
     if anchor is not None:

@@ -47,11 +47,15 @@ def exact_accuracy(pred: str, golds: Sequence[str]) -> int:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance over Unicode scalar values (two-row DP).
+    """Unit-cost edit distance over Unicode scalar values, bit-parallel.
 
     A common prefix or suffix never changes the distance, so both are trimmed
-    before the DP: equal strings cost one comparison, a one-character near
-    miss a 1x1 table.
+    first: equal strings cost one comparison. The rest runs Myers' bit-vector
+    algorithm (J. ACM 46(3), 1999) in Hyyrö's form for the global distance:
+    a column of the DP table is kept as the bit vectors of its +1 and -1
+    vertical steps over the shorter string, in Python ints of any width, and
+    each character of the longer string advances it by a fixed handful of
+    integer operations. Exact at any length.
     """
     if a == b:
         return 0
@@ -64,15 +68,33 @@ def levenshtein(a: str, b: str) -> int:
     a, b = a[start:len(a) - cut], b[start:len(b) - cut]
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1,          # delete
-                           cur[j - 1] + 1,       # insert
-                           prev[j - 1] + (ca != cb)))  # substitute
-        prev = cur
-    return prev[-1]
+    if not b:
+        return len(a)
+    match: dict[str, int] = {}  # bit i of match[c] is set where b[i] == c
+    bit = 1
+    for c in b:
+        match[c] = match.get(c, 0) | bit
+        bit <<= 1
+    mask, last = bit - 1, bit >> 1
+    # The paper's names: bit i of vp / vn is set where row i + 1 of the
+    # current column is one more / one less than row i, of hp / hn where
+    # row i + 1 is one more / one less than in the previous column, and of
+    # d0 where the diagonal step costs nothing. Column 0 is 0..len(b), so
+    # every vertical step starts at +1.
+    vp, vn, dist = mask, 0, len(b)
+    for c in a:
+        eq = match.get(c, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & last:  # the last row's step is the distance's
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        hp = (hp << 1) | 1  # row 0 is 0..len(a): its step is always +1
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+        vn = hp & d0
+    return dist
 
 
 def anls(pred: str, golds: Sequence[str]) -> float:

@@ -103,6 +103,18 @@ def oracle_backend_factory():
     return make
 
 
+def dp_lev(a: str, b: str) -> int:
+    """Levenshtein oracle for long strings: the full Wagner-Fischer table,
+    no trimming, no bit vectors."""
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)]
+             for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
+                              table[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    return table[-1][-1]
+
+
 def write_manifest_file(manifest: DatasetManifest, path: Path) -> Path:
     from vtagent.data_model import write_manifest
     write_manifest(manifest, path)

@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from conftest import write_manifest_file
+from conftest import dp_lev, write_manifest_file
 from vtagent import cli, grpo, oracle
 from vtagent.backends import (EndpointConfig, FunctionBackend, GenerationRequest, ImagePart,
                               Message, RecordingBackend, TextPart, TranscriptStore,
@@ -58,14 +58,14 @@ def brute_lev(a, b):
                brute_lev(a[1:], b[1:]) + (a[0] != b[0]))
 
 
-def brute_anls(pred, golds, threshold=0.5):
+def brute_anls(pred, golds, threshold=0.5, lev=brute_lev):
     from vtagent.metrics import normalize_answer
     best = 0.0
     p = normalize_answer(pred)
     for g in golds:
         gn = normalize_answer(g)
         longest = max(len(p), len(gn))
-        s = 1.0 if longest == 0 else 1.0 - brute_lev(p, gn) / longest
+        s = 1.0 if longest == 0 else 1.0 - lev(p, gn) / longest
         best = max(best, s)
     return best if best >= threshold else 0.0
 
@@ -79,6 +79,15 @@ def test_anls_oracle_equivalence():
             b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
             assert anls(a, [b]) == brute_anls(a, [b])
             assert levenshtein(a, b) == brute_lev(a, b)
+        # past one 64-bit word, runs of one character, astral and combining
+        # code points, empty sides: against the full DP table
+        alphabets = ("ab", "abcdef", "E\u0301\u00c9\U0001F600\U00010348 ")
+        for _ in range(300):
+            alphabet = rng.choice(alphabets)
+            a, b = ("".join(rng.choice(alphabet) * rng.choice((1, 1, 30))
+                            for _ in range(rng.randint(0, 10))) for _ in "ab")
+            assert anls(a, [b]) == brute_anls(a, [b], lev=dp_lev)
+            assert levenshtein(a, b) == dp_lev(a, b)
         assert anls("helo", ["hello"]) == pytest.approx(0.8)
         assert anls("xyz", ["hello"]) == 0.0
 

@@ -52,6 +52,18 @@ class TestEval:
                          "--backend", "scripted", "--script", "x"])
         assert code == 2
 
+    @pytest.mark.parametrize("keyframes", [[0.9, 1.7], [None]])
+    def test_malformed_keyframes_exit_2(self, manifest_path, tmp_path, capsys, keyframes):
+        path, _ = manifest_path
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(json.dumps(dict(json.loads(first), keyframes=keyframes)) + "\n"
+                        + "".join(rest))
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "scripted",
+                         "--script", str(tmp_path / "none.jsonl"),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_http_unreachable_exit_3(self, manifest_path):
         path, _ = manifest_path
         code = cli.main(["eval", "--manifest", str(path), "--backend", "http",

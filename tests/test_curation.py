@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import threading
 import time
@@ -6,10 +7,10 @@ from collections import Counter
 import pytest
 
 from conftest import request_question, request_stage
-from vtagent.backends import FunctionBackend, ScriptedBackend, read_log
+from vtagent.backends import FunctionBackend, ScriptedBackend, read_log, request_digest
 from vtagent.curation import (CurationStats, default_judge, filter_rl_corpus,
                               generate_sft_corpus, write_corpus)
-from vtagent.data_model import DatasetManifest
+from vtagent.data_model import DatasetManifest, FrameRef, Sample
 from vtagent.engine import EngineConfig
 from vtagent.errors import BackendUnavailable
 from vtagent.grammar import Answer, SelectKeyframes, parse_trajectory_text
@@ -300,3 +301,37 @@ def test_write_corpus_replaces_whole(tmp_path):
     assert corpus.read_text(encoding="utf-8") == \
         '{"sample_id": "q000", "answer": "é"}\n{"sample_id": "q001"}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("curate", [generate_sft_corpus, filter_rl_corpus])
+def test_episodes_reuse_one_anchor_message_per_sample(curate, tmp_path):
+    """Every episode of a sample sends the same anchor Message object, and the
+    requests are the ones the harness sent before it reused anything: their
+    digests, joined in call order, hash to a value recorded then."""
+    frames = tuple(FrameRef(i, f"frames/v0/{i:04d}.png") for i in range(4))
+    manifest = DatasetManifest(samples=tuple(
+        Sample(sample_id=f"g{i}", video_id="v0", frames=frames,
+               question=f'What does the "EXIT" sign {i} say?', gold_answers=(f"exit {i}",))
+        for i in range(2)), source_uri="memory")
+    golds = {s.question: s.gold_answers[0] for s in manifest.samples}
+    requests, answered = [], Counter()
+
+    def fn(request):
+        requests.append(request)
+        question = request_question(request)
+        if request_stage(request) == "anchor":
+            return select("0, 2")
+        answered[question] += 1  # the third episode's answer is the first right one
+        return answer(golds[question] if answered[question] == 3 else "definitely wrong")
+
+    _, stats = curate(manifest, FunctionBackend(fn), EngineConfig(max_attempts=3, seed=7),
+                      tmp_path / "outcomes.jsonl")
+    assert stats == CurationStats(kept=2)
+    assert len(requests) == 2 * 3 * 2
+    for question in golds:
+        anchors = [r.messages[0] for r in requests
+                   if request_question(r) == question and request_stage(r) == "anchor"]
+        assert len(anchors) == 3 and len({id(m) for m in anchors}) == 1
+    digests = "\n".join(request_digest(r) for r in requests)
+    assert hashlib.sha256(digests.encode()).hexdigest() == (
+        "66b55a4bfa4c3f207197302e68982aeef5ef5c3a7136e91c7d00d84092944c6a")

@@ -96,6 +96,25 @@ def test_index_and_t_taken_when_int_and_float_convert_them_exactly(sample_factor
     assert [(f.index, f.timestamp_s) for f in c.frames] == [(0, 0.5), (1, 2.0)]
 
 
+@pytest.mark.parametrize("keyframes", [[0.9, 1.7], [None], [[0]], ["one"], 3, "01"])
+def test_malformed_keyframes_name_their_line(sample_factory, tmp_path, keyframes):
+    path, (first, second) = two_frame_records(sample_factory, tmp_path)
+    second["keyframes"] = keyframes
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_manifest(path)
+    assert exc.value.line_no == 2
+
+
+def test_keyframes_taken_when_int_converts_them_exactly(sample_factory, tmp_path):
+    path = write_manifest_file(DatasetManifest(samples=(sample_factory(n_frames=4),),
+                                               source_uri="memory"), tmp_path / "m.jsonl")
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(record, keyframes=[1, 2.0, "3"])) + "\n")
+    (sample,) = load_manifest(path).samples
+    assert sample.pseudo_keyframes == frozenset({1, 2, 3})
+
+
 def test_failed_manifest_write_keeps_the_old_file_and_removes_its_temporary_file(
         manifest_factory, tmp_path):
     path = tmp_path / "out" / "m.jsonl"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dp_lev
 from vtagent.errors import EmptyScoreSet
 from vtagent.grammar import KeyframeSet
 from vtagent.metrics import (MetricReport, SampleScore, aggregate, anls,
@@ -119,29 +120,52 @@ class TestAggregate:
 
 
 short = st.text(alphabet="abcde", max_size=6)
+# what the bit vectors meet: strings longer than one 64-bit word, runs of one
+# character, astral and combining code points (each one scalar), empty sides
+ALPHABETS = ("ab", "abcde", "e\u0301\u00e9\U0001F600\U00010348 ")
+wide = st.sampled_from(ALPHABETS).flatmap(lambda alphabet: st.one_of(
+    st.text(alphabet=alphabet, max_size=150),
+    st.lists(st.tuples(st.sampled_from(alphabet), st.integers(1, 70)), max_size=4)
+    .map(lambda runs: "".join(c * n for c, n in runs))))
 
 
 @given(short, short)
 @settings(max_examples=200)
 def test_lev_matches_brute_force(a, b):
-    assert levenshtein(a, b) == brute_lev(a, b)
+    assert levenshtein(a, b) == brute_lev(a, b) == dp_lev(a, b)
 
 
-@given(short, short, short)
-@settings(max_examples=200)
+@given(wide, wide)
+@settings(max_examples=300, deadline=None)
+def test_lev_matches_dp_on_long_and_astral_strings(a, b):
+    assert levenshtein(a, b) == dp_lev(a, b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("a" * 64, "a" * 65), ("a" * 65, "b" * 65), ("ab" * 40, "ba" * 40),
+    ("x" * 200, ""), ("", "\U0001F600" * 70), ("e\u0301" * 40, "\u00e9" * 40),
+    ("a" * 63 + "b", "b" + "a" * 64)])
+def test_lev_across_word_boundaries(a, b):
+    assert levenshtein(a, b) == levenshtein(b, a) == dp_lev(a, b)
+
+
+@given(wide, wide, wide)
+@settings(max_examples=200, deadline=None)
 def test_lev_metric_axioms(a, b, c):
     assert levenshtein(a, b) == levenshtein(b, a)
     assert (levenshtein(a, b) == 0) == (a == b)
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
-@given(short, short)
+@given(wide, wide)
+@settings(deadline=None)
 def test_threshold_gate(pred, gold):
     score = anls(pred, [gold])
     assert score == 0.0 or score >= 0.5
 
 
-@given(short, short)
+@given(wide, wide)
+@settings(deadline=None)
 def test_exact_match_dominates(pred, gold):
     if exact_accuracy(pred, [gold]) == 1:
         assert anls(pred, [gold]) == 1.0
