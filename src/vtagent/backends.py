@@ -343,12 +343,13 @@ def _wire_stream(config: EndpointConfig,
     return length, stream()
 
 
-def _exchange(request: Request) -> tuple[int, HTTPMessage, bytes]:
-    """Status, headers and body of one urllib exchange, whatever the status;
-    a transport failure raises BackendTimeout or BackendUnavailable."""
+def _exchange(request: Request | str, timeout: float) -> tuple[int, HTTPMessage, bytes]:
+    """Status, headers and body of one urllib exchange (a GET of a str URL),
+    whatever the status; a transport failure raises BackendTimeout or
+    BackendUnavailable."""
     try:
         try:
-            with urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
+            with urlopen(request, timeout=timeout) as resp:
                 return resp.status, resp.headers, resp.read()
         except HTTPError as e:  # a reply, but not a 2xx one
             with e:  # an unclosed HTTPError keeps its socket open
@@ -371,7 +372,7 @@ def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
     if config.api_key:
         # an unredirected header is never forwarded to a redirect's target
         req.add_unredirected_header("Authorization", f"Bearer {config.api_key}")
-    status, headers, raw = _exchange(req)
+    status, headers, raw = _exchange(req, HTTP_TIMEOUT_S)
     if status == 429:
         # only the delay-seconds form; for an HTTP-date the engine backs off
         seconds = headers.get("Retry-After", "").strip()

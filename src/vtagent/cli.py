@@ -16,19 +16,16 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from http.client import HTTPException
 from pathlib import Path
 from typing import Optional
-from urllib.error import HTTPError
-from urllib.request import urlopen
 
 from . import curation, grpo, oracle, reporting
 from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
-                       ReplayBackend, ScriptedBackend, TranscriptStore)
+                       ReplayBackend, ScriptedBackend, TranscriptStore, _exchange)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_manifest)
 from .engine import EngineConfig, run_batch
-from .errors import ConfigError, VtagentError
+from .errors import BackendUnavailable, ConfigError, VtagentError
 from .metrics import REPORT_HEADER, MetricReport, aggregate, format_report
 
 ENV_KEYS = {"api_base": "VTAGENT_API_BASE", "api_key": "VTAGENT_API_KEY",
@@ -131,19 +128,10 @@ def build_backend(cfg: RunConfig) -> Backend:
 
 
 def preflight(cfg: RunConfig) -> None:
-    if cfg.backend != "http":
-        return
-    try:
-        with urlopen(cfg.api_base, timeout=10):
-            pass
-    except HTTPError as e:
-        e.close()  # a reply of any status, such as 404 for GET /v1, means reachable
-    except (OSError, HTTPException, ValueError) as e:
-        raise _Unreachable(str(e)) from e
-
-
-class _Unreachable(VtagentError):
-    pass
+    """A GET of the API base: a reply of any status, such as 404 for GET /v1,
+    means reachable, and a BackendUnavailable ends the command with exit 3."""
+    if cfg.backend == "http":
+        _exchange(cfg.api_base, timeout=10)
 
 
 def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifest:
@@ -365,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("config", help="show the fully resolved configuration")
-    _add_settings(p)
+    _add_settings(p, run_args=False)
     p.add_argument("action", choices=["show"])
     p.set_defaults(fn=cmd_config)
 
@@ -377,7 +365,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _Unreachable as e:
+    except BackendUnavailable as e:  # only the preflight's: run_units catches the rest
         print(f"backend unreachable: {e}", file=sys.stderr)
         return 3
     except VtagentError as e:

@@ -10,8 +10,8 @@ are built once per run, and a sample's anchor prompt once per sample, so
 every episode of a sample sends the same anchor Message with its own seed.
 
 SFT: stop at the first trajectory that both uses a valid keyframe selection
-and produces a judged-correct answer, then freeze the canonical two-turn
-rendering as the target.
+(no fallback, no dropped id) and produces a judged-correct answer, then
+freeze the canonical two-turn rendering as the target.
 
 RL: run every attempt and keep only samples with mixed outcomes — all-correct
 and all-wrong samples carry no group-relative learning signal (DAPO's dynamic
@@ -20,12 +20,12 @@ incorrect, as it would earn no accuracy reward in RL.
 
 Both run each sample's attempt loop as one unit of `engine.run_units`,
 `parallelism` samples at a time. The unit's record is the sample's outcome:
-kept with its corpus line, dropped, or failed with the backend error. It is
-appended to the outcome log in manifest order as soon as it is decided, and
-a rerun on the same log skips every sample already in it, dropped and
-failed ones too, as eval's resume skips its error records. The corpus is the
-kept lines in manifest order; `write_corpus` writes it whole once the run is
-done.
+kept with its corpus line or dropped; a backend failure gets `run_units`'
+`{"sample_id", "error"}` record, as in every pipeline. It is appended to the
+outcome log in manifest order as soon as it is decided, and a rerun on the
+same log skips every sample already in it, dropped and failed ones too. The
+corpus is the kept lines in manifest order; `write_corpus` writes it whole
+once the run is done.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from .backends import Backend
 from .data_model import DatasetManifest
-from .engine import (EngineConfig, Trajectory, build_anchor_prompt, missing_key, run_episode,
-                     run_units)
-from .errors import TRANSIENT_ERRORS
+from .engine import EngineConfig, Trajectory, build_anchor_prompt, run_episode, run_units
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
 from .jsonl import write_lines
 from .metrics import anls, exact_accuracy
@@ -56,7 +54,7 @@ class CurationStats:
     """Outcome totals over every sample, logged earlier or new."""
     kept: int = 0
     dropped: int = 0
-    failed: int = 0   # backend failures
+    failed: int = 0   # error records: backend failures
 
     def yield_line(self) -> str:
         total = self.kept + self.dropped + self.failed
@@ -87,33 +85,33 @@ def _episodes(sample, backend: Backend,
         yield attempt, run_episode(sample, backend, config, anchor_prompt)
 
 
-def _curate(manifest: DatasetManifest, unit, parallelism: int,
+def _curate(manifest: DatasetManifest, unit, line_fault, parallelism: int,
             log_path: str | Path) -> tuple[list[dict], CurationStats]:
     """Run `unit` once per sample through the runner, logging each sample's
     outcome, and return the kept corpus lines in manifest order and the totals.
 
     unit(sample) returns the corpus line of a kept sample and None for a
-    dropped one; a backend failure marks the sample failed.
+    dropped one; line_fault(line) names the fault of a logged kept line, a
+    JSON object, or returns None. An error record counts as failed, whatever
+    else it holds (older logs' also carry "outcome": "failed").
     """
     def one(sample) -> dict:
-        try:
-            line = unit(sample)
-        except TRANSIENT_ERRORS as e:
-            return {"sample_id": sample.sample_id, "outcome": "failed", "error": str(e)}
+        line = unit(sample)
         if line is None:
             return {"sample_id": sample.sample_id, "outcome": "dropped"}
         return {"sample_id": sample.sample_id, "outcome": "kept", "line": line}
 
     def check(r: dict) -> Optional[str]:
-        if r.get("outcome") not in ("kept", "dropped", "failed"):
+        if r.get("outcome") not in ("kept", "dropped"):
             return f"has no known 'outcome' (got {r.get('outcome')!r})"
-        return missing_key(r, "line") if r["outcome"] == "kept" else None
+        if r["outcome"] == "dropped":
+            return None
+        return line_fault(r["line"]) if isinstance(r.get("line"), dict) \
+            else "has no JSON object 'line'"
 
     records = run_units(manifest.samples, one, parallelism, log_path, check)
-    counts = Counter(r["outcome"] for r in records)
-    stats = CurationStats(kept=counts["kept"], dropped=counts["dropped"],
-                          failed=counts["failed"])
-    return [r["line"] for r in records if r["outcome"] == "kept"], stats
+    stats = CurationStats(**Counter("failed" if "error" in r else r["outcome"] for r in records))
+    return [r["line"] for r in records if "error" not in r and r["outcome"] == "kept"], stats
 
 
 def write_corpus(lines: Sequence[dict], path: str | Path) -> None:
@@ -145,8 +143,8 @@ def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
 
     def unit(sample) -> Optional[dict]:
         for attempt, traj in _episodes(sample, teacher_backend, configs):
-            if traj.used_fallback:
-                continue  # fallback keyframes are not valid supervision
+            if traj.used_fallback or traj.keyframes.dropped:
+                continue  # fallback keyframes and dropped ids are not valid supervision
             target = _sft_target(traj)
             if _check_target(target, sample.gold_answers):
                 return {"sample_id": sample.sample_id,
@@ -157,7 +155,7 @@ def generate_sft_corpus(manifest: DatasetManifest, teacher_backend: Backend,
                         "attempts": attempt}
         return None
 
-    return _curate(manifest, unit, engine_config.parallelism, log_path)
+    return _curate(manifest, unit, lambda line: None, engine_config.parallelism, log_path)
 
 
 def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
@@ -175,13 +173,17 @@ def filter_rl_corpus(manifest: DatasetManifest, model_backend: Backend,
         answers: list[str] = []
         correct = 0
         for _, traj in _episodes(sample, model_backend, configs):
-            answer = traj.turn2.action.text if isinstance(traj.turn2.action, Answer) else ""
+            answer = traj.turn2.action.text
             answers.append(answer)
-            if answer and not traj.used_fallback and default_judge(answer, sample.gold_answers):
+            if not traj.used_fallback and default_judge(answer, sample.gold_answers):
                 correct += 1
         if not 0 < correct < engine_config.max_attempts:
             return None
         return {"sample_id": sample.sample_id, "correct_count": correct,
                 "attempt_answers": answers}
 
-    return _curate(manifest, unit, engine_config.parallelism, log_path)
+    def line_fault(line: dict) -> Optional[str]:  # cmd_curate_rl's histogram reads the count
+        return None if type(line.get("correct_count")) is int else \
+            "has a 'line' without an int 'correct_count'"
+
+    return _curate(manifest, unit, line_fault, engine_config.parallelism, log_path)

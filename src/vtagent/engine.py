@@ -17,8 +17,9 @@ exhausted script fails at once.
 `run_units` is the work-unit runner of every pipeline that calls the model.
 A unit returns one record per sample, the record its log holds, and the
 runner returns every sample's record, logged earlier or new, in manifest
-order. A unit that raises ends the run: samples already started finish,
-and no other sample is begun.
+order. A unit that raises BackendUnavailable fails only its sample, whose
+record is then `{"sample_id", "error"}` in every pipeline. Any other error
+ends the run: samples already started finish, and no other sample is begun.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 from .backends import (Backend, GenerationRequest, ImagePart, Message, TextPart,
                        request_digest)
 from .data_model import DatasetManifest, FrameRef, Sample, uniform_indices
-from .errors import (TRANSIENT_ERRORS, CacheMiss, ConfigError, EmptySelection,
+from .errors import (BackendUnavailable, CacheMiss, ConfigError, EmptySelection,
                      MalformedRecord, MissingActionBlock, UnparsableAction)
 from .grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                       render_turn, validate_keyframes)
@@ -161,9 +162,8 @@ def complete_with_retry(backend: Backend, request: GenerationRequest,
             return backend.complete(request)
         except CacheMiss:
             raise
-        except TRANSIENT_ERRORS as e:
-            retry_after = getattr(e, "retry_after", None)
-            time.sleep(BACKOFF_BASE_S * 2 ** attempt if retry_after is None else retry_after)
+        except BackendUnavailable as e:
+            time.sleep(BACKOFF_BASE_S * 2 ** attempt if e.retry_after is None else e.retry_after)
     return backend.complete(request)
 
 
@@ -244,7 +244,7 @@ def trajectory_record(traj: Trajectory) -> dict:
         "keyframe_ids": list(traj.keyframes.ids),
         "dropped": [[fid, reason] for fid, reason in traj.keyframes.dropped],
         "turn2_raw": traj.turn2.raw,
-        "answer": traj.turn2.action.text if isinstance(traj.turn2.action, Answer) else "",
+        "answer": traj.turn2.action.text,  # run_episode's turn2 is always an answer
         "used_fallback": traj.used_fallback,
         "attempts": [traj.attempts_turn1, traj.attempts_turn2],
         "digests": list(traj.transcript_digests),
@@ -263,12 +263,13 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
 
     fn returns the sample's record, which is appended to log_path and flushed
     as soon as it and every record before it in manifest order are done, so a
-    kill loses only unfinished samples. An exception from fn stops the run
-    after the records of the samples before it, and no sample that has not
-    started by then is begun. Returns every sample's record, read from the
-    log or new, in manifest order. A logged record that lacks a string
-    sample_id, or whose fault check(record) names (such as "has no 'line'"),
-    raises MalformedRecord.
+    kill loses only unfinished samples. A BackendUnavailable from fn makes
+    the sample's record {"sample_id", "error"}. Any other exception from fn
+    stops the run after the records of the samples before it, and no sample
+    that has not started by then is begun. Returns every sample's record,
+    read from the log or new, in manifest order. A logged record that lacks
+    a string sample_id, or one without an error whose fault check(record)
+    names (such as "has no 'line'"), raises MalformedRecord.
     """
     records = {}
     # a bad record is named by its number among the records, which is its
@@ -276,7 +277,7 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
     for line_no, r in enumerate(read_log(log_path), start=1):
         fault = (missing_key(r, "sample_id")
                  or (None if isinstance(r["sample_id"], str) else "has a non-string sample_id")
-                 or check(r))
+                 or (None if "error" in r else check(r)))
         if fault:
             raise MalformedRecord(line_no, f"record in {log_path} {fault}")
         records[r["sample_id"]] = r
@@ -292,6 +293,8 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
             return None
         try:
             return fn(sample)
+        except BackendUnavailable as e:
+            return {"sample_id": sample.sample_id, "error": str(e)}
         except BaseException:
             failed.set()
             raise
@@ -315,15 +318,7 @@ def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
     are spent. A rerun skips the sample_ids already logged; a logged record
     needs an error, or the string answer and the list of int keyframe_ids
     that scoring reads."""
-    def one(sample: Sample) -> dict:
-        try:
-            return trajectory_record(run_episode(sample, backend, config))
-        except TRANSIENT_ERRORS as e:
-            return {"sample_id": sample.sample_id, "error": str(e)}
-
     def check(r: dict) -> Optional[str]:
-        if "error" in r:
-            return None
         if not isinstance(r.get("answer"), str):
             return "has no string 'answer'"
         ids = r.get("keyframe_ids")
@@ -331,4 +326,6 @@ def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
             return "has no list of ints 'keyframe_ids'"
         return None
 
-    return run_units(manifest.samples, one, config.parallelism, log_path, check)
+    return run_units(manifest.samples,
+                     lambda sample: trajectory_record(run_episode(sample, backend, config)),
+                     config.parallelism, log_path, check)

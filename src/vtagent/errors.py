@@ -54,9 +54,12 @@ class EmptySelection(VtagentError):
 # --- backends ---
 
 class BackendUnavailable(VtagentError):
-    def __init__(self, cause: str, retry_after: float | None = None):
-        super().__init__(cause)
-        self.cause = cause
+    """A backend call failed: the one class of every backend failure. It ends
+    the sample, not the run (`engine.run_units` logs the sample's error
+    record); a retry may cure each but CacheMiss."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
         self.retry_after = retry_after
 
 
@@ -66,17 +69,12 @@ class CacheMiss(BackendUnavailable):
     raises it at once instead of retrying."""
 
 
-class BackendTimeout(VtagentError):
+class BackendTimeout(BackendUnavailable):
     pass
 
 
-class ResponseEmpty(VtagentError):
+class ResponseEmpty(BackendUnavailable):
     pass
-
-
-# backend failures that end a sample, not the run: every catch site uses this. A
-# retry may cure each but CacheMiss, which complete_with_retry raises at once
-TRANSIENT_ERRORS = (BackendUnavailable, BackendTimeout, ResponseEmpty)
 
 
 class StoreWriteFailed(VtagentError):

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
 from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
-from .errors import TRANSIENT_ERRORS, ConfigError, NotFrameSolvable
+from .errors import BackendUnavailable, ConfigError, NotFrameSolvable
 from .jsonl import write_lines
 from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
 
@@ -57,7 +57,7 @@ def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> Fr
         try:
             turn, _, _ = ask(sample, backend, config, f"frame{i}", build_frame_prompt(sample, i),
                              1, [])
-        except TRANSIENT_ERRORS:
+        except BackendUnavailable:
             turn = None
             failed.append(i)
         correct.append(turn is not None
@@ -104,11 +104,18 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
         n = n_frames.get(record["sample_id"], len(vector))
         if len(vector) != n:
             return f"has a 'vector' of {len(vector)} entries for {n} frames"
+        # logs written before failed_frames was recorded read as no failures
+        failed = record.get("failed_frames", [])
+        if not (isinstance(failed, list) and all(type(i) is int and 0 <= i < n for i in failed)):
+            return "has a 'failed_frames' that is not a list of frame indices"
         return None
 
-    # logs written before failed_frames was recorded read as no failures
+    # framewise_eval fails frames one by one, so only a log written by hand
+    # holds an error record: the backend answered none of that sample's frames
     results = [FramewiseResult(r["sample_id"], tuple(r["vector"]),
-                               tuple(r.get("failed_frames", ())))
+                               tuple(r.get("failed_frames", ()))) if "error" not in r else
+               FramewiseResult(r["sample_id"], (False,) * n_frames[r["sample_id"]],
+                               tuple(range(n_frames[r["sample_id"]])))
                for r in run_units(manifest.samples, one, config.parallelism, log_path, check)]
     set_s = tuple(r.sample_id for r in results if r.any_correct)
     set_u = tuple(r.sample_id for r in results if not r.any_correct)

@@ -24,7 +24,7 @@ from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               _wire_stream, canonicalize_request, http_complete,
                               read_log, request_digest)
 from vtagent.engine import EngineConfig, complete_with_retry
-from vtagent.errors import (TRANSIENT_ERRORS, BackendTimeout, BackendUnavailable, CacheMiss,
+from vtagent.errors import (BackendTimeout, BackendUnavailable, CacheMiss,
                             MalformedRecord, MissingFrameFile, ResponseEmpty, VtagentError)
 
 
@@ -175,7 +175,7 @@ class TestScripted:
     def test_exhausted_is_permanent_but_still_a_backend_failure(self):
         with pytest.raises(CacheMiss, match="script exhausted") as exc:
             ScriptedBackend([]).complete(simple_request())
-        assert isinstance(exc.value, TRANSIENT_ERRORS)
+        assert isinstance(exc.value, BackendUnavailable)
 
 
 class TestReplay:
@@ -211,7 +211,7 @@ class TestReplay:
         replay = ReplayBackend(TranscriptStore(tmp_path / "store.jsonl"))
         with pytest.raises(CacheMiss) as exc:
             replay.complete(simple_request())
-        assert isinstance(exc.value, TRANSIENT_ERRORS)  # caught as a per-sample failure
+        assert isinstance(exc.value, BackendUnavailable)  # caught as a per-sample failure
 
     def test_torn_last_line_dropped_and_cut(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -651,7 +651,7 @@ class TestWireBody:
             TextPart("look"), ImagePart(str(frame), 0))),))
         with pytest.raises(VtagentError, match="f0.png") as exc:
             http_complete(EndpointConfig(base_url=fake_server, model="m"), req)
-        assert not isinstance(exc.value, TRANSIENT_ERRORS)
+        assert not isinstance(exc.value, BackendUnavailable)
 
 
 def test_frame_missing_after_load_exits_2_and_resume_continues(

@@ -247,6 +247,39 @@ class TestCurate:
         err = capsys.readouterr().err
         assert "line 1" in err and str(log) in err and repr(key) in err
 
+    @pytest.mark.parametrize("command", ["curate-sft", "curate-rl"])
+    def test_resume_log_with_old_failed_records_makes_no_call(self, manifest_path, tmp_path,
+                                                              capsys, command):
+        """Logs written before a failed sample's record became run_units'
+        {"sample_id", "error"} carry "outcome": "failed" in it too: a resume
+        skips those samples and prints the same totals."""
+        path, manifest = manifest_path
+        golds = [s.gold_answers[0] for s in manifest.samples]
+        # kept, dropped, kept; the script then runs out, which fails the last sample
+        answers = ([[golds[0]], ["wrong"] * 5, [golds[2]]] if command == "curate-sft" else
+                   [[golds[0]] + ["wrong"] * 4, ["wrong"] * 5, [golds[2]] + ["wrong"] * 4])
+        script = tmp_path / "s1.jsonl"
+        script.write_text("".join(json.dumps(l) + "\n" for sample_answers in answers
+                                  for a in sample_answers for l in select_then_answer(a)),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(path), "--backend", "scripted", "--out-dir", str(out)]
+        assert cli.main(argv + ["--script", str(script)]) == 0
+        first = capsys.readouterr().out
+        assert "kept 2, dropped 1, failed 1" in first
+        log = out / f"{command[len('curate-'):]}_outcomes.jsonl"
+        *head, failed = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(failed) == {"sample_id": "q003", "error": "script exhausted"}
+        old = head + ['{"sample_id": "q003", "outcome": "failed", "error": "script exhausted"}\n']
+        log.write_text("".join(old), encoding="utf-8")
+        outputs = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        empty = tmp_path / "s2.jsonl"  # any call would fail its sample
+        empty.write_text("", encoding="utf-8")
+        assert cli.main(argv + ["--script", str(empty), "--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == outputs
+
     def test_rl_histogram(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
         # scripted: every attempt answers wrong except attempt 1 -> mixed outcomes
@@ -292,7 +325,7 @@ def test_directory_or_missing_input_exit_2(case, manifest_path, tmp_path, capsys
 
 # a logged record that lacks what its pipeline reads back, after one that it
 # can read: (command, log, good record, bad record, named fault); curation's
-# cases are in TestCurate
+# other cases are in TestCurate
 RESUME_FAULTS = {
     "eval-no-answer": ("eval", "trajectories.jsonl", {"error": "x"}, {}, "'answer'"),
     "eval-no-keyframes": ("eval", "trajectories.jsonl", {"error": "x"}, {"answer": "a"},
@@ -309,6 +342,21 @@ RESUME_FAULTS = {
                                 {"vector": [0] * 4}, "not a bool"),
     "oracle-vector-wrong-length": ("oracle", "framewise.jsonl", {"vector": [False] * 4},
                                    {"vector": [True]}, "1 entries for 4 frames"),
+    "oracle-failed-frames-not-list": ("oracle", "framewise.jsonl", {"vector": [False] * 4},
+                                      {"vector": [False] * 4, "failed_frames": 5},
+                                      "'failed_frames'"),
+    "sft-line-not-object": ("curate-sft", "sft_outcomes.jsonl", {"outcome": "dropped"},
+                            {"outcome": "kept", "line": 5}, "no JSON object 'line'"),
+    "rl-line-not-object": ("curate-rl", "rl_outcomes.jsonl", {"outcome": "dropped"},
+                           {"outcome": "kept", "line": 5}, "no JSON object 'line'"),
+    "rl-line-no-count": ("curate-rl", "rl_outcomes.jsonl", {"outcome": "dropped"},
+                         {"outcome": "kept", "line": {}}, "int 'correct_count'"),
+    "rl-line-bool-count": ("curate-rl", "rl_outcomes.jsonl", {"outcome": "dropped"},
+                           {"outcome": "kept", "line": {"correct_count": True}},
+                           "int 'correct_count'"),
+    "rl-line-str-count": ("curate-rl", "rl_outcomes.jsonl", {"outcome": "dropped"},
+                          {"outcome": "kept", "line": {"correct_count": "1"}},
+                          "int 'correct_count'"),
 }
 
 
@@ -488,6 +536,9 @@ class TestReport:
     ["grpo", "--parallelism", "2"],
     ["report", "--scores", "a.jsonl", "--resume"],
     ["curate-sft", "--manifest", "m.jsonl", "--temperature", "0.5"],
+    ["config", "show", "--store", "x"],
+    ["config", "show", "--script", "x"],
+    ["config", "show", "--resume"],
 ])
 def test_command_rejects_settings_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -88,6 +88,24 @@ class TestSftCorpus:
         assert stats.kept == 1
         assert records[0]["attempts"] == 2
 
+    def test_selection_with_dropped_ids_rejected(self, manifest_factory, tmp_path):
+        # a duplicate, an out-of-range id and two ids over the cap of 2: turn 2
+        # shows frames 0 and 1 only, so the raw selection is not valid supervision
+        manifest = manifest_factory(n_samples=1, n_frames=4)
+        gold = manifest.samples[0].gold_answers[0]
+        bad = select("0, 0, 99, 1, 2, 3")
+        config = EngineConfig(cap=2, max_attempts=3)
+        backend = ScriptedBackend([bad, answer(gold)] * 3)
+        records, stats = generate_sft_corpus(manifest, backend, config, tmp_path / "bad.jsonl")
+        assert records == [] and stats == CurationStats(dropped=1)
+        assert backend.calls == 6  # every attempt ran, and none was kept
+        # a later attempt whose selection is valid is kept
+        backend = ScriptedBackend([bad, answer(gold), select("1, 0"), answer(gold)])
+        records, stats = generate_sft_corpus(manifest, backend, config, tmp_path / "later.jsonl")
+        assert stats == CurationStats(kept=1) and records[0]["attempts"] == 2
+        assert parse_trajectory_text(records[0]["target"])[0].action == \
+            SelectKeyframes(frame_ids=(1, 0))
+
     def test_resume_adds_zero(self, manifest_factory, oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=3)
         log = tmp_path / "sft.jsonl"
@@ -255,8 +273,8 @@ def test_resume_after_finished_run_makes_no_call(curate, manifest_factory, tmp_p
     lines, stats = curate(manifest, backend(), EngineConfig(max_attempts=5), log)
     write_corpus(lines, corpus)
     assert stats == CurationStats(kept=1, dropped=1, failed=1)
-    assert [(r["sample_id"], r["outcome"]) for r in read_log(log)] == \
-        [("q000", "kept"), ("q001", "dropped"), ("q002", "failed")]
+    assert [(r["sample_id"], r.get("outcome"), r.get("error")) for r in read_log(log)] == \
+        [("q000", "kept", None), ("q001", "dropped", None), ("q002", None, "down")]
     before = log.read_bytes(), corpus.read_bytes()
 
     again = backend()

@@ -8,7 +8,7 @@ from vtagent import oracle
 from vtagent.backends import FunctionBackend, ImagePart
 from vtagent.data_model import DatasetManifest
 from vtagent.engine import ANSWER_TEMPLATE, EngineConfig, derive_seed
-from vtagent.errors import BackendUnavailable, NotFrameSolvable
+from vtagent.errors import BackendUnavailable, MalformedRecord, NotFrameSolvable
 from vtagent.metrics import SampleScore
 from vtagent.reporting import subset_table
 
@@ -209,6 +209,31 @@ class TestUpperBound:
         assert [(r.sample_id, r.per_frame_correct, r.failed_frames) for r in report.results] \
             == [("q000", (False, True), ()), ("q001", (False, False), ())]
         assert report.partition == oracle.Partition(set_s=("q000",), set_u=("q001",))
+
+    @pytest.mark.parametrize("failed", [5, None, "0", [2], [-1], [True], [0.0], ["1"]])
+    def test_log_with_bad_failed_frames_is_malformed(self, manifest_factory, tmp_path, failed):
+        manifest = manifest_factory(n_samples=2, n_frames=2)
+        log = tmp_path / "framewise.jsonl"
+        log.write_text("".join(json.dumps({"sample_id": sid, "vector": [False, True],
+                                           "any_correct": True, "failed_frames": ff}) + "\n"
+                               for sid, ff in (("q000", [0, 1]), ("q001", failed))),
+                       encoding="utf-8")
+        backend = frame_backend(manifest, {})
+        with pytest.raises(MalformedRecord, match="line 2.*'failed_frames'"):
+            oracle.oracle_upper_bound(manifest, backend, cfg(), log)
+        assert backend.calls == 0
+
+    def test_logged_error_record_reads_as_every_frame_failed(self, manifest_factory, tmp_path):
+        manifest = manifest_factory(n_samples=2, n_frames=3)
+        log = tmp_path / "framewise.jsonl"
+        log.write_text(json.dumps({"sample_id": "q000", "error": "down"}) + "\n",
+                       encoding="utf-8")
+        backend = frame_backend(manifest, {manifest.samples[1].question: {1}})
+        report = oracle.oracle_upper_bound(manifest, backend, cfg(), log)
+        assert backend.calls == 3  # only q001's frames
+        assert [(r.per_frame_correct, r.failed_frames) for r in report.results] == \
+            [((False,) * 3, (0, 1, 2)), ((False, True, False), ())]
+        assert report.partition == oracle.Partition(set_s=("q001",), set_u=("q000",))
 
 
 class TestStratified:
