@@ -133,15 +133,31 @@ def canonicalize_request(request: GenerationRequest) -> str:
     sample's anchor turn) is joined once; the fragments are joined inside the
     keys of each message and of the request, in sorted order. Strings go
     through json's own escaper, the ints max_new_tokens and index through
-    int's repr as json writes them, and seed and temperature through one
-    small `json.dumps`, so None and floats stay exactly as json writes them.
+    int's repr as json writes them, and seed and temperature through
+    `_json_scalar`, which writes them as json does.
     """
-    tail = json.dumps({"seed": request.seed, "temperature": request.temperature},
-                      separators=(",", ":"))
-    # the tail's fields, then its closing brace
     return "".join(['{"max_new_tokens":', int.__repr__(request.max_new_tokens),
                     ',"messages":[', ",".join([m.canonical for m in request.messages]),
-                    "],", tail[1:]])
+                    '],"seed":', _json_scalar(request.seed),
+                    ',"temperature":', _json_scalar(request.temperature), "}"])
+
+
+def _json_scalar(value) -> str:
+    """What `json.dumps(value)` writes. None, bools, ints and finite floats are
+    written as json's encoder writes them, with int's and float's own repr
+    (also for subclasses such as numpy.float64); anything else goes through
+    json.dumps."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def request_digest(request: GenerationRequest) -> str:

@@ -11,6 +11,14 @@ which keeps the finite-difference oracle in the tests exact. Each rollout batch
 gets one ascent step, taken at the sampling policy where every importance ratio
 is exactly 1, so clipping never changes the update: training is REINFORCE with
 group-normalized advantages, and the clip fraction is measured after the step.
+
+Each probability is computed once per (policy, env), in a log-prob table: the
+select log-probs in full, and one answer row per context, filled the first
+time a drawn choice needs it. A step samples from the old policy's tables and
+takes its gradient from the same entries, so its ratios are exp(0) = 1 and it
+weights trajectory i by A_i / G, the bits ``grpo_objective_grad`` computes
+there. Its clip pass fills the new policy's tables, which ``train`` hands to
+the next step to sample from.
 """
 
 from __future__ import annotations
@@ -108,13 +116,28 @@ def _select_log_probs(policy: ToyPolicy, env: ToyEnv) -> np.ndarray:
     return _log_softmax(np.concatenate([frame_scores, [policy.b_noselect]]))
 
 
-def _answer_dists(policy: ToyPolicy, env: ToyEnv,
-                  choices: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Answer contexts (G, d) and log-probs (G, V) for a group's select choices, one
-    ``w_answer @ context`` per trajectory: a single (G, d) @ (d, V) product rounds
-    differently and would change the sampled answers."""
-    contexts = env.contexts[choices]
-    return contexts, _log_softmax(np.array([policy.w_answer @ ctx for ctx in contexts]))
+class _LogProbs:
+    """One policy's log-prob table in one env (see the module docstring). An
+    answer row is one ``w_answer @ context`` then ``_log_softmax``: a
+    (k, d) @ (d, V) product rounds differently and would change the sampled
+    answers. Rows are filled only when a choice needs them: with many frames,
+    most contexts are never drawn."""
+
+    __slots__ = ("policy", "env", "select", "_answer")
+
+    def __init__(self, policy: ToyPolicy, env: ToyEnv):
+        self.policy, self.env = policy, env
+        self.select = _select_log_probs(policy, env)
+        self._answer: dict[int, np.ndarray] = {}
+
+    def answers(self, choices: list[int]) -> np.ndarray:
+        """(len(choices), V) answer log-probs, row i for the context of choices[i]."""
+        rows = self._answer
+        missing = [c for c in dict.fromkeys(choices) if c not in rows]
+        if missing:
+            w, contexts = self.policy.w_answer, self.env.contexts
+            rows.update(zip(missing, _log_softmax(np.array([w @ contexts[c] for c in missing]))))
+        return np.array([rows[c] for c in choices])
 
 
 def _draw(log_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -127,41 +150,61 @@ def _draw(log_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=-1)  # = cdf.searchsorted(u, side="right")
 
 
+def _draw_group(table: _LogProbs, G: int, rng: np.random.Generator,
+                ) -> tuple[list[int], list[int], np.ndarray, list[ToyTrajectory]]:
+    """G trajectories from one (G, 2) uniform draw whose row i holds trajectory i's
+    select and answer draws: the stream G ``sample_trajectory`` calls consume.
+    Returns the select choices, the answers, their answer log-prob rows and the
+    trajectories."""
+    u = rng.random((G, 2))
+    choices = _draw(table.select, u[:, 0]).tolist()
+    ans_lp = table.answers(choices)
+    answers = _draw(ans_lp, u[:, 1]).tolist()
+    logp = table.select[choices] + ans_lp[np.arange(G), answers]
+    n = table.env.n_frames
+    return choices, answers, ans_lp, [
+        ToyTrajectory(frame=None if c == n else c, answer_idx=a, old_logp=lp)
+        for c, a, lp in zip(choices, answers, logp.tolist())]
+
+
 def _sample_group(policy: ToyPolicy, env: ToyEnv, G: int,
                   rng: np.random.Generator) -> list[ToyTrajectory]:
-    """G trajectories from one (G, 2) uniform draw whose row i holds trajectory i's
-    select and answer draws: the stream G ``sample_trajectory`` calls consume."""
-    u = rng.random((G, 2))
-    sel_lp = _select_log_probs(policy, env)
-    choices = _draw(sel_lp, u[:, 0]).tolist()
-    _, ans_lp = _answer_dists(policy, env, choices)
-    answers = _draw(ans_lp, u[:, 1])
-    logp = sel_lp[choices] + ans_lp[np.arange(G), answers]
-    return [ToyTrajectory(frame=None if c == env.n_frames else c, answer_idx=a, old_logp=lp)
-            for c, a, lp in zip(choices, answers.tolist(), logp.tolist())]
+    return _draw_group(_LogProbs(policy, env), G, rng)[3]
+
+
+def _group_logp(table: _LogProbs, choices: list[int],
+                answers: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The answer log-prob rows of a group's choices, and its log-probs."""
+    ans_lp = table.answers(choices)
+    return ans_lp, table.select[choices] + ans_lp[np.arange(len(choices)), answers]
+
+
+def _score_grad(table: _LogProbs, choices: list[int], answers: list[int],
+                ans_lp: np.ndarray, w: np.ndarray) -> ToyPolicy:
+    """sum_i w_i * grad logp_i in ToyPolicy shape, by the softmax score function."""
+    env = table.env
+    # d logp_i / d(w_select, b_noselect) = e_{c_i} - p_select against the frame
+    # features and the skip slot, where e_{c_i} is one-hot on the choice
+    m = (np.bincount(choices, weights=w, minlength=env.n_frames + 1)
+         - w.sum() * np.exp(table.select))
+    # d logp_i / d w_answer = outer(e_{a_i} - q_i, context_i)
+    dq = -np.exp(ans_lp)
+    dq[np.arange(len(choices)), answers] += 1.0
+    return ToyPolicy(w_select=m[:-1] @ env.frame_features, b_noselect=float(m[-1]),
+                     w_answer=(w[:, None] * dq).T @ env.contexts[choices])
 
 
 def _logp_and_grad(policy: ToyPolicy, env: ToyEnv, trajs: Sequence[ToyTrajectory],
                    weigh: Optional[Callable[[np.ndarray], np.ndarray]] = None):
     """The group's log-probs and, given ``weigh``, sum_i w_i * grad logp_i in
     ToyPolicy shape, where w = weigh(log-probs); without it the gradient is None."""
+    table = _LogProbs(policy, env)
     choices = [env.n_frames if t.frame is None else t.frame for t in trajs]
     answers = [t.answer_idx for t in trajs]
-    sel_lp = _select_log_probs(policy, env)
-    ctxs, ans_lp = _answer_dists(policy, env, choices)
-    rows = np.arange(len(trajs))
-    logp = sel_lp[choices] + ans_lp[rows, answers]
+    ans_lp, logp = _group_logp(table, choices, answers)
     if weigh is None:
         return logp, None
-    w = weigh(logp)
-    # d logp_i / d(w_select, b_noselect) = e_{c_i} - p_select against the frame
-    # features and the skip slot, where e_{c_i} is one-hot on the choice
-    m = np.bincount(choices, weights=w, minlength=env.n_frames + 1) - w.sum() * np.exp(sel_lp)
-    # d logp_i / d w_answer = outer(e_{a_i} - q_i, context_i)
-    dq = -np.exp(ans_lp)
-    dq[rows, answers] += 1.0
-    return logp, ToyPolicy(w_select=m[:-1] @ env.frame_features, b_noselect=float(m[-1]),
-                           w_answer=(w[:, None] * dq).T @ ctxs)
+    return logp, _score_grad(table, choices, answers, ans_lp, weigh(logp))
 
 
 def sample_trajectory(policy: ToyPolicy, env: ToyEnv,
@@ -246,25 +289,42 @@ class StepStats:
 
 
 def grpo_step(policy: ToyPolicy, env_batch: Sequence[ToyEnv], G: int, eps: float,
-              lr: float, rng: np.random.Generator,
-              tool_reward: float = 0.5) -> tuple[ToyPolicy, StepStats]:
+              lr: float, rng: np.random.Generator, tool_reward: float = 0.5,
+              tables: Optional[Sequence[_LogProbs]] = None,
+              ) -> tuple[ToyPolicy, StepStats, list[_LogProbs]]:
     """Sample G trajectories per env under the current (old) policy and take one
     ascent step on the clipped surrogate, averaged over envs.
 
-    The step is taken at the sampling policy, where every importance ratio is
-    exactly 1, so clipping never changes it: the update is REINFORCE with
-    group-normalized advantages. ``clip_frac`` is measured after the step.
+    ``tables`` holds the policy's log-prob table per env, as the previous step
+    returned them; None builds them. The gradient comes from the entries the
+    draws used, so every ratio is exactly 1 and trajectory i is weighted
+    A_i / G, bit for bit the A_i * rho_i / G of ``grpo_objective_grad``: the
+    update is REINFORCE with group-normalized advantages. Returns the new
+    policy, the step's stats (``clip_frac`` measured after the step) and the
+    new policy's tables.
     """
-    groups = [(env, _sample_group(policy, env, G, rng)) for env in env_batch]
-    rewards = [np.array([compute_reward(t, env, tool_reward) for t in trajs])
-               for env, trajs in groups]
-    grad = sum(grpo_objective_grad(policy, env, trajs, group_advantages(r), eps).to_vector()
-               for (env, trajs), r in zip(groups, rewards)) / len(groups)
-    new = ToyPolicy.from_vector(policy.to_vector() + lr * grad,
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    if tables is None:
+        tables = [_LogProbs(policy, env) for env in env_batch]
+    elif len(tables) != len(env_batch) or any(
+            t.policy is not policy or t.env is not env for t, env in zip(tables, env_batch)):
+        raise ValueError("tables must be the policy's own, one per env of env_batch")
+    groups, rewards, grad = [], [], 0
+    for table in tables:
+        choices, answers, ans_lp, trajs = _draw_group(table, G, rng)
+        r = np.array([compute_reward(t, table.env, tool_reward) for t in trajs])
+        grad = grad + _score_grad(table, choices, answers, ans_lp,
+                                  group_advantages(r) / G).to_vector()
+        groups.append((choices, answers, trajs))
+        rewards.append(r)
+    new = ToyPolicy.from_vector(policy.to_vector() + lr * (grad / len(groups)),
                                 policy.w_select.size, len(policy.w_answer))
 
-    new_lp = np.concatenate([_logp_and_grad(new, env, trajs)[0] for env, trajs in groups])
-    all_trajs = [(env, t) for env, trajs in groups for t in trajs]
+    new_tables = [_LogProbs(new, table.env) for table in tables]
+    new_lp = np.concatenate([_group_logp(new_table, choices, answers)[1]
+                             for new_table, (choices, answers, _) in zip(new_tables, groups)])
+    all_trajs = [(table.env, t) for table, (_, _, trajs) in zip(tables, groups) for t in trajs]
     rho = _ratios(new_lp, np.array([t.old_logp for _, t in all_trajs]))
     n = len(all_trajs)
     # sums as np.mean takes them: pairwise over the rewards, exact over the counts
@@ -272,7 +332,7 @@ def grpo_step(policy: ToyPolicy, env_batch: Sequence[ToyEnv], G: int, eps: float
         mean_reward=float(np.concatenate(rewards).sum() / n),
         mean_acc=sum(t.answer_idx == env.gold_answer_idx for env, t in all_trajs) / n,
         tool_rate=sum(t.frame is not None for _, t in all_trajs) / n,
-        clip_frac=int(np.count_nonzero((rho < 1.0 - eps) | (rho > 1.0 + eps))) / n)
+        clip_frac=int(np.count_nonzero((rho < 1.0 - eps) | (rho > 1.0 + eps))) / n), new_tables
 
 
 @dataclass(frozen=True)
@@ -318,9 +378,10 @@ def train(env_suite: Sequence[ToyEnv], config: TrainConfig) -> TrainResult:
     env0 = env_suite[0]
     policy = ToyPolicy.zeros(env0.frame_features.shape[1], len(env0.vocab))
     curve: list[StepStats] = []
+    tables = None  # the current policy's log-prob tables, handed from step to step
     for _ in range(config.steps):
-        policy, stats = grpo_step(policy, env_suite, config.group_size, config.eps,
-                                  config.lr, rng, config.tool_reward)
+        policy, stats, tables = grpo_step(policy, env_suite, config.group_size, config.eps,
+                                          config.lr, rng, config.tool_reward, tables)
         curve.append(stats)
     return TrainResult(policy=policy, curve=curve)
 

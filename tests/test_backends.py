@@ -11,6 +11,7 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import write_manifest_file
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from vtagent import cli
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
-                              _wire_stream, canonicalize_request, http_complete,
+                              _json_scalar, _wire_stream, canonicalize_request, http_complete,
                               read_log, request_digest)
 from vtagent.engine import EngineConfig, complete_with_retry
 from vtagent.errors import (BackendTimeout, BackendUnavailable, CacheMiss,
@@ -95,6 +96,16 @@ _parts = st.lists(st.one_of(st.builds(TextPart, _text),
                   min_size=1, max_size=4).map(tuple)
 
 
+# what the seed and temperature tail is written from: None, bools, ints and
+# finite floats, with the floats json writes in exponent form, the signed
+# zero, the smallest subnormal, and a float subclass
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+
+
 @st.composite
 def requests(draw):
     earlier = draw(st.lists(st.builds(Message, st.sampled_from(["system", "user", "assistant"]),
@@ -103,14 +114,21 @@ def requests(draw):
         messages=(*earlier, Message("user", draw(_parts))),
         max_new_tokens=draw(st.integers(0, 2**40)),
         temperature=draw(st.one_of(st.integers(0, 10**20),
-                                   st.floats(0, 1e300, allow_nan=False, allow_infinity=False))),
-        seed=draw(st.one_of(st.none(), st.integers(-2**64, 2**64))))
+                                   st.floats(0, 1e300, allow_nan=False, allow_infinity=False),
+                                   _scalars.filter(lambda t: t is not None and t >= 0))),
+        seed=draw(st.one_of(st.none(), st.integers(-2**64, 2**64), _scalars)))
 
 
 @given(requests())
 @settings(max_examples=300)
 def test_canonical_form_is_the_sorted_json_dump(req):
     assert canonicalize_request(req) == reference_canonical(req)
+
+
+@given(_scalars)
+@settings(max_examples=500)
+def test_tail_scalar_is_the_json_dump(value):
+    assert _json_scalar(value) == json.dumps(value)
 
 
 @given(st.data())

@@ -1,3 +1,4 @@
+import errno
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import request_question, write_manifest_file
 from vtagent import cli, reporting
-from vtagent.backends import FunctionBackend, RecordingBackend, TranscriptStore
+from vtagent.backends import (FunctionBackend, GenerationRequest, Message, RecordingBackend,
+                              TextPart, TranscriptStore)
 from vtagent.engine import EngineConfig, run_batch
-from vtagent.errors import BackendUnavailable
+from vtagent.errors import BackendUnavailable, StoreWriteFailed
 from vtagent.metrics import SampleScore, aggregate
 
 
@@ -153,6 +155,44 @@ class TestEval:
         script = write_script(tmp_path / "s2", rest)
         assert cli.main(argv + ["--script", str(script), "--resume"]) == 0
         assert log.read_text(encoding="utf-8") == "".join(whole)
+
+    def test_store_write_failure_exits_2_and_resume_runs_only_the_rest(
+            self, manifest_path, tmp_path, monkeypatch, capsys):
+        path, manifest = manifest_path
+        out, store = tmp_path / "out", tmp_path / "store.jsonl"
+        argv = ["eval", "--manifest", str(path), "--backend", "scripted", "--store", str(store),
+                "--parallelism", "1", "--out-dir", str(out)]
+        open_ = Path.open
+        appends = []
+
+        def full_disk_after_four_appends(self, mode="r", *args, **kwargs):
+            if self == store and mode == "a":
+                appends.append(mode)
+                if len(appends) > 4:  # the third sample's first reply
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return open_(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full_disk_after_four_appends)
+        assert cli.main(argv + ["--script", str(write_script(tmp_path / "s1", manifest))]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        request = GenerationRequest(messages=(Message("user", (TextPart("q"),)),))
+        with pytest.raises(StoreWriteFailed, match="No space left on device"):
+            TranscriptStore(store).record(request, "reply")
+        monkeypatch.undo()
+        log = out / "trajectories.jsonl"
+        finished = log.read_text(encoding="utf-8")
+        ids = [s.sample_id for s in manifest.samples]
+        assert [json.loads(line)["sample_id"] for line in finished.splitlines()] == ids[:2]
+        assert len(store.read_text(encoding="utf-8").splitlines()) == 4
+        # replies for the two samples left: a resume that reran a finished one
+        # would take theirs and score a sample wrong
+        rest = write_script(tmp_path / "s2", replace(manifest, samples=manifest.samples[2:]))
+        assert cli.main(argv + ["--script", str(rest), "--resume"]) == 0
+        assert "100.00" in capsys.readouterr().out
+        whole = log.read_text(encoding="utf-8")
+        assert whole.startswith(finished)
+        assert [json.loads(line)["sample_id"] for line in whole.splitlines()] == ids
+        assert len(store.read_text(encoding="utf-8").splitlines()) == 8
 
     def test_resume_malformed_log_line_exit_2(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path

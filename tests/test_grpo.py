@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -312,6 +313,9 @@ class TestMatchesReference:
         (4, 4, 1, 1, 0.2, 0.1, 0.5),
         (6, 5, 8, 6, 0.01, 3.0, 0.0),
         (8, 3, 12, 2, 0.9, 0.02, 0.25),
+        # many more frames than draws: most contexts' answer rows are never needed
+        (9, 2, 64, 6, 0.2, 0.1, 0.5),
+        (10, 4, 256, 6, 0.2, 0.1, 0.5),
     ])
     def test_train_writes_the_reference_curve(self, tmp_path, seed, group_size, env_frames,
                                               vocab, eps, lr, tool_reward):
@@ -393,6 +397,68 @@ class TestMatchesReference:
         rescaled = ref_objective_grad(policy, env, [trajs[i] for i in kept], adv[kept], eps)
         assert np.allclose(grad.to_vector(), rescaled.to_vector() * len(kept) / 6,
                            rtol=0, atol=1e-12)
+
+    def test_step_applies_the_objective_gradient_at_the_old_policy(self, env, policy,
+                                                                  monkeypatch):
+        # the step weights trajectory i by A_i / G, the objective's A_i * rho_i / G
+        # at rho = 1: the same bits, from the same score-function formula
+        skipping = grpo.ToyPolicy(w_select=policy.w_select, b_noselect=1.5,
+                                  w_answer=policy.w_answer)
+        applied = []
+        score_grad = grpo._score_grad
+
+        def recording(*args):
+            applied.append(score_grad(*args))
+            return applied[-1]
+
+        monkeypatch.setattr(grpo, "_score_grad", recording)
+        mixed = 0
+        for seed in range(20):
+            applied.clear()
+            new, _, _ = grpo.grpo_step(skipping, [env], 6, 0.2, 0.1,
+                                       np.random.default_rng(seed))
+            trajs = grpo._sample_group(skipping, env, 6, np.random.default_rng(seed))
+            adv = grpo.group_advantages([grpo.compute_reward(t, env) for t in trajs])
+            (grad,) = applied
+            expected = grpo.grpo_objective_grad(skipping, env, trajs, adv, 0.2)
+            assert np.array_equal(grad.to_vector(), expected.to_vector())
+            assert np.array_equal(new.to_vector(),
+                                  skipping.to_vector() + 0.1 * expected.to_vector())
+            frames = {t.frame is None for t in trajs}
+            mixed += frames == {True, False} and not np.allclose(adv, 0.0)
+        assert mixed >= 5  # groups holding both tool skips and selections
+
+    def test_step_checks_its_tables(self, env, policy):
+        rng = np.random.default_rng(0)
+        _, _, tables = grpo.grpo_step(policy, [env], 4, 0.2, 0.1, rng)
+        with pytest.raises(ValueError, match="tables"):  # the old policy's, not the new one's
+            grpo.grpo_step(policy, [env], 4, 0.2, 0.1, rng, tables=tables)
+
+    def test_table_fills_only_the_answer_rows_of_drawn_contexts(self):
+        env = grpo.make_env(256, VOCAB, np.random.default_rng(3))
+        rng = np.random.default_rng(11)
+        d = env.frame_features.shape[1]
+        policy = grpo.ToyPolicy(w_select=rng.standard_normal(d), b_noselect=0.5,
+                                w_answer=rng.standard_normal((len(VOCAB), d)))
+        table = grpo._LogProbs(policy, env)
+        assert table.select.shape == (257,) and not table._answer
+        drawn = set()
+        for _ in range(3):
+            choices, _, _, trajs = grpo._draw_group(table, 4, rng)
+            drawn.update(choices)
+            assert set(table._answer) == drawn
+            for t in trajs:
+                assert t == grpo.ToyTrajectory(t.frame, t.answer_idx, grpo.trajectory_logp(
+                    policy, env, t))
+        for c, row in table._answer.items():
+            frame = None if c == env.n_frames else c
+            assert np.array_equal(row, ref_log_softmax(policy.w_answer @ ref_context(env, frame)))
+        # a step fills the new policy's table with the rows its clip pass needs: the
+        # contexts of the group it drew, and no others
+        group = grpo._draw_group(grpo._LogProbs(policy, env), 2, copy.deepcopy(rng))[0]
+        _, _, (new_table,) = grpo.grpo_step(policy, [env], 2, 0.2, 0.1, rng, tables=[table])
+        assert set(new_table._answer) == set(group)
+        assert set(table._answer) == drawn | set(group)
 
     def test_non_finite_probabilities_raise(self, env, policy):
         bad = grpo.ToyPolicy(w_select=np.full_like(policy.w_select, np.nan),
