@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from . import curation, grpo, oracle, reporting
+from . import curation, oracle, reporting
 from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
                        ReplayBackend, ScriptedBackend, TranscriptStore, _exchange)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
@@ -141,15 +141,24 @@ def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifes
     return sample_manifest(load_manifest(path), SamplingPolicy.uniform(cfg.frames))
 
 
+def _make_out_dir(path: Path) -> None:
+    """Create the output directory; a path that cannot be one (an existing
+    file, say) is a configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {path}: {e.strerror}") from e
+
+
 def _prepare(args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest, Backend]:
     """The prologue of every model-calling command: settings, sampled
-    manifest, backend, preflight, and the output directory. Every
+    manifest, backend, the output directory and preflight. Every
     configuration error (exit 2) comes before the preflight (exit 3)."""
     cfg = resolve_config(args)
     manifest = _load_sampled_manifest(cfg, args.manifest)
     backend = build_backend(cfg)
+    _make_out_dir(cfg.out_dir)
     preflight(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, manifest, backend
 
 
@@ -232,6 +241,8 @@ def cmd_curate_rl(args: argparse.Namespace) -> int:
 
 
 def cmd_grpo(args: argparse.Namespace) -> int:
+    # numpy, which grpo needs, is imported by no other command
+    from . import grpo
     cfg = resolve_config(args)
     try:
         train_cfg = grpo.TrainConfig(
@@ -241,12 +252,12 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         raise ConfigError(str(e)) from e
     if args.env_frames < 1 or args.vocab < 1:
         raise ConfigError("--env-frames and --vocab must be >= 1")
+    _make_out_dir(cfg.out_dir)
     import numpy as np
     env_rng = np.random.default_rng(cfg.seed)
     env = grpo.make_env(args.env_frames, [chr(ord("a") + i) for i in range(args.vocab)],
                         env_rng)
     result = grpo.train([env], train_cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     grpo.write_curve_csv(result.curve, cfg.out_dir / "curve.csv")
     if args.svg:
         reporting.write_svg_lines(
@@ -316,23 +327,18 @@ def _add_settings(p: argparse.ArgumentParser, names: tuple[str, ...] = FLAGS,
         p.add_argument("--resume", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vtagent")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    curate_flags = tuple(n for n in FLAGS if n != "temperature")  # curation decodes at 1
-    for name, fn, flags, help_text in (
-            ("eval", cmd_eval, FLAGS, "two-turn evaluation over a manifest"),
-            ("oracle", cmd_oracle, FLAGS, "frame-wise oracle upper bound and partition"),
-            ("curate-sft", cmd_curate_sft, curate_flags, "build the SFT trajectory corpus"),
-            ("curate-rl", cmd_curate_rl, curate_flags,
-             "filter the RL corpus by outcome inconsistency")):
+def _model_command(fn, help_text: str, flags: tuple[str, ...] = FLAGS):
+    """Adds a command that runs a manifest through the model."""
+    def add(sub, name: str) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--manifest", required=True)
         _add_settings(p, flags)
         p.set_defaults(fn=fn)
+    return add
 
-    p = sub.add_parser("grpo", help="toy GRPO training run")
+
+def _add_grpo(sub, name: str) -> None:
+    p = sub.add_parser(name, help="toy GRPO training run")
     _add_settings(p, ("seed", "out_dir"), run_args=False)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--group", type=int, default=4)
@@ -344,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
     p.set_defaults(fn=cmd_grpo)
 
-    p = sub.add_parser("report", help="merge score/partition logs into tables")
+
+def _add_report(sub, name: str) -> None:
+    p = sub.add_parser(name, help="merge score/partition logs into tables")
     p.add_argument("--scores", nargs="+", required=True,
                    help="score logs, optionally name=path")
     p.add_argument("--partition", help="directory holding set_s.ids / set_u.ids")
@@ -352,17 +360,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", nargs="?", const="report.svg")
     p.set_defaults(fn=cmd_report)
 
-    p = sub.add_parser("config", help="show the fully resolved configuration")
+
+def _add_config(sub, name: str) -> None:
+    p = sub.add_parser(name, help="show the fully resolved configuration")
     _add_settings(p, run_args=False)
     p.add_argument("action", choices=["show"])
     p.set_defaults(fn=cmd_config)
 
+
+_CURATE_FLAGS = tuple(n for n in FLAGS if n != "temperature")  # curation decodes at 1
+
+# each command's name and what adds its subparser, in --help order
+COMMANDS = {
+    "eval": _model_command(cmd_eval, "two-turn evaluation over a manifest"),
+    "oracle": _model_command(cmd_oracle, "frame-wise oracle upper bound and partition"),
+    "curate-sft": _model_command(cmd_curate_sft, "build the SFT trajectory corpus",
+                                 _CURATE_FLAGS),
+    "curate-rl": _model_command(cmd_curate_rl, "filter the RL corpus by outcome inconsistency",
+                                _CURATE_FLAGS),
+    "grpo": _add_grpo,
+    "report": _add_report,
+    "config": _add_config,
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone. The two print the
+    same usage, help and errors for any argv that names `command` first:
+    the one-command parser lists every command in its usage."""
+    parser = argparse.ArgumentParser(prog="vtagent")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    for name, add in COMMANDS.items():
+        if command in (None, name):
+            add(sub, name)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the command argv names is built: building all of them costs
+    # milliseconds per call
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
     except BackendUnavailable as e:  # only the preflight's: run_units catches the rest

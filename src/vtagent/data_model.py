@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 from .jsonl import _decode_line, write_lines
@@ -30,6 +32,27 @@ class FrameRef:
                                           compare=False)
 
 
+class _CheckedFrames(tuple):
+    """A frames tuple that has passed `_check_frames`. A load and sampling
+    make them, so the samples that share one are not checked again."""
+
+    __slots__ = ()
+
+
+def _check_frames(frames: tuple[FrameRef, ...]) -> _CheckedFrames:
+    """Non-empty frames, marked checked, if a Sample may hold them; else
+    ValueError."""
+    if type(frames) is _CheckedFrames:
+        return frames
+    indices = [f.index for f in frames]
+    if indices != list(range(len(frames))):
+        raise ValueError("frame indices must be 0-based and contiguous")
+    ts = [f.timestamp_s for f in frames if f.timestamp_s is not None]
+    if ts != sorted(ts):
+        raise ValueError("timestamps must be non-decreasing with index")
+    return _CheckedFrames(frames)
+
+
 @dataclass(frozen=True)
 class Sample:
     sample_id: str
@@ -45,12 +68,7 @@ class Sample:
             raise ValueError("empty frames")
         if not self.gold_answers:
             raise ValueError("empty gold_answers")
-        indices = [f.index for f in self.frames]
-        if indices != list(range(len(self.frames))):
-            raise ValueError("frame indices must be 0-based and contiguous")
-        ts = [f.timestamp_s for f in self.frames if f.timestamp_s is not None]
-        if ts != sorted(ts):
-            raise ValueError("timestamps must be non-decreasing with index")
+        _check_frames(self.frames)
         if self.pseudo_keyframes is not None:
             bad = [i for i in self.pseudo_keyframes if not 0 <= i < len(self.frames)]
             if bad:
@@ -97,12 +115,12 @@ def _whole_number(value, line_no: int, what: str) -> int:
     return number
 
 
-def _frame_refs(raw_frames: list, line_no: int, refs: dict[tuple, FrameRef],
-                checked: set[str]) -> tuple[FrameRef, ...]:
+def _frame_refs(raw_frames: list, line_no: int,
+                refs: dict[tuple, FrameRef]) -> tuple[FrameRef, ...]:
     """A record's frame entries as FrameRefs. `refs` (FrameRefs by their
-    fields) and `checked` (paths found to exist) live for one load_manifest
-    call. An index is a whole number (_whole_number) and a path a string, so
-    entries that compare equal (`==`) give equal FrameRefs."""
+    fields) lives for one load_manifest call. An index is a whole number
+    (_whole_number) and a path a string, so entries that compare equal (`==`)
+    give equal FrameRefs."""
     frames = []
     for fr in raw_frames:
         if not isinstance(fr, dict) or "index" not in fr or "path" not in fr:
@@ -117,14 +135,74 @@ def _frame_refs(raw_frames: list, line_no: int, refs: dict[tuple, FrameRef],
             raise MalformedRecord(line_no, f"bad frame entry {fr!r}: {e}") from e
         ref = refs.get(key)
         if ref is None:
-            if path not in checked:
-                # follows symlinks, so a broken link counts as missing
-                if not os.path.exists(path):
-                    raise MissingFrameFile(path)
-                checked.add(path)
             ref = refs[key] = FrameRef(*key)
         frames.append(ref)
     return tuple(frames)
+
+
+# When a frame directory is scanned (_listed): the load checks at least
+# _SCAN_MIN_NAMES names in it, and its size is at most one block or
+# _SCAN_BYTES_PER_NAME per name. A scan then reads at most
+# _SCAN_ENTRIES_PER_NAME entries per name. A stat costs about three directory
+# entries, and a scan costs about as much as 8 stats before it reads any, so
+# a directory of 8 frames costs as much scanned as stat'ed. The first read of
+# a large directory costs hundreds of microseconds however few entries are
+# wanted from it, so a directory the load names only a small part of is
+# cheaper to stat name by name.
+_SCAN_MIN_NAMES = 16
+_SCAN_BYTES_PER_NAME = 64
+_SCAN_ENTRIES_PER_NAME = 4
+
+
+def _listed(prefix: str, paths: Collection[str]) -> set[str]:
+    """Those of `paths` (distinct, each `prefix` and a name) whose names a
+    scan of the directory `prefix` names finds as entries that are not
+    symlinks. Such a path exists once the directory allows a search, which
+    one stat of a found path shows. A symlink, a name the scan does not
+    reach or list (`..`, another case on a case-folding filesystem) and a
+    directory that is not scanned are left to the caller's stat."""
+    if len(paths) < _SCAN_MIN_NAMES:
+        return set()
+    directory = prefix or "."
+    try:
+        st = os.stat(directory)
+        if st.st_size > max(st.st_blksize, _SCAN_BYTES_PER_NAME * len(paths)):
+            return set()
+        wanted = {path[len(prefix):]: path for path in paths}
+        found = []
+        with os.scandir(directory) as entries:
+            for entry in islice(entries, _SCAN_ENTRIES_PER_NAME * len(paths)):
+                path = wanted.get(entry.name)
+                if path is not None and not entry.is_symlink():
+                    found.append(path)
+                    if len(found) == len(paths):
+                        break
+    except (OSError, ValueError):  # os.path.exists's own: missing, not a directory, NUL
+        return set()
+    # listing a directory needs read permission on it, stat'ing in it search
+    if found and not os.path.exists(found[0]):
+        return set()
+    return set(found)
+
+
+def _check_files(refs: dict[tuple, FrameRef]) -> None:
+    """MissingFrameFile naming the first frame file of `refs`, in the order
+    the load made them, for which os.path.exists is false. Each directory is
+    scanned at most once (_listed), and only the paths its scan leaves are
+    stat'ed, each once. os.path.exists follows symlinks, so a broken symlink
+    counts as missing."""
+    by_dir: defaultdict[str, dict[str, None]] = defaultdict(dict)  # distinct paths
+    for ref in refs.values():
+        path = ref.source_path
+        by_dir[path[:path.rfind("/") + 1]][path] = None
+    missing = set()
+    for prefix, dir_paths in by_dir.items():
+        listed = _listed(prefix, dir_paths)
+        missing.update(path for path in dir_paths
+                       if path not in listed and not os.path.exists(path))
+    if missing:
+        raise MissingFrameFile(next(ref.source_path for ref in refs.values()
+                                    if ref.source_path in missing))
 
 
 def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -> Sample:
@@ -142,7 +220,7 @@ def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -
         return Sample(
             sample_id=str(obj["sample_id"]),
             video_id=str(obj["video_id"]),
-            frames=frames,
+            frames=_check_frames(frames),
             question=str(obj["question"]),
             gold_answers=tuple(str(a) for a in answers),
             pseudo_keyframes=kf,
@@ -155,42 +233,47 @@ def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a JSONL manifest, aborting on the first invalid record.
 
-    Every frame file must exist when the load checks it; MissingFrameFile
-    names the first missing path in file order. Samples that repeat a frame
-    share its FrameRef, and a record whose frame list equals the previous
-    record's, as the questions about one video do, shares that record's
-    frames tuple.
+    Every frame file must exist when the load checks it, which it does after
+    reading the records (_check_files); MissingFrameFile names the first
+    missing path in file order, ahead of any error in a later record.
+    Samples that repeat a frame share its FrameRef, and a record whose frame
+    list equals the previous record's, as the questions about one video do,
+    shares that record's frames tuple, which is checked once.
     """
     path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
     refs: dict[tuple, FrameRef] = {}
-    checked: set[str] = set()
     last_raw, last_frames = None, ()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():  # what str.strip() empties
-                continue
-            try:
-                obj = _decode_line(line)
-            except ValueError as e:
-                raise MalformedRecord(line_no, f"invalid JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, "record must be an object")
-            for name in ("sample_id", "video_id", "question", "answers", "frames"):
-                if name not in obj:
-                    raise MalformedRecord(line_no, f"missing field {name!r}")
-            raw_frames = obj["frames"]
-            if not isinstance(raw_frames, list) or not raw_frames:
-                raise MalformedRecord(line_no, "empty frames")
-            if raw_frames != last_raw:
-                last_raw, last_frames = raw_frames, _frame_refs(raw_frames, line_no,
-                                                                refs, checked)
-            sample = _sample_from_record(obj, line_no, last_frames)
-            if sample.sample_id in seen:
-                raise DuplicateSampleId(sample.sample_id)
-            seen.add(sample.sample_id)
-            samples.append(sample)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.isspace():  # what str.strip() empties
+                    continue
+                try:
+                    obj = _decode_line(line)
+                except ValueError as e:
+                    raise MalformedRecord(line_no, f"invalid JSON: {e}") from e
+                if not isinstance(obj, dict):
+                    raise MalformedRecord(line_no, "record must be an object")
+                for name in ("sample_id", "video_id", "question", "answers", "frames"):
+                    if name not in obj:
+                        raise MalformedRecord(line_no, f"missing field {name!r}")
+                raw_frames = obj["frames"]
+                if not isinstance(raw_frames, list) or not raw_frames:
+                    raise MalformedRecord(line_no, "empty frames")
+                if raw_frames != last_raw:
+                    last_raw, last_frames = raw_frames, _frame_refs(raw_frames, line_no, refs)
+                sample = _sample_from_record(obj, line_no, last_frames)
+                last_frames = sample.frames  # checked now
+                if sample.sample_id in seen:
+                    raise DuplicateSampleId(sample.sample_id)
+                seen.add(sample.sample_id)
+                samples.append(sample)
+    except Exception:
+        _check_files(refs)  # the frames read before the failing record come first
+        raise
+    _check_files(refs)
     return DatasetManifest(samples=tuple(samples), source_uri=str(path))
 
 
@@ -250,8 +333,9 @@ def _sample_frames(sample: Sample, policy: SamplingPolicy,
     key = tuple(map(id, sample.frames))
     frames = sampled.get(key)
     if frames is None:
-        frames = sampled[key] = tuple(replace(sample.frames[orig], index=new)
-                                      for new, orig in enumerate(keep))
+        # a uniform subsequence of checked frames, renumbered, passes the checks
+        frames = sampled[key] = _CheckedFrames(replace(sample.frames[orig], index=new)
+                                               for new, orig in enumerate(keep))
     kf = sample.pseudo_keyframes
     if kf is not None:
         mapping = {orig: new for new, orig in enumerate(keep)}

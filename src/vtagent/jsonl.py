@@ -1,10 +1,11 @@
 """JSON-lines files: line decoding, the append-only log reader and the
 whole-file writer.
 
-`_decode_line` decodes each line of every JSONL file the program reads: the
-manifest (`data_model.load_manifest`), and the transcript store and every
-pipeline's output log (`read_log`). `write_lines` writes every output
-written whole.
+`_decode_line` decodes each line of the manifest
+(`data_model.load_manifest`). `read_log`, the reader of the transcript store
+and of every pipeline's output log, decodes a run of lines in one decoder
+call (`_decode_batch`), and decodes a run that holds a bad line line by line
+with `_decode_line`. `write_lines` writes every output written whole.
 """
 
 from __future__ import annotations
@@ -12,12 +13,20 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator, Optional
 
 from .errors import ConfigError, MalformedRecord
 
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"  # the whitespace json skips around a value
+# read_log decodes about this many characters of whole lines per decoder
+# call: a batch's text and records stay small beside what its caller keeps
+_BATCH_CHARS = 1 << 16
+# _decode_batch puts this string between two lines. json reads the value
+# "\x00" only from this escape (strict mode rejects a raw control character
+# in a string), so a line can yield that value only by holding the escape.
+_NUL_ESCAPE = "\\u0000"
+_SEPARATOR = f',"{_NUL_ESCAPE}",'
 
 
 def _decode_line(line: str):
@@ -42,6 +51,54 @@ def _decode_line(line: str):
     return obj
 
 
+def _decode_batch(lines: list[str]) -> Optional[list]:
+    """[json.loads(line) for line in lines] in one decoder call when every
+    line is a JSON object, else None. The lines are decoded as one array
+    with a "\\x00" string between each two. When no line holds that string's
+    escape, each separator the array shows at an odd index is one of the
+    separators, so each line is exactly the one value between two of them,
+    the value json.loads gives that line alone."""
+    text = "[" + _SEPARATOR.join(lines) + "]"
+    if text.count(_NUL_ESCAPE) != len(lines) - 1:
+        return None
+    try:
+        values, end = _raw_decode(text)
+    except (ValueError, RecursionError):  # the array nests one level deeper than a line
+        return None
+    records = values[::2]
+    if (end != len(text) or len(values) != 2 * len(lines) - 1
+            or values[1::2].count("\x00") != len(lines) - 1
+            or not all(type(r) is dict for r in records)):
+        return None
+    return records
+
+
+def _records(lines: list[str], first_line_no: int,
+             path: Path) -> Generator[dict, None, Optional[str]]:
+    """Yield the records of consecutive lines of the log at path, the first
+    numbered first_line_no, and return the torn line that ends them, if
+    any (see read_log). Lines that do not decode as one batch are read one
+    by one, so a bad line is named, and a torn one found, as if no batch
+    were made."""
+    records = _decode_batch([line for line in lines if not line.isspace()])
+    if records is not None:
+        yield from records
+        return None
+    for line_no, line in enumerate(lines, first_line_no):
+        if line.isspace():  # what str.strip() empties
+            continue
+        try:
+            obj = _decode_line(line)
+        except ValueError as e:
+            if not line.endswith("\n"):  # only the last line can lack it
+                return line
+            raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
+        if not isinstance(obj, dict):
+            raise MalformedRecord(line_no, f"record in {path} is not a JSON object")
+        yield obj
+    return None
+
+
 def read_log(path: str | Path) -> Iterator[dict]:
     """Yield the records of an append-only JSONL log (none if it does not
     exist; a path that is not a file raises ConfigError).
@@ -56,26 +113,17 @@ def read_log(path: str | Path) -> Iterator[dict]:
         return
     if not path.is_file():
         raise ConfigError(f"log is not a file: {path}")
-    line, torn = "\n", False
+    line, line_no, torn = "\n", 1, None
     # surrogateescape: a line cut inside a UTF-8 sequence still reads, and its
     # byte length survives for the cut below
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if line.isspace():  # what str.strip() empties
-                continue
-            try:
-                obj = _decode_line(line)
-            except ValueError as e:
-                torn = not line.endswith("\n")  # only the last line can lack it
-                if torn:
-                    break
-                raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, f"record in {path} is not a JSON object")
-            yield obj
-    if torn:
+        while torn is None and (lines := fh.readlines(_BATCH_CHARS)):
+            torn = yield from _records(lines, line_no, path)
+            line_no += len(lines)
+            line = lines[-1]
+    if torn is not None:
         with path.open("r+b") as fh:
-            fh.truncate(fh.seek(0, 2) - len(line.encode("utf-8", "surrogateescape")))
+            fh.truncate(fh.seek(0, 2) - len(torn.encode("utf-8", "surrogateescape")))
     elif not line.endswith("\n"):
         with path.open("ab") as fh:
             fh.write(b"\n")

@@ -10,6 +10,7 @@ import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vtagent
-from vtagent import cli
+from vtagent import cli, jsonl
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
                               ScriptedBackend, TextPart, TranscriptStore,
@@ -306,19 +307,25 @@ def jsonl_logs(draw):
     return lines, ending, torn
 
 
-def _read_log_until_error(path):
+# read_log's batch size in characters: one line a batch, a few lines a
+# batch, the default
+_batch_chars = st.sampled_from([1, 24, jsonl._BATCH_CHARS])
+
+
+def _read_log_until_error(path, batch_chars=jsonl._BATCH_CHARS):
     records = []
     try:
-        for obj in read_log(path):
-            records.append(obj)
+        with mock.patch.object(jsonl, "_BATCH_CHARS", batch_chars):
+            for obj in read_log(path):
+                records.append(obj)
     except MalformedRecord as e:
         return records, e
     return records, None
 
 
-@given(jsonl_logs())
+@given(jsonl_logs(), _batch_chars)
 @settings(max_examples=300)
-def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log):
+def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log, batch_chars):
     lines, _, torn = log
     path = tmp_path_factory.getbasetemp() / "log.jsonl"
     data = "".join(lines).encode("utf-8") + (torn or b"")
@@ -333,13 +340,14 @@ def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log):
             left += b"\n"  # a last line that parses gets its newline
         except ValueError:
             left = data[:-len(torn)]  # one that does not is cut off
-    assert _read_log_until_error(path) == (expected, None)
+    assert _read_log_until_error(path, batch_chars) == (expected, None)
     assert path.read_bytes() == left
 
 
-@given(jsonl_logs(), st.data())
+@given(jsonl_logs(), st.data(), _batch_chars)
 @settings(max_examples=200)
-def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory, log, data):
+def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory, log, data,
+                                                                batch_chars):
     lines, ending, torn = log
     at = data.draw(st.integers(0, len(lines)))
     bad = data.draw(_invalid_lines)
@@ -349,11 +357,52 @@ def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory
     path.write_bytes(raw)
     with pytest.raises(ValueError) as json_error:
         json.loads(bad + ending)
-    records, error = _read_log_until_error(path)
+    records, error = _read_log_until_error(path, batch_chars)
     assert records == [json.loads(line) for line in lines[:at] if line.strip()]
     assert (error.line_no, error.reason) == (at + 1,
                                              f"invalid JSON in {path}: {json_error.value}")
     assert path.read_bytes() == raw
+
+
+def _long_log(tmp_path, n=3000):
+    """n store-like records, a blank line after every 97th: several of
+    read_log's default batches."""
+    lines = []
+    for i in range(n):
+        lines.append(json.dumps({"digest": f"{i:064x}", "response": f"r\u00e9\n{i}" * 3,
+                                 "latency_ms": i}, ensure_ascii=False) + "\n")
+        if i % 97 == 0:
+            lines.append(" \t\n")
+    assert len("".join(lines)) > 3 * jsonl._BATCH_CHARS
+    return tmp_path / "log.jsonl", lines
+
+
+def test_read_log_over_many_batches_reads_every_record_and_cuts_a_torn_last_line(tmp_path):
+    path, lines = _long_log(tmp_path)
+    torn = lines[-1][:30]
+    path.write_text("".join(lines[:-1]) + torn, encoding="utf-8")
+    expected = [json.loads(line) for line in lines[:-1] if line.strip()]
+    assert _read_log_until_error(path) == (expected, None)
+    assert path.read_text(encoding="utf-8") == "".join(lines[:-1])
+
+
+@pytest.mark.parametrize("where", ["inner", "last"])
+@pytest.mark.parametrize("bad, reason", [
+    ('{"digest": "x",\n', "invalid JSON"),
+    ("[1, 2]\n", "is not a JSON object"),
+    # two objects on one line, and lines that a batch's separators would join
+    # into one object
+    ('{"b": 1}, {"c": 2}\n', "invalid JSON"),
+    ('{"a": [1\n', "invalid JSON"),
+    ('{"a": [1\n2]}\n{"b": 1},"\\u0000",{"c": 2}\n', "invalid JSON"),
+])
+def test_read_log_over_many_batches_names_a_bad_line(tmp_path, bad, reason, where):
+    path, lines = _long_log(tmp_path)
+    at = len(lines) * 2 // 3 if where == "inner" else len(lines)
+    path.write_text("".join(lines[:at]) + bad + "".join(lines[at:]), encoding="utf-8")
+    records, error = _read_log_until_error(path)
+    assert records == [json.loads(line) for line in lines[:at] if line.strip()]
+    assert error.line_no == at + 1 and reason in error.reason
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,5 +1,10 @@
+import contextlib
 import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -673,3 +678,55 @@ class TestConfig:
         assert cli.main(["config", "show", "--config", str(cfg_file)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "temperature=0.5" in out and "out_dir=runs/a" in out
+
+
+def _parse(parser, argv):
+    """(exit code or parsed settings, stdout, stderr) of parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = sorted((k, str(v)) for k, v in vars(parser.parse_args(argv)).items())
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_prints_and_parses_as_the_full_parser(name):
+    for argv in ([name, "--help"], [name], [name, "--bogus"], [name, "show", "extra"],
+                 [name, "--manifest", "m.jsonl", "--frames", "8"], [name, "--steps", "x"],
+                 [name, "--scores", "a.jsonl", "--csv", "t.csv"], [name, "show"]):
+        assert _parse(cli.build_parser(name), argv) == _parse(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["no-such-command"], [], ["-h", "eval"]])
+def test_main_without_a_command_first_uses_the_full_parser(argv, capsys):
+    expected = _parse(cli.build_parser(), argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("code", [
+    "import vtagent.cli",
+    "from vtagent import cli; cli.main(['config', 'show'])",
+])
+def test_cli_leaves_numpy_to_grpo(code):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                    "assert 'numpy' not in sys.modules, 'numpy imported'"],
+                   env=env, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("command", ["eval", "grpo"])
+def test_out_dir_naming_a_file_exit_2(command, manifest_path, tmp_path, capsys):
+    path, manifest = manifest_path
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    argv = {"eval": ["eval", "--manifest", str(path), "--backend", "scripted",
+                     "--script", str(write_script(tmp_path / "script.jsonl", manifest))],
+            "grpo": ["grpo", "--steps", "1"]}[command]
+    assert cli.main(argv + ["--out-dir", str(out)]) == 2
+    assert f"cannot make output directory {out}" in capsys.readouterr().err
+    assert out.read_text() == "a file\n"

@@ -8,8 +8,8 @@ import pytest
 from conftest import write_manifest_file
 
 from vtagent import data_model
-from vtagent.data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
-                                load_manifest, sample_frames, sample_manifest,
+from vtagent.data_model import (DatasetManifest, FrameRef, Sample, SamplingPolicy,
+                                dedupe_samples, load_manifest, sample_frames, sample_manifest,
                                 uniform_indices, write_manifest)
 from vtagent.errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
 
@@ -37,20 +37,195 @@ def test_load_happy_path(manifest_factory, sample_factory, tmp_path):
         assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
-def test_each_distinct_frame_path_checked_once(sample_factory, tmp_path, monkeypatch):
-    manifest = shared_video_manifest(sample_factory, n_samples=4)
-    path = tmp_path / "m.jsonl"
-    write_manifest(manifest, path)
-    checked = Counter()
-    exists = os.path.exists
+def frame_files(directory: Path, count: int) -> list[str]:
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / f"{i:04d}.png" for i in range(count)]
+    for p in paths:
+        p.write_bytes(b"png")
+    return [str(p) for p in paths]
 
-    def counting_exists(p):
-        checked[p] += 1
-        return exists(p)
 
-    monkeypatch.setattr(data_model.os.path, "exists", counting_exists)
+def paths_manifest(path: Path, paths_by_record: list[list[str]]) -> Path:
+    """A manifest with one record per list of frame paths."""
+    path.write_text("".join(
+        json.dumps({"sample_id": f"q{i}", "video_id": "v", "question": "q?",
+                    "answers": ["a"],
+                    "frames": [{"index": j, "path": p} for j, p in enumerate(paths)]}) + "\n"
+        for i, paths in enumerate(paths_by_record)), encoding="utf-8")
+    return path
+
+
+def test_each_distinct_frame_path_checked_once(tmp_path, monkeypatch):
+    """Each directory is scanned at most once per load, and each path is
+    stat'ed at most once, only when the scan cannot vouch for it."""
+    video = frame_files(tmp_path / "v", 20)
+    link = str(tmp_path / "v" / "link.png")
+    os.symlink(video[0], link)
+    few = frame_files(tmp_path / "few", 2)
+    path = paths_manifest(tmp_path / "m.jsonl", [video + [link]] * 3 + [few, video[:3]])
+    scans, stats = Counter(), Counter()
+    scandir, exists = os.scandir, os.path.exists
+    monkeypatch.setattr(data_model.os, "scandir", lambda p: scans.update([p]) or scandir(p))
+    monkeypatch.setattr(data_model.os.path, "exists", lambda p: stats.update([p]) or exists(p))
     load_manifest(path)
-    assert checked == Counter(f.source_path for f in manifest.samples[0].frames)
+    # a directory the load names two files of is not scanned
+    assert scans == Counter({str(tmp_path / "v") + "/": 1})
+    assert set(stats.values()) == {1}
+    # the scan vouches for the plain files once one stat shows the directory
+    # allows a search; a symlink, and the files of the unscanned directory,
+    # are stat'ed
+    assert len(set(stats) & set(video)) == 1
+    assert set(stats) - set(video) == {link, *few}
+
+
+def _counting_scandir(monkeypatch) -> Counter:
+    """Entries read from each directory os.scandir opens."""
+    read = Counter()
+    scandir = os.scandir
+
+    class Counting:
+        def __init__(self, path):
+            self.path, self.it = path, scandir(path)
+
+        def __enter__(self):
+            return (read.update([self.path]) or entry for entry in self.it)
+
+        def __exit__(self, *exc):
+            self.it.close()
+
+    monkeypatch.setattr(data_model.os, "scandir", Counting)
+    return read
+
+
+def test_a_scan_reads_at_most_four_entries_per_name(tmp_path, monkeypatch):
+    files = frame_files(tmp_path / "v", 150)
+    wanted = files[::7][:20]  # 20 names in a small directory of 150
+    read = _counting_scandir(monkeypatch)
+    load_manifest(paths_manifest(tmp_path / "m.jsonl", [wanted]))
+    assert 0 < read[str(tmp_path / "v") + "/"] <= 4 * len(wanted)
+
+
+def test_a_directory_the_load_names_little_of_is_not_scanned(tmp_path, monkeypatch):
+    files = frame_files(tmp_path / "v", 1000)
+    read = _counting_scandir(monkeypatch)
+    load_manifest(paths_manifest(tmp_path / "m.jsonl", [files[::50]]))
+    assert read == Counter()
+
+
+def _frame_cases(root: Path) -> dict[str, list[list[str]]]:
+    """Manifests' frame paths (a list per record). Every directory holds or
+    is named with at least 20 files, so each is a candidate for a scan."""
+    v = frame_files(root / "v", 20)
+    names = [Path(p).name for p in v]
+    d = str(root / "v")
+    links = root / "links"
+    links.mkdir()
+    for name in names:
+        (links / name).symlink_to(root / "v" / name)
+    (root / "v" / "broken.png").symlink_to(root / "gone.png")
+    return {
+        "plain": [v, v],
+        "valid-symlinks": [[str(links / n) for n in names]],
+        "broken-symlink-in-a-scanned-directory": [v + [d + "/broken.png"]],
+        "dot-parts": [[f"{d}/./{n}" for n in names]],
+        "dotdot-parts": [[f"{d}/../v/{n}" for n in names]],
+        "doubled-slashes": [[f"{d}//{n}" for n in names], [f"{d}///{n}" for n in names]],
+        "name-is-dot-or-dotdot": [v + [d + "/.", d + "/..", d + "/"]],
+        "parent-is-a-file": [v, [f"{v[0]}/x{i}.png" for i in range(20)]],
+        "missing-directory": [[f"{root}/nope/x{i}.png" for i in range(20)]],
+        "one-missing-in-a-scanned-directory": [v[:4] + [d + "/9999.png"] + v[4:]],
+        "first-missing-in-file-order": [v[:5] + [d + "/b.png"], [d + "/a.png"] + v],
+        "case-differs": [v[:19] + [d + "/0019.PNG"]],
+        "nul-in-directory": [[f"{d}\x00/x{i}.png" for i in range(20)]],
+        "relative": [names],
+        "relative-dot": [[f"./{n}" for n in names], names],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "plain", "valid-symlinks", "broken-symlink-in-a-scanned-directory", "dot-parts",
+    "dotdot-parts", "doubled-slashes", "name-is-dot-or-dotdot", "parent-is-a-file",
+    "missing-directory", "one-missing-in-a-scanned-directory", "first-missing-in-file-order",
+    "case-differs", "nul-in-directory", "relative", "relative-dot"])
+def test_frame_check_agrees_with_os_path_exists_in_file_order(case, tmp_path, monkeypatch):
+    paths_by_record = _frame_cases(tmp_path)[case]
+    monkeypatch.chdir(tmp_path / "v")  # where the relative cases' names live
+    path = paths_manifest(tmp_path / "m.jsonl", paths_by_record)
+    # what a load did before directories were scanned: os.path.exists per path
+    missing = next((p for paths in paths_by_record for p in paths
+                    if not os.path.exists(p)), None)
+    if missing is None:
+        loaded = load_manifest(path)
+        assert [[f.source_path for f in s.frames] for s in loaded.samples] == paths_by_record
+    else:
+        with pytest.raises(MissingFrameFile) as exc:
+            load_manifest(path)
+        assert exc.value.path == missing
+
+
+@pytest.mark.parametrize("case", ["missing-then-bad-json", "bad-record-then-missing",
+                                  "missing-then-duplicate", "missing-before-bad-entry",
+                                  "bad-entry-before-missing"])
+def test_missing_frame_named_only_when_it_comes_before_a_bad_record(case, tmp_path):
+    v = frame_files(tmp_path / "v", 20)
+    gone = str(tmp_path / "v" / "gone.png")
+    path = paths_manifest(tmp_path / "m.jsonl", [v, v[:5] + [gone] + v[5:]])
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    if case == "missing-then-bad-json":
+        lines = [json.dumps(second), "{"]
+    elif case == "bad-record-then-missing":
+        lines = [json.dumps(dict(first, answers=[])), json.dumps(second)]
+    elif case == "missing-then-duplicate":
+        lines = [json.dumps(first), json.dumps(dict(second, sample_id=first["sample_id"]))]
+    else:  # the missing frame is entry 5; a malformed entry before or after it
+        at = 3 if case == "bad-entry-before-missing" else 7
+        second["frames"][at]["index"] = "x"
+        lines = [json.dumps(first), json.dumps(second)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises((MissingFrameFile, MalformedRecord)) as exc:
+        load_manifest(path)
+    if case in ("bad-record-then-missing", "bad-entry-before-missing"):
+        assert isinstance(exc.value, MalformedRecord)
+        assert exc.value.line_no == (1 if case == "bad-record-then-missing" else 2)
+    else:
+        assert isinstance(exc.value, MissingFrameFile) and exc.value.path == gone
+
+
+def test_a_shared_frames_tuple_is_checked_once(sample_factory, tmp_path, monkeypatch):
+    path = tmp_path / "m.jsonl"
+    write_manifest(shared_video_manifest(sample_factory, n_samples=4), path)
+    checked = []
+    check = data_model._check_frames
+
+    def counting_check(frames):
+        checked.append(type(frames) is not data_model._CheckedFrames)
+        return check(frames)
+
+    monkeypatch.setattr(data_model, "_check_frames", counting_check)
+    manifest = load_manifest(path)
+    sample_manifest(manifest, SamplingPolicy.uniform(3))
+    assert sum(checked) == 1  # the first record's tuple; samples and sampling share it
+
+
+@pytest.mark.parametrize("frames, answers, reason", [
+    ((), (), "empty frames"),
+    ([(1, None), (0, None)], (), "empty gold_answers"),
+    ([(1, None), (0, None)], ("a",), "0-based and contiguous"),
+    ([(0, 2.0), (1, 1.0)], ("a",), "non-decreasing"),
+])
+def test_sample_checks_its_frames_and_answers_in_order(frames, answers, reason):
+    refs = tuple(FrameRef(i, f"/f{i}.png", t) for i, t in frames)
+    with pytest.raises(ValueError, match=reason):
+        Sample("q", "v", refs, "q?", answers)
+
+
+def test_a_record_with_out_of_order_frames_names_its_line(sample_factory, tmp_path):
+    path, (first, second) = two_frame_records(sample_factory, tmp_path)
+    second["frames"][0]["index"], second["frames"][1]["index"] = 1, 0
+    path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        load_manifest(path)
+    assert exc.value.line_no == 2 and "contiguous" in exc.value.reason
 
 
 def test_shared_frames_are_one_ref_and_stay_per_sample(sample_factory, tmp_path):
