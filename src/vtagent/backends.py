@@ -38,7 +38,7 @@ from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, MalformedRecord,
-                     MissingFrameFile, ResponseEmpty, StoreWriteFailed, VtagentError)
+                     MissingFrameFile, ResponseEmpty, VtagentError)
 from .jsonl import read_log
 
 
@@ -231,12 +231,9 @@ class TranscriptStore:
                            "latency_ms": latency_ms, "backend_id": backend_id},
                           ensure_ascii=False)
         with self._lock:
-            try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-            except OSError as e:
-                raise StoreWriteFailed(str(e)) from e
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
             self._responses[digest] = response
 
 

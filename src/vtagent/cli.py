@@ -5,7 +5,8 @@ extends the engine's `EngineConfig`, so each setting is declared once and
 checked once, when `resolve_config` builds it: before the manifest load, the
 preflight and any write. Outputs go only under --out-dir. Exit codes:
 0 success (per-sample failures are counted, not fatal), 2 configuration
-error, 3 backend unreachable at preflight.
+error or a file the run cannot read or write, 3 backend unreachable at
+preflight.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_manifest)
 from .engine import EngineConfig, run_batch
 from .errors import BackendUnavailable, ConfigError, VtagentError
+from .jsonl import read_text
 from .metrics import REPORT_HEADER, MetricReport, aggregate, format_report
 
 ENV_KEYS = {"api_base": "VTAGENT_API_BASE", "api_key": "VTAGENT_API_KEY",
@@ -63,7 +65,7 @@ SETTINGS = tuple(f for f in fields(RunConfig) if f.name not in ("script", "store
 
 def _read_config_file(path: Path) -> dict:
     values = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -80,10 +82,7 @@ def _read_config_file(path: Path) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        values.update(_read_config_file(path))
+        values.update(_read_config_file(Path(args.config)))
     values.update((key, os.environ[env]) for key, env in ENV_KEYS.items()
                   if os.environ.get(env))
     values.update((f.name, getattr(args, f.name)) for f in SETTINGS
@@ -110,10 +109,8 @@ def build_backend(cfg: RunConfig) -> Backend:
     elif cfg.backend == "scripted":
         if cfg.script is None:
             raise ConfigError("scripted backend requires --script FILE")
-        if not cfg.script.is_file():
-            raise ConfigError(f"script not found: {cfg.script}")
         responses = [json.loads(line) if line.lstrip().startswith('"') else line
-                     for line in cfg.script.read_text(encoding="utf-8").splitlines()
+                     for line in read_text(cfg.script).splitlines()
                      if line.strip()]
         backend = ScriptedBackend([str(r) for r in responses])
     elif cfg.backend == "replay":
@@ -135,29 +132,19 @@ def preflight(cfg: RunConfig) -> None:
 
 
 def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifest:
-    path = Path(manifest_path)
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    return sample_manifest(load_manifest(path), SamplingPolicy.uniform(cfg.frames))
-
-
-def _make_out_dir(path: Path) -> None:
-    """Create the output directory; a path that cannot be one (an existing
-    file, say) is a configuration error."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot make output directory {path}: {e.strerror}") from e
+    return sample_manifest(load_manifest(manifest_path), SamplingPolicy.uniform(cfg.frames))
 
 
 def _prepare(args: argparse.Namespace) -> tuple[RunConfig, DatasetManifest, Backend]:
     """The prologue of every model-calling command: settings, sampled
     manifest, backend, the output directory and preflight. Every
-    configuration error (exit 2) comes before the preflight (exit 3)."""
+    configuration error, and every fault in the manifest, config file,
+    script, store or output directory (exit 2), comes before the preflight
+    (exit 3)."""
     cfg = resolve_config(args)
     manifest = _load_sampled_manifest(cfg, args.manifest)
     backend = build_backend(cfg)
-    _make_out_dir(cfg.out_dir)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     preflight(cfg)
     return cfg, manifest, backend
 
@@ -252,7 +239,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         raise ConfigError(str(e)) from e
     if args.env_frames < 1 or args.vocab < 1:
         raise ConfigError("--env-frames and --vocab must be >= 1")
-    _make_out_dir(cfg.out_dir)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     import numpy as np
     env_rng = np.random.default_rng(cfg.seed)
     env = grpo.make_env(args.env_frames, [chr(ord("a") + i) for i in range(args.vocab)],
@@ -410,7 +397,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BackendUnavailable as e:  # only the preflight's: run_units catches the rest
         print(f"backend unreachable: {e}", file=sys.stderr)
         return 3
-    except VtagentError as e:
+    # an OSError that gets here is a file's or a stream's: the backends and
+    # the frame reader map their own
+    except (VtagentError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

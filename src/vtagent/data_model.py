@@ -15,7 +15,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Collection, Iterable, Optional
 
-from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
+from .errors import ConfigError, DuplicateSampleId, MalformedRecord, MissingFrameFile
 from .jsonl import _decode_line, write_lines
 
 
@@ -270,8 +270,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                     raise DuplicateSampleId(sample.sample_id)
                 seen.add(sample.sample_id)
                 samples.append(sample)
-    except Exception:
+    except Exception as e:
         _check_files(refs)  # the frames read before the failing record come first
+        if isinstance(e, UnicodeDecodeError):
+            raise ConfigError(f"{path} is not UTF-8: {e}") from e
         raise
     _check_files(refs)
     return DatasetManifest(samples=tuple(samples), source_uri=str(path))

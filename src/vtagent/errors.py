@@ -77,10 +77,6 @@ class ResponseEmpty(BackendUnavailable):
     pass
 
 
-class StoreWriteFailed(VtagentError):
-    pass
-
-
 # --- metrics / analysis ---
 
 class EmptyScoreSet(VtagentError):

@@ -33,6 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NonFinite
+from .jsonl import replaced
 
 
 @dataclass(frozen=True)
@@ -387,9 +388,7 @@ def train(env_suite: Sequence[ToyEnv], config: TrainConfig) -> TrainResult:
 
 
 def write_curve_csv(curve: Sequence[StepStats], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "mean_reward", "tool_rate", "clip_frac"])
         for step, s in enumerate(curve):

@@ -1,19 +1,22 @@
-"""JSON-lines files: line decoding, the append-only log reader and the
-whole-file writer.
+"""JSON-lines and text files: line decoding, the append-only log reader,
+the text-file reader and the whole-file writers.
 
 `_decode_line` decodes each line of the manifest
 (`data_model.load_manifest`). `read_log`, the reader of the transcript store
 and of every pipeline's output log, decodes a run of lines in one decoder
 call (`_decode_batch`), and decodes a run that holds a bad line line by line
-with `_decode_line`. `write_lines` writes every output written whole.
+with `_decode_line`. `read_text` reads the config, script and partition
+files. `replaced` opens every output written whole, through `write_lines`
+or directly.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Generator, Iterable, Iterator, Optional
+from typing import Generator, Iterable, Iterator, Optional, TextIO
 
 from .errors import ConfigError, MalformedRecord
 
@@ -100,8 +103,9 @@ def _records(lines: list[str], first_line_no: int,
 
 
 def read_log(path: str | Path) -> Iterator[dict]:
-    """Yield the records of an append-only JSONL log (none if it does not
-    exist; a path that is not a file raises ConfigError).
+    """Yield the records of an append-only JSONL log: none if it does not
+    exist, and the OSError of its open if it cannot be read (a directory,
+    say). Only `\n` ends a line; a `\r` is part of its line.
 
     A kill mid-append can leave a last line without its newline. If that line
     does not parse it is dropped and cut off the file; if it does, its newline
@@ -111,12 +115,10 @@ def read_log(path: str | Path) -> Iterator[dict]:
     path = Path(path)
     if not path.exists():
         return
-    if not path.is_file():
-        raise ConfigError(f"log is not a file: {path}")
     line, line_no, torn = "\n", 1, None
     # surrogateescape: a line cut inside a UTF-8 sequence still reads, and its
     # byte length survives for the cut below
-    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         while torn is None and (lines := fh.readlines(_BATCH_CHARS)):
             torn = yield from _records(lines, line_no, path)
             line_no += len(lines)
@@ -129,18 +131,35 @@ def read_log(path: str | Path) -> Iterator[dict]:
             fh.write(b"\n")
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line and a newline to a temporary file beside path, then
-    rename it over path. A kill or an error mid-write leaves the previous
-    file whole: a reader never sees a torn one, as it can a log. An error
-    also removes the temporary file before it propagates."""
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file; one that is not UTF-8 raises ConfigError
+    naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8: {e}") from e
+
+
+@contextmanager
+def replaced(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file, written with no newline translation, at a temporary
+    path beside path, renamed over path when the block ends. A kill or an
+    error mid-write leaves the previous file whole: a reader never sees a
+    torn one, as it can a log. An error also removes the temporary file
+    before it propagates."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to path, replaced whole."""
+    with replaced(path) as fh:
+        fh.writelines(line + "\n" for line in lines)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
 from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
-from .errors import BackendUnavailable, ConfigError, NotFrameSolvable
-from .jsonl import write_lines
+from .errors import BackendUnavailable, NotFrameSolvable
+from .jsonl import read_text, write_lines
 from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
 
 
@@ -146,9 +146,5 @@ def write_partition(partition: Partition, out_dir: str | Path) -> None:
 
 
 def read_partition(out_dir: str | Path) -> Partition:
-    set_s, set_u = (Path(out_dir) / "set_s.ids", Path(out_dir) / "set_u.ids")
-    for path in (set_s, set_u):
-        if not path.is_file():
-            raise ConfigError(f"partition file not found: {path}")
-    return Partition(set_s=tuple(set_s.read_text(encoding="utf-8").split()),
-                     set_u=tuple(set_u.read_text(encoding="utf-8").split()))
+    return Partition(set_s=tuple(read_text(Path(out_dir) / "set_s.ids").split()),
+                     set_u=tuple(read_text(Path(out_dir) / "set_u.ids").split()))

@@ -8,7 +8,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import read_log, write_lines
+from .jsonl import read_log, replaced, write_lines
 from .data_model import DatasetManifest
 from .errors import ConfigError, MalformedRecord
 from .grammar import KeyframeSet
@@ -17,7 +17,9 @@ from .metrics import MetricReport, SampleScore, anls, exact_accuracy, hit
 
 def score_records(manifest: DatasetManifest, records: Sequence[dict]) -> list[SampleScore]:
     """Score run_batch records against manifest golds. Errored records score 0;
-    hit is defined only when the sample has pseudo keyframes and a selection exists."""
+    hit is defined only when the sample has pseudo keyframes and the model
+    chose a selection: an episode whose anchoring fell back (its record's
+    `turn1_raw` is empty) chose none."""
     by_id = {s.sample_id: s for s in manifest.samples}
     scores: list[SampleScore] = []
     for rec in records:
@@ -32,7 +34,7 @@ def score_records(manifest: DatasetManifest, records: Sequence[dict]) -> list[Sa
         score_anls = anls(pred, sample.gold_answers)
         hit_val: Optional[bool] = None
         ids = rec["keyframe_ids"]
-        if sample.pseudo_keyframes and ids:
+        if sample.pseudo_keyframes and ids and rec.get("turn1_raw") != "":
             hit_val = hit(KeyframeSet(ids=tuple(ids)), sample.pseudo_keyframes)
         scores.append(SampleScore(sample_id=sample.sample_id, accuracy=acc,
                                   anls=score_anls, hit=hit_val))
@@ -100,22 +102,16 @@ def subset_table(reports_by_system: dict[str, dict[str, Optional[MetricReport]]]
 
 
 def write_csv_table(rows: Sequence[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    with replaced(path) as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def write_svg_lines(path: str | Path, series: dict[str, Sequence[float]],
                     title: str = "") -> None:
     """Minimal multi-series line plot; no display server or plotting stack needed."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     width, height, pad = 640, 360, 40
     all_vals = [v for vals in series.values() for v in vals] or [0.0]
     lo, hi = min(all_vals), max(all_vals)
@@ -138,12 +134,11 @@ def write_svg_lines(path: str | Path, series: dict[str, Sequence[float]],
         parts.append(f'<text x="{pad}" y="{pad + 16 * k}" fill="{color}" '
                      f'font-size="12">{name}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts), encoding="utf-8")
+    with replaced(path) as fh:
+        fh.write("\n".join(parts))
 
 
 def write_svg_bars(path: str | Path, bars: dict[str, float], title: str = "") -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     width, height, pad = 640, 360, 40
     hi = max(list(bars.values()) + [1.0])
     n = len(bars) or 1
@@ -162,4 +157,5 @@ def write_svg_bars(path: str | Path, bars: dict[str, float], title: str = "") ->
         parts.append(f'<text x="{x + slot * 0.35:.1f}" y="{y - 4:.1f}" '
                      f'text-anchor="middle" font-size="11">{val:.2f}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts), encoding="utf-8")
+    with replaced(path) as fh:
+        fh.write("\n".join(parts))

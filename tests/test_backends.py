@@ -364,6 +364,17 @@ def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory
     assert path.read_bytes() == raw
 
 
+def test_read_log_names_a_line_holding_a_lone_cr(tmp_path):
+    """Only a newline ends a line: a line holding a lone \\r is one line, so
+    one that does not parse is named, not taken for a torn last line."""
+    path = tmp_path / "log.jsonl"
+    raw = b'{"a": 1}\n{"b\r{"c": 2}\n{"d": 3}\n'
+    path.write_bytes(raw)
+    records, error = _read_log_until_error(path)
+    assert records == [{"a": 1}] and error.line_no == 2
+    assert path.read_bytes() == raw
+
+
 def _long_log(tmp_path, n=3000):
     """n store-like records, a blank line after every 97th: several of
     read_log's default batches."""

@@ -12,11 +12,11 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import request_question, write_manifest_file
-from vtagent import cli, reporting
+from vtagent import cli, oracle, reporting
 from vtagent.backends import (FunctionBackend, GenerationRequest, Message, RecordingBackend,
                               TextPart, TranscriptStore)
 from vtagent.engine import EngineConfig, run_batch
-from vtagent.errors import BackendUnavailable, StoreWriteFailed
+from vtagent.errors import BackendUnavailable
 from vtagent.metrics import SampleScore, aggregate
 
 
@@ -181,7 +181,7 @@ class TestEval:
         assert cli.main(argv + ["--script", str(write_script(tmp_path / "s1", manifest))]) == 2
         assert "No space left on device" in capsys.readouterr().err
         request = GenerationRequest(messages=(Message("user", (TextPart("q"),)),))
-        with pytest.raises(StoreWriteFailed, match="No space left on device"):
+        with pytest.raises(OSError, match="No space left on device"):
             TranscriptStore(store).record(request, "reply")
         monkeypatch.undo()
         log = out / "trajectories.jsonl"
@@ -366,6 +366,58 @@ def test_directory_or_missing_input_exit_2(case, manifest_path, tmp_path, capsys
     assert cli.main(argv) == 2
     assert str(named) in capsys.readouterr().err
     assert not out.exists()
+
+
+FILE_FAULTS = ["manifest-not-utf8", "config-not-utf8", "script-not-utf8", "set_s-not-utf8",
+               "trajectories-dir", "curve-dir", "report-csv-dir", "store-dir", "scores-enospc"]
+
+
+@pytest.mark.parametrize("case", FILE_FAULTS)
+def test_file_that_cannot_be_read_or_written_exit_2(case, manifest_path, tmp_path,
+                                                    monkeypatch, capsys):
+    path, manifest = manifest_path
+    out = tmp_path / "out"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    not_utf8 = tmp_path / "not-utf8"
+    not_utf8.write_bytes(b"frames=2\n\xff\n")
+    scores = tmp_path / "scores.jsonl"
+    reporting.write_score_log([SampleScore("q000", 1, 1.0)],
+                              aggregate([SampleScore("q000", 1, 1.0)]), scores)
+    part = tmp_path / "part"
+    oracle.write_partition(oracle.Partition(set_s=("q000",), set_u=()), part)
+    scripted = ["eval", "--manifest", str(path), "--out-dir", str(out),
+                "--backend", "scripted", "--script",
+                str(write_script(tmp_path / "script.jsonl", manifest))]
+    report = ["report", "--scores", f"sys={scores}"]
+    if case == "set_s-not-utf8":
+        (part / "set_s.ids").write_bytes(b"q000\n\xff\n")
+    elif case in ("trajectories-dir", "curve-dir"):
+        (out / {"trajectories-dir": "trajectories.jsonl", "curve-dir": "curve.csv"}[case]
+         ).mkdir(parents=True)
+    elif case == "scores-enospc":
+        open_ = Path.open
+
+        def full_disk_at_scores(self, mode="r", *args, **kwargs):
+            if self.name == "scores.jsonl.tmp" and mode == "w":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return open_(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", full_disk_at_scores)
+    argv = {
+        "manifest-not-utf8": scripted + ["--manifest", str(not_utf8)],
+        "config-not-utf8": scripted + ["--config", str(not_utf8)],
+        "script-not-utf8": scripted + ["--script", str(not_utf8)],
+        "set_s-not-utf8": report + ["--partition", str(part)],
+        "trajectories-dir": scripted,
+        "curve-dir": ["grpo", "--steps", "1", "--out-dir", str(out)],
+        "report-csv-dir": report + ["--csv", str(folder)],
+        "store-dir": scripted + ["--store", str(folder)],
+        "scores-enospc": scripted,
+    }[case]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # a logged record that lacks what its pipeline reads back, after one that it
@@ -574,7 +626,7 @@ class TestReport:
         if as_dir:
             (part / missing).mkdir()
         assert cli.main(["report", "--scores", f"sys={a}", "--partition", str(part)]) == 2
-        assert f"partition file not found: {part / missing}" in capsys.readouterr().err
+        assert str(part / missing) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -728,5 +780,5 @@ def test_out_dir_naming_a_file_exit_2(command, manifest_path, tmp_path, capsys):
                      "--script", str(write_script(tmp_path / "script.jsonl", manifest))],
             "grpo": ["grpo", "--steps", "1"]}[command]
     assert cli.main(argv + ["--out-dir", str(out)]) == 2
-    assert f"cannot make output directory {out}" in capsys.readouterr().err
+    assert str(out) in capsys.readouterr().err
     assert out.read_text() == "a file\n"

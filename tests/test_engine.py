@@ -15,9 +15,10 @@ from vtagent.data_model import (DatasetManifest, FrameRef, Sample, SamplingPolic
                                 load_manifest, sample_frames)
 from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prompt,
                             complete_with_retry, derive_seed, read_log, run_batch,
-                            run_episode)
+                            run_episode, trajectory_record)
 from vtagent.errors import BackendUnavailable, ConfigError, VtagentError
 from vtagent.grammar import Answer, KeyframeSet, SelectKeyframes, Turn, render_turn
+from vtagent.reporting import score_records
 
 
 @pytest.mark.parametrize("setting, value", [
@@ -209,6 +210,23 @@ class TestRunEpisode:
         answer_requests = [r for r in seen if request_stage(r) == "answer"]
         assert request_image_count(answer_requests[0]) == 3
         assert set(traj.keyframes.ids) <= {f.index for f in sample.frames}
+
+
+@pytest.mark.parametrize("fallback", ["direct", "uniform"])
+def test_fallback_episode_scores_no_hit(sample_factory, fallback):
+    """An episode whose anchoring fell back chose no keyframes, so its hit is
+    undefined whichever frames the fallback answered from: under direct, all
+    8 (which hold the annotated frame 5); under uniform, 0 and 7."""
+    sample = sample_factory(n_frames=8, keyframes=[5])
+    manifest = DatasetManifest(samples=(sample,), source_uri="memory")
+    config = EngineConfig(cap=2, max_attempts=1, fallback=fallback)
+    records = [trajectory_record(run_episode(sample, ScriptedBackend(replies), config))
+               for replies in ([valid_select("5"), valid_answer("stop")],
+                               ["no action block", valid_answer("stop")])]
+    assert records[1]["turn1_raw"] == ""
+    anchored, fell_back = score_records(manifest, records)
+    assert anchored.hit is True
+    assert fell_back.hit is None and fell_back.accuracy == 1
 
 
 class TestCompleteWithRetry:

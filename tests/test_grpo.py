@@ -1,4 +1,5 @@
 import copy
+import errno
 import math
 
 import numpy as np
@@ -471,3 +472,20 @@ class TestMatchesReference:
             grpo.sample_trajectory(bad, env, np.random.default_rng(0))
         with pytest.raises(ValueError):  # what rng.choice does with such probabilities
             ref_sample(bad, env, np.random.default_rng(0))
+
+
+def test_failed_curve_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "curve.csv"
+    grpo.write_curve_csv([grpo.StepStats(0.5, 0.5, 0.25, 0.0)], path)
+    before = path.read_bytes()
+    assert before == b"step,mean_reward,tool_rate,clip_frac\r\n0,0.5,0.25,0.0\r\n"
+
+    class FullDisk(float):
+        def __repr__(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    curve = [grpo.StepStats(0.75, 0.5, 0.5, 0.0), grpo.StepStats(FullDisk(1), 1.0, 1.0, 0.0)]
+    with pytest.raises(OSError, match="No space left"):
+        grpo.write_curve_csv(curve, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv"]
