@@ -410,6 +410,10 @@ def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
         raise ResponseEmpty("empty message content")
     if not isinstance(content, str):
         raise BackendUnavailable("malformed response body: content is not a string")
+    try:
+        content.encode()  # a lone surrogate, from a \ud83d escape, cannot be logged
+    except UnicodeEncodeError as e:
+        raise BackendUnavailable(f"malformed response body: {e}") from e
     return content
 
 

@@ -109,10 +109,16 @@ def build_backend(cfg: RunConfig) -> Backend:
     elif cfg.backend == "scripted":
         if cfg.script is None:
             raise ConfigError("scripted backend requires --script FILE")
-        responses = [json.loads(line) if line.lstrip().startswith('"') else line
-                     for line in read_text(cfg.script).splitlines()
-                     if line.strip()]
-        backend = ScriptedBackend([str(r) for r in responses])
+        responses = []
+        for line_no, line in enumerate(read_text(cfg.script).splitlines(), start=1):
+            try:  # a quoted line is a JSON string; a lone surrogate cannot be logged
+                response = json.loads(line) if line.lstrip().startswith('"') else line
+                response.encode()
+            except ValueError as e:
+                raise ConfigError(f"{cfg.script}:{line_no}: {e}") from e
+            if line.strip():
+                responses.append(response)
+        backend = ScriptedBackend(responses)
     elif cfg.backend == "replay":
         if cfg.store is None:
             raise ConfigError("replay backend requires --store FILE")

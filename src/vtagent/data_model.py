@@ -15,8 +15,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Collection, Iterable, Optional
 
-from .errors import ConfigError, DuplicateSampleId, MalformedRecord, MissingFrameFile
-from .jsonl import _decode_line, write_lines
+from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
+from .jsonl import read_records, write_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +231,7 @@ def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load a JSONL manifest, aborting on the first invalid record.
+    """Load a JSONL manifest with read_records, aborting on the first invalid record.
 
     Every frame file must exist when the load checks it, which it does after
     reading the records (_check_files); MissingFrameFile names the first
@@ -240,43 +240,31 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     list equals the previous record's, as the questions about one video do,
     shares that record's frames tuple, which is checked once.
     """
-    path = Path(path)
     samples: list[Sample] = []
     seen: set[str] = set()
     refs: dict[tuple, FrameRef] = {}
     last_raw, last_frames = None, ()
     try:
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.isspace():  # what str.strip() empties
-                    continue
-                try:
-                    obj = _decode_line(line)
-                except ValueError as e:
-                    raise MalformedRecord(line_no, f"invalid JSON: {e}") from e
-                if not isinstance(obj, dict):
-                    raise MalformedRecord(line_no, "record must be an object")
-                for name in ("sample_id", "video_id", "question", "answers", "frames"):
-                    if name not in obj:
-                        raise MalformedRecord(line_no, f"missing field {name!r}")
-                raw_frames = obj["frames"]
-                if not isinstance(raw_frames, list) or not raw_frames:
-                    raise MalformedRecord(line_no, "empty frames")
-                if raw_frames != last_raw:
-                    last_raw, last_frames = raw_frames, _frame_refs(raw_frames, line_no, refs)
-                sample = _sample_from_record(obj, line_no, last_frames)
-                last_frames = sample.frames  # checked now
-                if sample.sample_id in seen:
-                    raise DuplicateSampleId(sample.sample_id)
-                seen.add(sample.sample_id)
-                samples.append(sample)
-    except Exception as e:
+        for line_no, obj in read_records(path):
+            for name in ("sample_id", "video_id", "question", "answers", "frames"):
+                if name not in obj:
+                    raise MalformedRecord(line_no, f"missing field {name!r}")
+            raw_frames = obj["frames"]
+            if not isinstance(raw_frames, list) or not raw_frames:
+                raise MalformedRecord(line_no, "empty frames")
+            if raw_frames != last_raw:
+                last_raw, last_frames = raw_frames, _frame_refs(raw_frames, line_no, refs)
+            sample = _sample_from_record(obj, line_no, last_frames)
+            last_frames = sample.frames  # checked now
+            if sample.sample_id in seen:
+                raise DuplicateSampleId(sample.sample_id)
+            seen.add(sample.sample_id)
+            samples.append(sample)
+    except Exception:
         _check_files(refs)  # the frames read before the failing record come first
-        if isinstance(e, UnicodeDecodeError):
-            raise ConfigError(f"{path} is not UTF-8: {e}") from e
         raise
     _check_files(refs)
-    return DatasetManifest(samples=tuple(samples), source_uri=str(path))
+    return DatasetManifest(samples=tuple(samples), source_uri=str(Path(path)))
 
 
 def _sample_to_record(sample: Sample) -> dict:

@@ -1,13 +1,9 @@
-"""JSON-lines and text files: line decoding, the append-only log reader,
-the text-file reader and the whole-file writers.
-
-`_decode_line` decodes each line of the manifest
-(`data_model.load_manifest`). `read_log`, the reader of the transcript store
-and of every pipeline's output log, decodes a run of lines in one decoder
-call (`_decode_batch`), and decodes a run that holds a bad line line by line
-with `_decode_line`. `read_text` reads the config, script and partition
-files. `replaced` opens every output written whole, through `write_lines`
-or directly.
+"""JSON-lines and text files. `read_records` reads a file written whole (a
+manifest, a score log) and never writes it. `read_log` reads an append-only
+log (the transcript store, each pipeline's output log), a run of lines per
+decoder call (`_decode_batch`), and cuts a torn last line. Both decode a
+line alone with `_record`. `read_text` reads config, script and partition
+files; `replaced` opens every output written whole, as `write_lines` does.
 """
 
 from __future__ import annotations
@@ -21,50 +17,53 @@ from typing import Generator, Iterable, Iterator, Optional, TextIO
 from .errors import ConfigError, MalformedRecord
 
 _raw_decode = json.JSONDecoder().raw_decode
-_JSON_SPACE = " \t\n\r"  # the whitespace json skips around a value
-# read_log decodes about this many characters of whole lines per decoder
-# call: a batch's text and records stay small beside what its caller keeps
-_BATCH_CHARS = 1 << 16
+# read_log decodes about this many bytes of whole lines per decoder call: a
+# batch's text and records stay small beside what its caller keeps
+_BATCH_BYTES = 1 << 16
 # _decode_batch puts this string between two lines. json reads the value
 # "\x00" only from this escape (strict mode rejects a raw control character
 # in a string), so a line can yield that value only by holding the escape.
-_NUL_ESCAPE = "\\u0000"
-_SEPARATOR = f',"{_NUL_ESCAPE}",'
+_NUL_ESCAPE = b"\\u0000"
+_SEPARATOR = b',"' + _NUL_ESCAPE + b'",'
 
 
-def _decode_line(line: str):
-    """json.loads(line) in one decoder call: the value that starts at the
-    line's first character json does not skip as whitespace. Values, errors
-    and their positions, counted in the whole line, are json.loads's own.
-    On transcript-store lines it takes about 12% less time than
-    `JSONDecoder().decode`, which adds two regex scans, and 30% less than
-    json.loads, which adds three calls to those. It is
-    private to the package's JSONL readers because it runs once per line:
-    the benchmark's tracer gives every public function a span."""
+def _record(line: str, line_no: int, path: Path) -> dict:
+    """json.loads(line) if it is a JSON object, else MalformedRecord naming
+    the line. Private: the benchmark's tracer spans every public function."""
     try:
-        obj, end = _raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-    except json.JSONDecodeError:
-        if line.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                                       line, 0) from None
-        raise
-    rest = line[end:].lstrip(_JSON_SPACE)
-    if rest:
-        raise json.JSONDecodeError("Extra data", line, len(line) - len(rest))
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as e:  # nested deeper than the interpreter recurses
+        raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise MalformedRecord(line_no, f"record in {path} is not a JSON object")
     return obj
 
 
-def _decode_batch(lines: list[str]) -> Optional[list]:
-    """[json.loads(line) for line in lines] in one decoder call when every
-    line is a JSON object, else None. The lines are decoded as one array
-    with a "\\x00" string between each two. When no line holds that string's
-    escape, each separator the array shows at an odd index is one of the
-    separators, so each line is exactly the one value between two of them,
-    the value json.loads gives that line alone."""
-    text = "[" + _SEPARATOR.join(lines) + "]"
-    if text.count(_NUL_ESCAPE) != len(lines) - 1:
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file written whole, never writing it. Lines end as in universal-newlines
+    mode; a file that is not UTF-8 raises ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.isspace():  # what str.strip() empties
+                    yield line_no, _record(line, line_no, path)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8: {e}") from e
+
+
+def _decode_batch(lines: list[bytes]) -> Optional[list]:
+    """[json.loads(line.decode()) for line in lines] in one decoder call when
+    every line is UTF-8 and a JSON object, else None. The lines are decoded
+    as one array with a "\\x00" string between each two. When no line holds
+    that string's escape, each separator the array shows at an odd index is
+    one of the separators, so each line is exactly the one value between two
+    of them, the value json.loads gives that line alone."""
+    data = b"[" + _SEPARATOR.join(lines) + b"]"
+    if data.count(_NUL_ESCAPE) != len(lines) - 1:
         return None
     try:
+        text = data.decode()  # strictly, as UTF-8
         values, end = _raw_decode(text)
     except (ValueError, RecursionError):  # the array nests one level deeper than a line
         return None
@@ -76,8 +75,8 @@ def _decode_batch(lines: list[str]) -> Optional[list]:
     return records
 
 
-def _records(lines: list[str], first_line_no: int,
-             path: Path) -> Generator[dict, None, Optional[str]]:
+def _records(lines: list[bytes], first_line_no: int,
+             path: Path) -> Generator[dict, None, Optional[bytes]]:
     """Yield the records of consecutive lines of the log at path, the first
     numbered first_line_no, and return the torn line that ends them, if
     any (see read_log). Lines that do not decode as one batch are read one
@@ -87,19 +86,23 @@ def _records(lines: list[str], first_line_no: int,
     if records is not None:
         yield from records
         return None
-    for line_no, line in enumerate(lines, first_line_no):
+    for line_no, raw in enumerate(lines, first_line_no):
+        torn = not raw.endswith(b"\n")  # only the last line can lack it
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as e:
+            if torn:  # cut inside a character, say
+                return raw
+            raise MalformedRecord(line_no, f"invalid UTF-8 in {path}: {e}") from e
         if line.isspace():  # what str.strip() empties
             continue
         try:
-            obj = _decode_line(line)
-        except ValueError as e:
-            if not line.endswith("\n"):  # only the last line can lack it
-                return line
-            raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
-        if not isinstance(obj, dict):
-            raise MalformedRecord(line_no, f"record in {path} is not a JSON object")
+            obj = _record(line, line_no, path)
+        except MalformedRecord as e:
+            if torn and e.__cause__ is not None:  # not JSON, rather than JSON but no object
+                return raw
+            raise
         yield obj
-    return None
 
 
 def read_log(path: str | Path) -> Iterator[dict]:
@@ -108,25 +111,23 @@ def read_log(path: str | Path) -> Iterator[dict]:
     say). Only `\n` ends a line; a `\r` is part of its line.
 
     A kill mid-append can leave a last line without its newline. If that line
-    does not parse it is dropped and cut off the file; if it does, its newline
-    is added. Either way the next append starts a line of its own. Any other
-    line that is not a JSON object raises MalformedRecord.
+    is not UTF-8 or not JSON, it is cut off the file; else its newline is
+    added. Either way the next append starts a line of its own. Any other
+    line that is not UTF-8 or not a JSON object raises MalformedRecord.
     """
     path = Path(path)
     if not path.exists():
         return
-    line, line_no, torn = "\n", 1, None
-    # surrogateescape: a line cut inside a UTF-8 sequence still reads, and its
-    # byte length survives for the cut below
-    with path.open(encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        while torn is None and (lines := fh.readlines(_BATCH_CHARS)):
+    line, line_no, torn = b"\n", 1, None
+    with path.open("rb") as fh:
+        while torn is None and (lines := fh.readlines(_BATCH_BYTES)):
             torn = yield from _records(lines, line_no, path)
             line_no += len(lines)
             line = lines[-1]
     if torn is not None:
         with path.open("r+b") as fh:
-            fh.truncate(fh.seek(0, 2) - len(torn.encode("utf-8", "surrogateescape")))
-    elif not line.endswith("\n"):
+            fh.truncate(fh.seek(0, 2) - len(torn))
+    elif not line.endswith(b"\n"):
         with path.open("ab") as fh:
             fh.write(b"\n")
 

@@ -146,5 +146,6 @@ def write_partition(partition: Partition, out_dir: str | Path) -> None:
 
 
 def read_partition(out_dir: str | Path) -> Partition:
-    return Partition(set_s=tuple(read_text(Path(out_dir) / "set_s.ids").split()),
-                     set_u=tuple(read_text(Path(out_dir) / "set_u.ids").split()))
+    """What write_partition wrote: one sample_id a line, spaces kept."""
+    return Partition(set_s=tuple(read_text(Path(out_dir) / "set_s.ids").splitlines()),
+                     set_u=tuple(read_text(Path(out_dir) / "set_u.ids").splitlines()))

@@ -8,9 +8,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .jsonl import read_log, replaced, write_lines
+from .jsonl import read_records, replaced, write_lines
 from .data_model import DatasetManifest
-from .errors import ConfigError, MalformedRecord
+from .errors import MalformedRecord
 from .grammar import KeyframeSet
 from .metrics import MetricReport, SampleScore, anls, exact_accuracy, hit
 
@@ -54,14 +54,12 @@ def write_score_log(scores: Sequence[SampleScore], report: MetricReport,
 
 
 def read_score_log(path: str | Path) -> list[SampleScore]:
-    """Per-sample scores of a score log, read with read_log; the summary
-    record is skipped. A bad record is named by its number among the records,
-    which is its line number in a log that write_score_log wrote."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"score log not found: {path}")
+    """Per-sample scores of a score log, which write_score_log writes whole,
+    read with read_records: the file is never written, so `report` leaves
+    its inputs as they are. The summary record is skipped; a bad record is
+    named by its line."""
     scores: list[SampleScore] = []
-    for line_no, obj in enumerate(read_log(path), start=1):
+    for line_no, obj in read_records(path):
         if obj.get("summary"):
             continue
         try:

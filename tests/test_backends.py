@@ -290,7 +290,7 @@ _object_lines = st.builds(lambda pad, obj, ascii_only, trail: (
 _blank_lines = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\u2028 ", "\u00a0"])
 # each invalid as JSON, per json.loads
 _invalid_lines = st.sampled_from(['{"a": ', '{"a": 1} x', "\x0c{}", "\ufeff{}", '{"a" 1}', "nul",
-                                  '{"a": 1}}', ' {"a": "\udcff'])
+                                  '{"a": 1}}'])
 
 
 @st.composite
@@ -307,15 +307,15 @@ def jsonl_logs(draw):
     return lines, ending, torn
 
 
-# read_log's batch size in characters: one line a batch, a few lines a
+# read_log's batch size in bytes: one line a batch, a few lines a
 # batch, the default
-_batch_chars = st.sampled_from([1, 24, jsonl._BATCH_CHARS])
+_batch_bytes = st.sampled_from([1, 24, jsonl._BATCH_BYTES])
 
 
-def _read_log_until_error(path, batch_chars=jsonl._BATCH_CHARS):
+def _read_log_until_error(path, batch_bytes=jsonl._BATCH_BYTES):
     records = []
     try:
-        with mock.patch.object(jsonl, "_BATCH_CHARS", batch_chars):
+        with mock.patch.object(jsonl, "_BATCH_BYTES", batch_bytes):
             for obj in read_log(path):
                 records.append(obj)
     except MalformedRecord as e:
@@ -323,9 +323,9 @@ def _read_log_until_error(path, batch_chars=jsonl._BATCH_CHARS):
     return records, None
 
 
-@given(jsonl_logs(), _batch_chars)
+@given(jsonl_logs(), _batch_bytes)
 @settings(max_examples=300)
-def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log, batch_chars):
+def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log, batch_bytes):
     lines, _, torn = log
     path = tmp_path_factory.getbasetemp() / "log.jsonl"
     data = "".join(lines).encode("utf-8") + (torn or b"")
@@ -340,24 +340,24 @@ def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log, 
             left += b"\n"  # a last line that parses gets its newline
         except ValueError:
             left = data[:-len(torn)]  # one that does not is cut off
-    assert _read_log_until_error(path, batch_chars) == (expected, None)
+    assert _read_log_until_error(path, batch_bytes) == (expected, None)
     assert path.read_bytes() == left
 
 
-@given(jsonl_logs(), st.data(), _batch_chars)
+@given(jsonl_logs(), st.data(), _batch_bytes)
 @settings(max_examples=200)
 def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory, log, data,
-                                                                batch_chars):
+                                                                batch_bytes):
     lines, ending, torn = log
     at = data.draw(st.integers(0, len(lines)))
     bad = data.draw(_invalid_lines)
     lines = lines[:at] + [bad + ending] + lines[at:]
     path = tmp_path_factory.getbasetemp() / "log.jsonl"
-    raw = "".join(lines).encode("utf-8", "surrogateescape") + (torn or b"")
+    raw = "".join(lines).encode("utf-8") + (torn or b"")
     path.write_bytes(raw)
     with pytest.raises(ValueError) as json_error:
         json.loads(bad + ending)
-    records, error = _read_log_until_error(path, batch_chars)
+    records, error = _read_log_until_error(path, batch_bytes)
     assert records == [json.loads(line) for line in lines[:at] if line.strip()]
     assert (error.line_no, error.reason) == (at + 1,
                                              f"invalid JSON in {path}: {json_error.value}")
@@ -375,6 +375,21 @@ def test_read_log_names_a_line_holding_a_lone_cr(tmp_path):
     assert path.read_bytes() == raw
 
 
+@pytest.mark.parametrize("bad", [b' {"a": "\xff', b'{"a": "t\xffext 0"}'],
+                         ids=["bad-json", "good-json"])
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_read_log_names_a_line_that_is_not_utf8(tmp_path, bad, ending):
+    """A complete line holding a byte that is not UTF-8 is named, whether or
+    not its JSON would parse, and the file is left as it is."""
+    path = tmp_path / "log.jsonl"
+    raw = b'{"a": 1}' + ending + bad + ending + b'{"b": 2}' + ending
+    path.write_bytes(raw)
+    records, error = _read_log_until_error(path)
+    assert records == [{"a": 1}] and error.line_no == 2
+    assert error.reason.startswith(f"invalid UTF-8 in {path}: ")
+    assert path.read_bytes() == raw
+
+
 def _long_log(tmp_path, n=3000):
     """n store-like records, a blank line after every 97th: several of
     read_log's default batches."""
@@ -384,7 +399,7 @@ def _long_log(tmp_path, n=3000):
                                  "latency_ms": i}, ensure_ascii=False) + "\n")
         if i % 97 == 0:
             lines.append(" \t\n")
-    assert len("".join(lines)) > 3 * jsonl._BATCH_CHARS
+    assert len("".join(lines)) > 3 * jsonl._BATCH_BYTES
     return tmp_path / "log.jsonl", lines
 
 
@@ -559,8 +574,9 @@ class TestHttp:
         with pytest.raises(BackendUnavailable, match="HTTP 500: boom"):
             http_complete(self.config(fake_server), simple_request())
 
-    @pytest.mark.parametrize("payload", [[], {"choices": [{"message": {"content": 5}}]}],
-                             ids=["list_body", "int_content"])
+    @pytest.mark.parametrize("payload", [[], {"choices": [{"message": {"content": 5}}]},
+                                         {"choices": [{"message": {"content": "a \ud83d"}}]}],
+                             ids=["list_body", "int_content", "lone_surrogate_content"])
     def test_malformed_200_body(self, fake_server, monkeypatch, payload):
         monkeypatch.setattr(_Handler, "payload", payload)
         with pytest.raises(BackendUnavailable, match="malformed response body"):

@@ -227,6 +227,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2" in err and str(log) in err and "sample_id" in err
 
+    def test_store_line_that_is_not_utf8_exit_2(self, manifest_path, tmp_path, capsys):
+        path, _ = manifest_path
+        store = tmp_path / "store.jsonl"
+        raw = (b'{"digest": "' + b"0" * 64 + b'", "response": "r"}\n'
+               b'{"digest": "' + b"1" * 64 + b'", "response": "t\xffext 0"}\n')
+        store.write_bytes(raw)
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "replay",
+                         "--store", str(store), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"line 2: invalid UTF-8 in {store}" in capsys.readouterr().err
+        assert store.read_bytes() == raw
+
+    def test_script_line_holding_a_lone_surrogate_exit_2(self, manifest_path, tmp_path, capsys):
+        path, _ = manifest_path
+        script = tmp_path / "script.jsonl"
+        script.write_text(json.dumps("<reasoning>r</reasoning><action>select key frame: [0]"
+                                     "</action>") + "\n"
+                          + r'"<reasoning>r</reasoning><action>answer: text \ud83d</action>"'
+                          + "\n", encoding="utf-8")
+        code = cli.main(["eval", "--manifest", str(path), "--backend", "scripted",
+                         "--script", str(script), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{script}:2: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_store_record_exit_2(self, manifest_path, tmp_path, capsys):
         path, _ = manifest_path
         store = tmp_path / "store.jsonl"
@@ -611,7 +636,31 @@ class TestReport:
 
     def test_missing_score_log_exit_2(self, tmp_path, capsys):
         assert cli.main(["report", "--scores", f"sys={tmp_path / 'none.jsonl'}"]) == 2
-        assert "score log not found" in capsys.readouterr().err
+        assert str(tmp_path / "none.jsonl") in capsys.readouterr().err
+
+    def test_torn_last_line_exit_2_and_the_log_left_as_it_is(self, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        self.make_score_log(path, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": None}],
+                            {"summary": True})
+        raw = path.read_bytes()[:-5]
+        path.write_bytes(raw)
+        assert cli.main(["report", "--scores", f"sys={path}"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(path) in err
+        assert path.read_bytes() == raw
+
+    def test_last_line_without_newline_read_and_the_log_left_as_it_is(self, tmp_path, capsys):
+        path = tmp_path / "a.jsonl"
+        self.make_score_log(path, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": None},
+                                   {"sample_id": "s2", "accuracy": 0, "anls": 0.0, "hit": None}],
+                            {"summary": True})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.rindex(b"\n", 0, -1) + 1]
+                         + b'{"sample_id": "s3", "accuracy": 1, "anls": 1.0, "hit": null}')
+        raw = path.read_bytes()
+        assert cli.main(["report", "--scores", f"sys={path}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:3] == ["sys", "3", "66.67"]
+        assert path.read_bytes() == raw
 
     @pytest.mark.parametrize("missing,as_dir", [("set_s.ids", False), ("set_u.ids", False),
                                                 ("set_s.ids", True)])

@@ -258,6 +258,21 @@ def test_malformed_frame_entry_names_its_line(sample_factory, tmp_path, entries)
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("bad, reason", [('{"sample_id": "q9",', "invalid JSON in {}: "),
+                                         ("[" * 100_000, "invalid JSON in {}: "),
+                                         ("[1, 2]", "record in {} is not a JSON object")],
+                         ids=["invalid-json", "nested-too-deep", "not-an-object"])
+def test_a_line_that_is_no_json_object_names_the_manifest_and_its_line(
+        sample_factory, tmp_path, bad, reason):
+    path, (first, second) = two_frame_records(sample_factory, tmp_path)
+    raw = json.dumps(first) + "\n\n" + bad + "\n" + json.dumps(second) + "\n"
+    path.write_text(raw)
+    with pytest.raises(MalformedRecord) as exc:
+        load_manifest(path)
+    assert exc.value.line_no == 3 and exc.value.reason.startswith(reason.format(path))
+    assert path.read_text() == raw
+
+
 def test_index_and_t_taken_when_int_and_float_convert_them_exactly(sample_factory, tmp_path):
     path, (first, third) = two_frame_records(sample_factory, tmp_path)
     # the first record's list again, its values equal but of another type

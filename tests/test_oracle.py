@@ -263,3 +263,8 @@ class TestPartitionIo:
         assert oracle.read_partition(tmp_path) == part
         assert (tmp_path / "set_s.ids").exists()
         assert (tmp_path / "set_u.ids").exists()
+
+    def test_round_trip_keeps_spaces_in_ids(self, tmp_path):
+        part = oracle.Partition(set_s=("video 1 q2", "a"), set_u=(" c",))
+        oracle.write_partition(part, tmp_path)
+        assert oracle.read_partition(tmp_path) == part
