@@ -207,9 +207,7 @@ class TranscriptStore:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._responses: dict[str, str] = {}
-        # a bad record is named by its number among the records, which is its
-        # line number in a store that record wrote
-        for line_no, obj in enumerate(read_log(self.path), start=1):
+        for line_no, obj in read_log(self.path):
             digest, response = obj.get("digest"), obj.get("response")
             if not (isinstance(digest, str) and isinstance(response, str)):
                 raise MalformedRecord(line_no, f"bad store record in {self.path}: "

@@ -27,7 +27,7 @@ from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_manifest)
 from .engine import EngineConfig, run_batch
 from .errors import BackendUnavailable, ConfigError, VtagentError
-from .jsonl import read_text
+from .jsonl import read_lines
 from .metrics import REPORT_HEADER, MetricReport, aggregate, format_report
 
 ENV_KEYS = {"api_base": "VTAGENT_API_BASE", "api_key": "VTAGENT_API_KEY",
@@ -65,7 +65,7 @@ SETTINGS = tuple(f for f in fields(RunConfig) if f.name not in ("script", "store
 
 def _read_config_file(path: Path) -> dict:
     values = {}
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
+    for line_no, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -110,7 +110,7 @@ def build_backend(cfg: RunConfig) -> Backend:
         if cfg.script is None:
             raise ConfigError("scripted backend requires --script FILE")
         responses = []
-        for line_no, line in enumerate(read_text(cfg.script).splitlines(), start=1):
+        for line_no, line in read_lines(cfg.script):
             try:  # a quoted line is a JSON string; a lone surrogate cannot be logged
                 response = json.loads(line) if line.lstrip().startswith('"') else line
                 response.encode()

@@ -64,6 +64,8 @@ class Sample:
     split_tag: str = ""
 
     def __post_init__(self):
+        if "\n" in self.sample_id or "\r" in self.sample_id:  # set_s.ids holds one a line
+            raise ValueError(f"sample_id {self.sample_id!r} holds a line break")
         if not self.frames:
             raise ValueError("empty frames")
         if not self.gold_answers:

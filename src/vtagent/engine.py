@@ -272,9 +272,7 @@ def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], paralleli
     names (such as "has no 'line'"), raises MalformedRecord.
     """
     records = {}
-    # a bad record is named by its number among the records, which is its
-    # line number in a log that run_units wrote
-    for line_no, r in enumerate(read_log(log_path), start=1):
+    for line_no, r in read_log(log_path):
         fault = (missing_key(r, "sample_id")
                  or (None if isinstance(r["sample_id"], str) else "has a non-string sample_id")
                  or (None if "error" in r else check(r)))

@@ -1,15 +1,18 @@
-"""JSON-lines and text files. `read_records` reads a file written whole (a
-manifest, a score log) and never writes it. `read_log` reads an append-only
-log (the transcript store, each pipeline's output log), a run of lines per
-decoder call (`_decode_batch`), and cuts a torn last line. Both decode a
-line alone with `_record`. `read_text` reads config, script and partition
-files; `replaced` opens every output written whole, as `write_lines` does.
+"""JSON-lines and text files, read by two readers that number lines from 1,
+blank ones counted. `read_lines` reads a file written whole (config, script
+and partition files; a manifest or score log through `read_records`) and
+ends lines as universal-newlines mode does. `read_log` reads an append-only
+log (the store, each pipeline's output log), a run of lines per decoder call
+(`_decode_batch`), ends lines at `\n` only and cuts a torn last line. Both
+decode a JSON line alone with `_record`, which rejects a lone surrogate.
+`replaced` opens every output written whole, as `write_lines` does.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Generator, Iterable, Iterator, Optional, TextIO
@@ -22,45 +25,61 @@ _raw_decode = json.JSONDecoder().raw_decode
 _BATCH_BYTES = 1 << 16
 # _decode_batch puts this string between two lines. json reads the value
 # "\x00" only from this escape (strict mode rejects a raw control character
-# in a string), so a line can yield that value only by holding the escape.
-_NUL_ESCAPE = b"\\u0000"
-_SEPARATOR = b',"' + _NUL_ESCAPE + b'",'
+# in a string), so a line can yield that value only by holding a \u escape.
+_SEPARATOR = b',"\\u0000",'
+# strict UTF-8 holds no surrogate, so a decoded string can hold one only from
+# a \u escape of D800-DFFF: a line without this match holds none
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _record(line: str, line_no: int, path: Path) -> dict:
-    """json.loads(line) if it is a JSON object, else MalformedRecord naming
-    the line. Private: the benchmark's tracer spans every public function."""
+    """json.loads(line) if it is a JSON object without a lone surrogate, else
+    MalformedRecord naming the line. Private: the benchmark's tracer spans
+    every public function."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as e:  # nested deeper than the interpreter recurses
         raise MalformedRecord(line_no, f"invalid JSON in {path}: {e}") from e
     if not isinstance(obj, dict):
         raise MalformedRecord(line_no, f"record in {path} is not a JSON object")
+    if "\\" in line and _SURROGATE_ESCAPE.search(line):  # a memchr, then the pattern
+        try:  # a surrogate pair is one character; a lone one cannot be encoded
+            json.dumps(obj, ensure_ascii=False).encode()
+        except UnicodeEncodeError:
+            raise MalformedRecord(line_no, f"record in {path} holds a lone surrogate") from None
     return obj
 
 
-def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, record) for each non-blank line of a JSON-lines
-    file written whole, never writing it. Lines end as in universal-newlines
-    mode; a file that is not UTF-8 raises ConfigError naming it."""
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its line end) for each line of a
+    UTF-8 file written whole. Lines end as in universal-newlines mode; a
+    file that is not UTF-8 raises ConfigError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if not line.isspace():  # what str.strip() empties
-                    yield line_no, _record(line, line_no, path)
+                yield line_no, line.removesuffix("\n")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path} is not UTF-8: {e}") from e
 
 
+def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file written whole (read_lines), never writing it."""
+    for line_no, line in read_lines(path):
+        if line.strip():
+            yield line_no, _record(line, line_no, path)
+
+
 def _decode_batch(lines: list[bytes]) -> Optional[list]:
     """[json.loads(line.decode()) for line in lines] in one decoder call when
-    every line is UTF-8 and a JSON object, else None. The lines are decoded
-    as one array with a "\\x00" string between each two. When no line holds
-    that string's escape, each separator the array shows at an odd index is
+    every line is UTF-8, a JSON object and free of \\u escapes, else None: a
+    blank line, say. The lines are decoded as one array with a "\\x00"
+    string between each two. As no line holds a \\u escape, no line yields
+    a lone surrogate, and each separator the array shows at an odd index is
     one of the separators, so each line is exactly the one value between two
     of them, the value json.loads gives that line alone."""
     data = b"[" + _SEPARATOR.join(lines) + b"]"
-    if data.count(_NUL_ESCAPE) != len(lines) - 1:
+    if data.count(b"\\u") != len(lines) - 1:  # a \u escape besides the separators'
         return None
     try:
         text = data.decode()  # strictly, as UTF-8
@@ -76,15 +95,15 @@ def _decode_batch(lines: list[bytes]) -> Optional[list]:
 
 
 def _records(lines: list[bytes], first_line_no: int,
-             path: Path) -> Generator[dict, None, Optional[bytes]]:
-    """Yield the records of consecutive lines of the log at path, the first
-    numbered first_line_no, and return the torn line that ends them, if
-    any (see read_log). Lines that do not decode as one batch are read one
-    by one, so a bad line is named, and a torn one found, as if no batch
-    were made."""
-    records = _decode_batch([line for line in lines if not line.isspace()])
+             path: Path) -> Generator[tuple[int, dict], None, Optional[bytes]]:
+    """Yield (line number, record) for consecutive lines of the log at path,
+    the first numbered first_line_no, and return the torn line that ends
+    them, if any (see read_log). Lines that do not decode as one batch are
+    read one by one, so a blank line is skipped, a bad line named and a torn
+    one found as if no batch were made."""
+    records = _decode_batch(lines)
     if records is not None:
-        yield from records
+        yield from enumerate(records, first_line_no)  # a blank line fails a batch
         return None
     for line_no, raw in enumerate(lines, first_line_no):
         torn = not raw.endswith(b"\n")  # only the last line can lack it
@@ -102,18 +121,19 @@ def _records(lines: list[bytes], first_line_no: int,
             if torn and e.__cause__ is not None:  # not JSON, rather than JSON but no object
                 return raw
             raise
-        yield obj
+        yield line_no, obj
 
 
-def read_log(path: str | Path) -> Iterator[dict]:
-    """Yield the records of an append-only JSONL log: none if it does not
-    exist, and the OSError of its open if it cannot be read (a directory,
-    say). Only `\n` ends a line; a `\r` is part of its line.
+def read_log(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of an append-only
+    JSONL log: none if it does not exist, and the OSError of its open if it
+    cannot be read (a directory, say). Only `\n` ends a line.
 
     A kill mid-append can leave a last line without its newline. If that line
     is not UTF-8 or not JSON, it is cut off the file; else its newline is
     added. Either way the next append starts a line of its own. Any other
-    line that is not UTF-8 or not a JSON object raises MalformedRecord.
+    line that is not UTF-8, not a JSON object or holding a lone surrogate
+    raises MalformedRecord.
     """
     path = Path(path)
     if not path.exists():
@@ -130,15 +150,6 @@ def read_log(path: str | Path) -> Iterator[dict]:
     elif not line.endswith(b"\n"):
         with path.open("ab") as fh:
             fh.write(b"\n")
-
-
-def read_text(path: Path) -> str:
-    """The text of a UTF-8 file; one that is not UTF-8 raises ConfigError
-    naming it."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path} is not UTF-8: {e}") from e
 
 
 @contextmanager

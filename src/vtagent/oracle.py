@@ -21,7 +21,7 @@ from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
 from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
 from .errors import BackendUnavailable, NotFrameSolvable
-from .jsonl import read_text, write_lines
+from .jsonl import read_lines, write_lines
 from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
 
 
@@ -147,5 +147,5 @@ def write_partition(partition: Partition, out_dir: str | Path) -> None:
 
 def read_partition(out_dir: str | Path) -> Partition:
     """What write_partition wrote: one sample_id a line, spaces kept."""
-    return Partition(set_s=tuple(read_text(Path(out_dir) / "set_s.ids").splitlines()),
-                     set_u=tuple(read_text(Path(out_dir) / "set_u.ids").splitlines()))
+    return Partition(*(tuple(line for _, line in read_lines(Path(out_dir) / name))
+                       for name in ("set_s.ids", "set_u.ids")))

@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import hashlib
 import json
 import math
@@ -313,11 +314,12 @@ _batch_bytes = st.sampled_from([1, 24, jsonl._BATCH_BYTES])
 
 
 def _read_log_until_error(path, batch_bytes=jsonl._BATCH_BYTES):
+    """The (line number, record) pairs read_log yields before the error it
+    raises, and that error or None."""
     records = []
     try:
         with mock.patch.object(jsonl, "_BATCH_BYTES", batch_bytes):
-            for obj in read_log(path):
-                records.append(obj)
+            records.extend(read_log(path))
     except MalformedRecord as e:
         return records, e
     return records, None
@@ -330,13 +332,13 @@ def test_read_log_yields_what_json_loads_yields_per_line(tmp_path_factory, log, 
     path = tmp_path_factory.getbasetemp() / "log.jsonl"
     data = "".join(lines).encode("utf-8") + (torn or b"")
     path.write_bytes(data)
-    expected = [json.loads(line) for line in lines if line.strip()]
+    expected = [(n, json.loads(line)) for n, line in enumerate(lines, 1) if line.strip()]
     left = data
     if torn is not None:
         last = torn.decode("utf-8", "surrogateescape")
         try:
             if last.strip():
-                expected.append(json.loads(last))
+                expected.append((len(lines) + 1, json.loads(last)))
             left += b"\n"  # a last line that parses gets its newline
         except ValueError:
             left = data[:-len(torn)]  # one that does not is cut off
@@ -358,7 +360,8 @@ def test_read_log_names_an_invalid_inner_line_with_json_message(tmp_path_factory
     with pytest.raises(ValueError) as json_error:
         json.loads(bad + ending)
     records, error = _read_log_until_error(path, batch_bytes)
-    assert records == [json.loads(line) for line in lines[:at] if line.strip()]
+    assert records == [(n, json.loads(line)) for n, line in enumerate(lines[:at], 1)
+                       if line.strip()]
     assert (error.line_no, error.reason) == (at + 1,
                                              f"invalid JSON in {path}: {json_error.value}")
     assert path.read_bytes() == raw
@@ -371,7 +374,7 @@ def test_read_log_names_a_line_holding_a_lone_cr(tmp_path):
     raw = b'{"a": 1}\n{"b\r{"c": 2}\n{"d": 3}\n'
     path.write_bytes(raw)
     records, error = _read_log_until_error(path)
-    assert records == [{"a": 1}] and error.line_no == 2
+    assert records == [(1, {"a": 1})] and error.line_no == 2
     assert path.read_bytes() == raw
 
 
@@ -385,7 +388,7 @@ def test_read_log_names_a_line_that_is_not_utf8(tmp_path, bad, ending):
     raw = b'{"a": 1}' + ending + bad + ending + b'{"b": 2}' + ending
     path.write_bytes(raw)
     records, error = _read_log_until_error(path)
-    assert records == [{"a": 1}] and error.line_no == 2
+    assert records == [(1, {"a": 1})] and error.line_no == 2
     assert error.reason.startswith(f"invalid UTF-8 in {path}: ")
     assert path.read_bytes() == raw
 
@@ -407,7 +410,7 @@ def test_read_log_over_many_batches_reads_every_record_and_cuts_a_torn_last_line
     path, lines = _long_log(tmp_path)
     torn = lines[-1][:30]
     path.write_text("".join(lines[:-1]) + torn, encoding="utf-8")
-    expected = [json.loads(line) for line in lines[:-1] if line.strip()]
+    expected = [(n, json.loads(line)) for n, line in enumerate(lines[:-1], 1) if line.strip()]
     assert _read_log_until_error(path) == (expected, None)
     assert path.read_text(encoding="utf-8") == "".join(lines[:-1])
 
@@ -427,8 +430,40 @@ def test_read_log_over_many_batches_names_a_bad_line(tmp_path, bad, reason, wher
     at = len(lines) * 2 // 3 if where == "inner" else len(lines)
     path.write_text("".join(lines[:at]) + bad + "".join(lines[at:]), encoding="utf-8")
     records, error = _read_log_until_error(path)
-    assert records == [json.loads(line) for line in lines[:at] if line.strip()]
+    assert records == [(n, json.loads(line)) for n, line in enumerate(lines[:at], 1)
+                       if line.strip()]
     assert error.line_no == at + 1 and reason in error.reason
+
+
+@pytest.mark.parametrize("reader", ["read_records", "read_log"])
+@pytest.mark.parametrize("escape, lone", [
+    ("\\ud83d\\ude00", False),  # a pair: one astral character
+    ("\\ud83d", True), ("\\ude00", True), ("\\ude00\\ud83d", True),
+    ("\\\\ud83d", False),  # an escaped backslash, then text
+], ids=["pair", "high", "low", "reversed-pair", "backslash"])
+def test_json_readers_name_a_line_holding_a_lone_surrogate(tmp_path, reader, escape, lone):
+    """A JSON string escape can yield a surrogate that no output can write:
+    its line is named, whichever reader reads it."""
+    path = tmp_path / "log.jsonl"
+    lines = ['{"a": 1}\n', '{"b": "x' + escape + '"}\n', '{"c": 2}\n']
+    path.write_text("".join(lines), encoding="utf-8")
+    records = []
+    with pytest.raises(MalformedRecord) if lone else contextlib.nullcontext() as error:
+        records.extend(getattr(jsonl, reader)(path))
+    if lone:
+        assert records == [(1, {"a": 1})] and error.value.line_no == 2
+        assert error.value.reason == f"record in {path} holds a lone surrogate"
+    else:
+        assert records == [(n, json.loads(line)) for n, line in enumerate(lines, 1)]
+
+
+def test_store_names_a_bad_record_by_its_line(tmp_path):
+    path = tmp_path / "store.jsonl"
+    path.write_text('{"digest": "a", "response": "x"}\n\n \n{"digest": 1, "response": "x"}\n',
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecord) as error:
+        TranscriptStore(path)
+    assert error.value.line_no == 4 and "digest and response" in error.value.reason
 
 
 class _Handler(BaseHTTPRequestHandler):

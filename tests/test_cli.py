@@ -16,7 +16,7 @@ from vtagent import cli, oracle, reporting
 from vtagent.backends import (FunctionBackend, GenerationRequest, Message, RecordingBackend,
                               TextPart, TranscriptStore)
 from vtagent.engine import EngineConfig, run_batch
-from vtagent.errors import BackendUnavailable
+from vtagent.errors import BackendUnavailable, CacheMiss
 from vtagent.metrics import SampleScore, aggregate
 
 
@@ -443,6 +443,109 @@ def test_file_that_cannot_be_read_or_written_exit_2(case, manifest_path, tmp_pat
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# what str.splitlines() ends a line at besides \n, \r\n and \r: in a script,
+# config or partition file each stays inside its line
+SEPARATORS = {"u2028": "\u2028", "u2029": "\u2029", "u0085": "\x85", "x0b": "\x0b",
+              "x0c": "\x0c", "x1c": "\x1c", "x1d": "\x1d", "x1e": "\x1e"}
+
+
+def _config(cfg_file):
+    return cli.resolve_config(cli.build_parser().parse_args(
+        ["config", "show", "--config", str(cfg_file)]))
+
+
+@pytest.mark.parametrize("sep", SEPARATORS.values(), ids=SEPARATORS.keys())
+def test_a_separator_stays_inside_its_script_line(sep, tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_text(f"select{sep}more\nanswer\n", encoding="utf-8")
+    backend = cli.build_backend(cli.RunConfig(backend="scripted", script=script))
+    assert [backend.complete(None) for _ in range(2)] == [f"select{sep}more", "answer"]
+    with pytest.raises(CacheMiss):
+        backend.complete(None)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS.values(), ids=SEPARATORS.keys())
+def test_a_separator_stays_inside_its_config_value(sep, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"model=gpt{sep}x\nframes=4\n", encoding="utf-8")
+    resolved = _config(cfg_file)
+    assert (resolved.model, resolved.frames) == (f"gpt{sep}x", 4)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS.values(), ids=SEPARATORS.keys())
+def test_a_separator_stays_inside_its_partition_id(sep, tmp_path):
+    partition = oracle.Partition(set_s=(f"q{sep}1", f" {sep} "), set_u=(f"{sep}q2",))
+    oracle.write_partition(partition, tmp_path)
+    assert oracle.read_partition(tmp_path) == partition
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_script_config_and_partition_lines_end_at(ending, tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_bytes(ending.join(["select", "", "answer", ""]).encode())
+    backend = cli.build_backend(cli.RunConfig(backend="scripted", script=script))
+    assert [backend.complete(None) for _ in range(2)] == ["select", "answer"]
+    with pytest.raises(CacheMiss):
+        backend.complete(None)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(ending.join(["# a comment", "model=m", "frames=4", ""]).encode())
+    resolved = _config(cfg_file)
+    assert (resolved.model, resolved.frames) == ("m", 4)
+    (tmp_path / "set_s.ids").write_bytes(ending.join(["q1", "q 2", ""]).encode())
+    (tmp_path / "set_u.ids").write_bytes(b"")
+    assert oracle.read_partition(tmp_path) == oracle.Partition(set_s=("q1", "q 2"), set_u=())
+
+
+def _set_field(path, line_no, key, value):
+    """Set key to value in the record on line_no of the JSON-lines file at
+    path, written as json.dumps writes it (a lone surrogate as its escape)."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[line_no - 1])
+    record[key] = value
+    lines[line_no - 1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["manifest-question", "manifest-sample_id", "store-response",
+                                  "score-log", "run-log"])
+def test_json_line_holding_a_lone_surrogate_exit_2(case, manifest_path, tmp_path, capsys):
+    path, manifest = manifest_path
+    out, store = tmp_path / "out", tmp_path / "store.jsonl"
+    scripted = ["eval", "--manifest", str(path), "--out-dir", str(out), "--backend", "scripted",
+                "--script", str(write_script(tmp_path / "script.jsonl", manifest))]
+    if case in ("store-response", "score-log", "run-log"):
+        assert cli.main(scripted + ["--store", str(store)]) == 0
+    bad, key, argv = {
+        "manifest-question": (path, "question", scripted),
+        "manifest-sample_id": (path, "sample_id", scripted),
+        "store-response": (store, "response",
+                           ["eval", "--manifest", str(path), "--out-dir", str(tmp_path / "replay"),
+                            "--backend", "replay", "--store", str(store)]),
+        "score-log": (out / "scores.jsonl", "sample_id",
+                      ["report", "--scores", f"sys={out / 'scores.jsonl'}"]),
+        "run-log": (out / "trajectories.jsonl", "answer", scripted + ["--resume"]),
+    }[case]
+    _set_field(bad, 2, key, "text \ud800")
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: line 2: record in {bad} holds a lone surrogate\n"
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["lf", "cr"])
+def test_sample_id_holding_a_line_break_exit_2(line_break, manifest_path, tmp_path, capsys):
+    """set_s.ids and set_u.ids hold one sample_id a line."""
+    path, manifest = manifest_path
+    sample_id = f"q{line_break}1"
+    _set_field(path, 3, "sample_id", sample_id)
+    out = tmp_path / "out"
+    code = cli.main(["oracle", "--manifest", str(path), "--out-dir", str(out),
+                     "--backend", "scripted",
+                     "--script", str(write_script(tmp_path / "script.jsonl", manifest))])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 3: sample_id {sample_id!r} holds a line break\n"
+    assert not out.exists()
 
 
 # a logged record that lacks what its pipeline reads back, after one that it

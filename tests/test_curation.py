@@ -273,7 +273,7 @@ def test_resume_after_finished_run_makes_no_call(curate, manifest_factory, tmp_p
     lines, stats = curate(manifest, backend(), EngineConfig(max_attempts=5), log)
     write_corpus(lines, corpus)
     assert stats == CurationStats(kept=1, dropped=1, failed=1)
-    assert [(r["sample_id"], r.get("outcome"), r.get("error")) for r in read_log(log)] == \
+    assert [(r["sample_id"], r.get("outcome"), r.get("error")) for _, r in read_log(log)] == \
         [("q000", "kept", None), ("q001", "dropped", None), ("q002", None, "down")]
     before = log.read_bytes(), corpus.read_bytes()
 
@@ -298,7 +298,7 @@ def test_kill_mid_run_keeps_finished_prefix(curate, manifest_factory, tmp_path):
     with pytest.raises(RuntimeError):
         curate(manifest, SeededBackend(manifest, killed=manifest.samples[k].question),
                config, log)
-    assert [r["sample_id"] for r in read_log(log)] == \
+    assert [r["sample_id"] for _, r in read_log(log)] == \
         [s.sample_id for s in manifest.samples[:k]]
 
     rest = SeededBackend(manifest)

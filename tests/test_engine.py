@@ -16,7 +16,7 @@ from vtagent.data_model import (DatasetManifest, FrameRef, Sample, SamplingPolic
 from vtagent.engine import (EngineConfig, build_anchor_prompt, build_answer_prompt,
                             complete_with_retry, derive_seed, read_log, run_batch,
                             run_episode, trajectory_record)
-from vtagent.errors import BackendUnavailable, ConfigError, VtagentError
+from vtagent.errors import BackendUnavailable, ConfigError, MalformedRecord, VtagentError
 from vtagent.grammar import Answer, KeyframeSet, SelectKeyframes, Turn, render_turn
 from vtagent.reporting import score_records
 
@@ -258,7 +258,7 @@ class TestRunBatch:
                             tmp_path / "log.jsonl")
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
         logged = read_log(tmp_path / "log.jsonl")
-        assert [r["sample_id"] for r in logged] == [s.sample_id for s in manifest.samples]
+        assert [r["sample_id"] for _, r in logged] == [s.sample_id for s in manifest.samples]
 
     def test_resume_skips_logged(self, manifest_factory, oracle_backend_factory, tmp_path):
         manifest = manifest_factory(n_samples=6)
@@ -310,14 +310,14 @@ class TestRunBatch:
         log = tmp_path / "log.jsonl"
         with pytest.raises(RuntimeError):
             run_batch(manifest, FunctionBackend(dies_on_k), EngineConfig(parallelism=4), log)
-        assert [r["sample_id"] for r in read_log(log)] == \
+        assert [r["sample_id"] for _, r in read_log(log)] == \
             [s.sample_id for s in manifest.samples[:k]]
 
         backend = oracle_backend_factory(manifest)
         records = run_batch(manifest, backend, EngineConfig(parallelism=4), log)
         assert backend.calls == 2 * (len(manifest.samples) - k)
         assert [r["sample_id"] for r in records] == [s.sample_id for s in manifest.samples]
-        assert [r["sample_id"] for r in read_log(log)] == \
+        assert [r["sample_id"] for _, r in read_log(log)] == \
             [s.sample_id for s in manifest.samples]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -343,7 +343,7 @@ class TestRunBatch:
         with pytest.raises(VtagentError, match="fatal"):
             engine.run_units(manifest.samples, fn, parallelism, log)
         assert sorted(ran) == ["q000", "q001"]
-        assert [r["sample_id"] for r in read_log(log)] == ["q000"]
+        assert [r["sample_id"] for _, r in read_log(log)] == ["q000"]
 
     def test_replay_miss_fails_without_backoff(self, manifest_factory, tmp_path, monkeypatch):
         sleeps = []
@@ -369,7 +369,7 @@ class TestRunBatch:
         assert records[0]["sample_id"] == "q000" and "error" not in records[0]
         assert records[1:] == [{"sample_id": s.sample_id, "error": "script exhausted"}
                                for s in manifest.samples[1:]]
-        assert list(read_log(tmp_path / "log.jsonl")) == records
+        assert [r for _, r in read_log(tmp_path / "log.jsonl")] == records
         assert sleeps == [] and script.calls == 4
 
     def test_resume_after_torn_last_line(self, manifest_factory, oracle_backend_factory,
@@ -388,8 +388,15 @@ class TestRunBatch:
         assert len(lines) == 3 and all(l.endswith("\n") for l in lines)
         assert [json.loads(l) for l in lines] == records
 
+    def test_run_log_names_a_bad_record_by_its_line(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"sample_id": "a"}\n\n\t\n{"foo": 1}\n', encoding="utf-8")
+        with pytest.raises(MalformedRecord) as error:
+            engine.run_units((), lambda sample: {}, 1, log)
+        assert error.value.line_no == 4 and "has no 'sample_id'" in error.value.reason
+
     def test_whole_last_line_without_newline_kept(self, tmp_path):
         log = tmp_path / "log.jsonl"
         log.write_text('{"sample_id": "a"}\n{"sample_id": "b"}', encoding="utf-8")
-        assert list(read_log(log)) == [{"sample_id": "a"}, {"sample_id": "b"}]
+        assert list(read_log(log)) == [(1, {"sample_id": "a"}), (2, {"sample_id": "b"})]
         assert log.read_text(encoding="utf-8").endswith('"b"}\n')
