@@ -25,7 +25,7 @@ from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
                        ReplayBackend, ScriptedBackend, TranscriptStore, _exchange)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_manifest)
-from .engine import EngineConfig, run_batch
+from .engine import EngineConfig, episode_job, run_batch, run_units
 from .errors import BackendUnavailable, ConfigError, VtagentError
 from .jsonl import read_lines
 from .metrics import REPORT_HEADER, MetricReport, aggregate, format_report
@@ -162,11 +162,9 @@ def _fresh(path: Path, resume: bool) -> Path:
 
 
 def _score_episodes(cfg: RunConfig, manifest: DatasetManifest,
-                    backend: Backend) -> tuple[MetricReport, int]:
-    """Run the episodes into trajectories.jsonl and write their scores to
-    scores.jsonl; returns the report and the number of failed samples."""
-    log_path = _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume)
-    records = run_batch(manifest, backend, cfg, log_path)
+                    records: list[dict]) -> tuple[MetricReport, int]:
+    """Write the scores of the episode records to scores.jsonl; returns the
+    report and the number of failed samples."""
     scores = reporting.score_records(manifest, records)
     report = aggregate(scores, split_tag=manifest.samples[0].split_tag if manifest.samples else "")
     reporting.write_score_log(scores, report, cfg.out_dir / "scores.jsonl")
@@ -174,7 +172,10 @@ def _score_episodes(cfg: RunConfig, manifest: DatasetManifest,
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    report, failures = _score_episodes(*_prepare(args))
+    cfg, manifest, backend = _prepare(args)
+    records = run_batch(manifest, backend, cfg,
+                        _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume))
+    report, failures = _score_episodes(cfg, manifest, records)
     print(REPORT_HEADER)
     print(format_report(report))
     if failures:
@@ -183,10 +184,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    """The episodes and the frame-wise queries share one pool: neither waits
+    for the other, and both logs are done before scores.jsonl is written."""
     cfg, manifest, backend = _prepare(args)
-    video, failures = _score_episodes(cfg, manifest, backend)
-    report = oracle.oracle_upper_bound(manifest, backend, cfg,
-                                       _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume))
+    episodes, frames = run_units(
+        [episode_job(manifest, backend, cfg,
+                     _fresh(cfg.out_dir / "trajectories.jsonl", cfg.resume)),
+         oracle.framewise_job(manifest, backend, cfg,
+                              _fresh(cfg.out_dir / "framewise.jsonl", cfg.resume))],
+        cfg.parallelism)
+    video, failures = _score_episodes(cfg, manifest, episodes)
+    report = oracle.oracle_report(manifest, frames)
     oracle.write_partition(report.partition, cfg.out_dir)
     print(f"{'video ACC.':<16} {video.mean_accuracy:8.2f}")
     print(f"{'oracle ACC.':<16} {report.oracle_accuracy:8.2f}")

@@ -38,7 +38,8 @@ from typing import Iterator, Optional, Sequence
 
 from .backends import Backend
 from .data_model import DatasetManifest
-from .engine import EngineConfig, Trajectory, build_anchor_prompt, run_episode, run_units
+from .engine import (EngineConfig, Job, Trajectory, build_anchor_prompt, run_episode,
+                     run_units)
 from .grammar import Answer, SelectKeyframes, parse_trajectory_text, render_turn
 from .jsonl import write_lines
 from .metrics import anls, exact_accuracy
@@ -109,7 +110,7 @@ def _curate(manifest: DatasetManifest, unit, line_fault, parallelism: int,
         return line_fault(r["line"]) if isinstance(r.get("line"), dict) \
             else "has no JSON object 'line'"
 
-    records = run_units(manifest.samples, one, parallelism, log_path, check)
+    (records,) = run_units([Job(manifest.samples, one, log_path, check)], parallelism)
     stats = CurationStats(**Counter("failed" if "error" in r else r["outcome"] for r in records))
     return [r["line"] for r in records if "error" not in r and r["outcome"] == "kept"], stats
 

@@ -15,11 +15,15 @@ sent one and exponential backoff otherwise; a replay cache miss or an
 exhausted script fails at once.
 
 `run_units` is the work-unit runner of every pipeline that calls the model.
-A unit returns one record per sample, the record its log holds, and the
-runner returns every sample's record, logged earlier or new, in manifest
-order. A unit that raises BackendUnavailable fails only its sample, whose
-record is then `{"sample_id", "error"}` in every pipeline. Any other error
-ends the run: samples already started finish, and no other sample is begun.
+It runs one or more jobs, each a set of samples, a unit function, a log and
+a record check, through one pool of `parallelism` workers: `oracle` hands
+it its episodes and its frame-wise queries together, so neither pass waits
+for the other. A unit returns one record per sample, the record its log
+holds, and the runner returns, per job, every sample's record, logged
+earlier or new, in manifest order. A unit that raises BackendUnavailable
+fails only its sample, whose record is then `{"sample_id", "error"}` in
+every pipeline. Any other error ends every job: units already started
+finish, and no other unit is begun.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -256,66 +262,110 @@ def missing_key(record: dict, *keys: str) -> Optional[str]:
     return next((f"has no {key!r}" for key in keys if key not in record), None)
 
 
-def run_units(samples: Sequence[Sample], fn: Callable[[Sample], dict], parallelism: int,
-              log_path: str | Path,
-              check: Callable[[dict], Optional[str]] = lambda record: None) -> list[dict]:
-    """Map fn over the samples not yet in log_path, `parallelism` at a time.
+@dataclass(frozen=True)
+class Job:
+    """One pipeline's share of a `run_units` call: fn maps each sample to
+    the record log_path holds for it, and check(record) names the fault of a
+    logged record without an error, or returns None."""
+    samples: Sequence[Sample]
+    fn: Callable[[Sample], dict]
+    log_path: str | Path
+    check: Callable[[dict], Optional[str]] = lambda record: None
 
-    fn returns the sample's record, which is appended to log_path and flushed
-    as soon as it and every record before it in manifest order are done, so a
-    kill loses only unfinished samples. A BackendUnavailable from fn makes
-    the sample's record {"sample_id", "error"}. Any other exception from fn
-    stops the run after the records of the samples before it, and no sample
-    that has not started by then is begun. Returns every sample's record,
-    read from the log or new, in manifest order. A logged record that lacks
-    a string sample_id, or one without an error whose fault check(record)
-    names (such as "has no 'line'"), raises MalformedRecord.
-    """
+
+def _logged(job: Job) -> dict[str, dict]:
+    """The records already in job.log_path, by sample_id. One that lacks a
+    string sample_id, or one without an error whose fault check names (such
+    as "has no 'line'"), raises MalformedRecord."""
     records = {}
-    for line_no, r in read_log(log_path):
+    for line_no, r in read_log(job.log_path):
         fault = (missing_key(r, "sample_id")
                  or (None if isinstance(r["sample_id"], str) else "has a non-string sample_id")
-                 or (None if "error" in r else check(r)))
+                 or (None if "error" in r else job.check(r)))
         if fault:
-            raise MalformedRecord(line_no, f"record in {log_path} {fault}")
+            raise MalformedRecord(line_no, f"record in {job.log_path} {fault}")
         records[r["sample_id"]] = r
-    todo = [s for s in samples if s.sample_id not in records]
+    return records
+
+
+def _open_log(path: str | Path):
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "a", encoding="utf-8")
+
+
+def run_units(jobs: Sequence[Job], parallelism: int) -> list[list[dict]]:
+    """Map each job's fn over its samples not yet in its log, through one pool
+    of `parallelism` workers.
+
+    The units are submitted job by job, each job's in manifest order, so at
+    parallelism 1 they run in that order, and a worker a job leaves idle
+    takes the next job's units. A record is appended to its job's log and
+    flushed as soon as it and every record before it in that log are done,
+    so a kill loses only unfinished samples. A BackendUnavailable from fn
+    makes the sample's record {"sample_id", "error"}. Any other exception
+    from fn stops every job: units already started finish, no other unit
+    begins, each log gets the records before its first unit not finished,
+    and the first such exception is raised. Returns, per job, every
+    sample's record, read from the log or new, in manifest order; a bad
+    logged record raises MalformedRecord before any unit runs.
+    """
+    records = [_logged(job) for job in jobs]
+    todo = [[s for s in job.samples if s.sample_id not in done]
+            for job, done in zip(jobs, records)]
     failed = threading.Event()
+    errors: list[BaseException] = []
+    finished: queue.SimpleQueue = queue.SimpleQueue()
 
-    def unit(sample: Sample) -> Optional[dict]:
-        # Workers take samples in submission order, which is manifest order,
-        # so a sample not yet started when a unit fails lies after the failing
-        # one. The loop below stops at the failing sample and never reads
-        # such a sample's result: skipping it loses no record.
-        if failed.is_set():
-            return None
+    def unit(j: int, i: int) -> None:
+        # Workers take units in submission order, so a unit skipped once one
+        # has failed lies after every started unit of its log: the log stops
+        # before it, and --resume runs it.
+        sample = todo[j][i]
+        record = None
         try:
-            return fn(sample)
+            if not failed.is_set():
+                record = jobs[j].fn(sample)
         except BackendUnavailable as e:
-            return {"sample_id": sample.sample_id, "error": str(e)}
-        except BaseException:
+            record = {"sample_id": sample.sample_id, "error": str(e)}
+        except BaseException as e:  # kept, and raised by the caller once the pool is done
+            errors.append(e)
             failed.set()
-            raise
+        finished.put((j, i, record))
 
-    if todo:
-        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        with ThreadPoolExecutor(max_workers=parallelism) as pool, \
-                open(log_path, "a", encoding="utf-8") as log:
-            # pool.map yields in submission order, so the log stays in manifest order
-            for sample, record in zip(todo, pool.map(unit, todo)):
-                records[sample.sample_id] = record
-                log.write(json.dumps(record, ensure_ascii=False) + "\n")
-                log.flush()
-    return [records[s.sample_id] for s in samples]
+    if any(todo):
+        with ThreadPoolExecutor(max_workers=parallelism) as pool, ExitStack() as stack:
+            logs = [stack.enter_context(_open_log(job.log_path)) if units else None
+                    for job, units in zip(jobs, todo)]
+            try:
+                for j, units in enumerate(todo):
+                    for i in range(len(units)):
+                        pool.submit(unit, j, i)
+                ready: list[dict[int, Optional[dict]]] = [{} for _ in jobs]
+                heads = [0] * len(jobs)  # per job: its first unit not yet logged
+                for _ in range(sum(map(len, todo))):
+                    j, i, record = finished.get()
+                    ready[j][i] = record
+                    # a None record (failed or skipped) is never popped, so
+                    # its log's head stops there
+                    while ready[j].get(heads[j]) is not None:
+                        record = ready[j].pop(heads[j])
+                        records[j][todo[j][heads[j]].sample_id] = record
+                        logs[j].write(json.dumps(record, ensure_ascii=False) + "\n")
+                        logs[j].flush()
+                        heads[j] += 1
+            finally:
+                failed.set()  # an error here (a log write, an interrupt) begins no more units
+    if errors:
+        raise errors[0]
+    return [[logged[s.sample_id] for s in job.samples] for job, logged in zip(jobs, records)]
 
 
-def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
-              log_path: str | Path) -> list[dict]:
-    """Run episodes over the manifest through `run_units` and return every
-    sample's record in manifest order: a trajectory, or an error once retries
-    are spent. A rerun skips the sample_ids already logged; a logged record
-    needs an error, or the string answer and the list of int keyframe_ids
-    that scoring reads."""
+def episode_job(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
+                log_path: str | Path) -> Job:
+    """One episode per sample of the manifest, each sample's record a
+    trajectory, or an error once retries are spent. A rerun skips the
+    sample_ids already logged; a logged record needs an error, or the string
+    answer and the list of int keyframe_ids that scoring reads."""
     def check(r: dict) -> Optional[str]:
         if not isinstance(r.get("answer"), str):
             return "has no string 'answer'"
@@ -324,6 +374,15 @@ def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
             return "has no list of ints 'keyframe_ids'"
         return None
 
-    return run_units(manifest.samples,
-                     lambda sample: trajectory_record(run_episode(sample, backend, config)),
-                     config.parallelism, log_path, check)
+    return Job(manifest.samples,
+               lambda sample: trajectory_record(run_episode(sample, backend, config)),
+               log_path, check)
+
+
+def run_batch(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
+              log_path: str | Path) -> list[dict]:
+    """`episode_job` alone through `run_units`: every sample's record in
+    manifest order."""
+    (records,) = run_units([episode_job(manifest, backend, config, log_path)],
+                           config.parallelism)
+    return records

@@ -45,6 +45,13 @@ class KeyframeSet:
 _SELECT_RE = re.compile(r"^select\s+key\s*frames?\s*:\s*\[([^\]]*)\]", re.IGNORECASE | re.DOTALL)
 _ANSWER_RE = re.compile(r"^answer\s*:\s*(.*)$", re.IGNORECASE | re.DOTALL)
 _ID_RE = re.compile(r"^[Ff]?\s*(-?\d+)$")
+# Tags are found in the text itself, in any ASCII case: text.lower() can be
+# longer than text ("İ", U+0130, lowercases to two characters), so offsets
+# found there would not fit the text.
+_TAGS = {tag: (re.compile(f"<{tag}>", re.IGNORECASE | re.ASCII),
+               re.compile(f"</?{tag}>", re.IGNORECASE | re.ASCII))  # a close or a reopen
+         for tag in ("reasoning", "action")}
+_ACTION_CLOSE_RE = re.compile("</action>", re.IGNORECASE | re.ASCII)
 
 
 def parse_action(payload: str) -> Action:
@@ -73,18 +80,12 @@ def parse_action(payload: str) -> Action:
 def _extract_block(text: str, tag: str) -> str | None:
     """First tagged block's content. A repeated opening tag also closes
     (the malformed-but-observed variant)."""
-    low = text.lower()
-    open_tag = f"<{tag}>"
-    close_tag = f"</{tag}>"
-    start = low.find(open_tag)
-    if start < 0:
+    open_tag, end_tag = _TAGS[tag]
+    start = open_tag.search(text)
+    if start is None:
         return None
-    body_start = start + len(open_tag)
-    close = low.find(close_tag, body_start)
-    reopen = low.find(open_tag, body_start)
-    ends = [p for p in (close, reopen) if p >= 0]
-    end = min(ends) if ends else len(text)
-    return text[body_start:end]
+    end = end_tag.search(text, start.end())
+    return text[start.end():end.start() if end else len(text)]
 
 
 def parse_turn(text: str) -> Turn:
@@ -115,11 +116,11 @@ def parse_trajectory_text(text: str) -> list[Turn]:
     turns: list[Turn] = []
     rest = text
     while rest.strip():
-        idx = rest.lower().find("</action>")
-        if idx < 0:
+        close = _ACTION_CLOSE_RE.search(rest)
+        if close is None:
             turns.append(parse_turn(rest))
             break
-        cut = idx + len("</action>")
+        cut = close.end()
         turns.append(parse_turn(rest[:cut]))
         rest = rest[cut:]
     if not turns:

@@ -7,8 +7,10 @@ bound exposing how much of the video-level gap is evidence localization
 rather than reasoning. Correct frames double as pseudo keyframe annotations
 for hit-rate measurement.
 
-`oracle_upper_bound` runs one `framewise_eval` per sample through
-`engine.run_units`, so its log is written per sample and a rerun resumes it.
+`framewise_job` is one `framewise_eval` per sample as a job of
+`engine.run_units`, so its log is written per sample and a rerun resumes
+it; the CLI runs it in one pool with the agent episodes. `oracle_report`
+builds the accuracy and partition from its records.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
-from .engine import ANSWER_TEMPLATE, EngineConfig, ask, frames_turn, run_units
+from .engine import ANSWER_TEMPLATE, EngineConfig, Job, ask, frames_turn
 from .errors import BackendUnavailable, NotFrameSolvable
 from .jsonl import read_lines, write_lines
 from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
@@ -80,11 +82,11 @@ class OracleReport:
     results: list[FramewiseResult]
 
 
-def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
-                       config: EngineConfig, log_path: str | Path) -> OracleReport:
-    """Frame-wise evaluation of every sample, `config.parallelism` samples at a
-    time. Vectors already in log_path (framewise.jsonl format) are reused,
-    and each new one is appended as soon as it is done."""
+def framewise_job(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
+                  log_path: str | Path) -> Job:
+    """One `framewise_eval` per sample of the manifest, for `engine.run_units`.
+    Each sample's record in log_path (framewise.jsonl) is its vector, which a
+    rerun reuses."""
     def one(sample: Sample) -> dict:
         result = framewise_eval(sample, backend, config)
         return {"sample_id": result.sample_id,
@@ -110,13 +112,20 @@ def oracle_upper_bound(manifest: DatasetManifest, backend: Backend,
             return "has a 'failed_frames' that is not a list of frame indices"
         return None
 
+    return Job(manifest.samples, one, log_path, check)
+
+
+def oracle_report(manifest: DatasetManifest, records: Sequence[dict]) -> OracleReport:
+    """The oracle accuracy and partition of the records `run_units` returns
+    for `framewise_job`, one per sample of the manifest in its order."""
+    n_frames = {s.sample_id: len(s.frames) for s in manifest.samples}
     # framewise_eval fails frames one by one, so only a log written by hand
     # holds an error record: the backend answered none of that sample's frames
     results = [FramewiseResult(r["sample_id"], tuple(r["vector"]),
                                tuple(r.get("failed_frames", ()))) if "error" not in r else
                FramewiseResult(r["sample_id"], (False,) * n_frames[r["sample_id"]],
                                tuple(range(n_frames[r["sample_id"]])))
-               for r in run_units(manifest.samples, one, config.parallelism, log_path, check)]
+               for r in records]
     set_s = tuple(r.sample_id for r in results if r.any_correct)
     set_u = tuple(r.sample_id for r in results if not r.any_correct)
     n = len(results) or 1

@@ -21,7 +21,7 @@ from vtagent.backends import (EndpointConfig, FunctionBackend, GenerationRequest
                               http_complete)
 from vtagent.curation import filter_rl_corpus
 from vtagent.data_model import DatasetManifest
-from vtagent.engine import EngineConfig, run_batch
+from vtagent.engine import EngineConfig, run_batch, run_units
 from vtagent.errors import MissingActionBlock, UnparsableAction
 from vtagent.grammar import (Answer, KeyframeSet, SelectKeyframes, Turn, parse_turn,
                              render_turn)
@@ -272,8 +272,9 @@ def test_oracle_analysis(manifest_factory, tmp_path):
         from vtagent.engine import run_episode, trajectory_record
         video_rec = trajectory_record(run_episode(sample, backend, config))
         video_report = aggregate(score_records(manifest, [video_rec]))
-        report = oracle.oracle_upper_bound(manifest, backend, config,
-                                           tmp_path / "framewise.jsonl")
+        (frames,) = run_units([oracle.framewise_job(manifest, backend, config,
+                                                    tmp_path / "framewise.jsonl")], 1)
+        report = oracle.oracle_report(manifest, frames)
         assert report.oracle_accuracy - video_report.mean_accuracy > 0
         assert len(report.partition.set_s) + len(report.partition.set_u) == 1
 

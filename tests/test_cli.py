@@ -5,16 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import request_question, write_manifest_file
+from conftest import request_question, request_stage, write_manifest_file
+from kill_child import reply
 from vtagent import cli, oracle, reporting
 from vtagent.backends import (FunctionBackend, GenerationRequest, Message, RecordingBackend,
-                              TextPart, TranscriptStore)
+                              ScriptedBackend, TextPart, TranscriptStore)
 from vtagent.engine import EngineConfig, run_batch
 from vtagent.errors import BackendUnavailable, CacheMiss
 from vtagent.metrics import SampleScore, aggregate
@@ -109,6 +112,28 @@ class TestEval:
         s1 = (tmp_path / "p1" / "scores.jsonl").read_bytes()
         s8 = (tmp_path / "p8" / "scores.jsonl").read_bytes()
         assert s1 == s8
+
+    def test_oracle_replay_determinism_across_parallelism(self, manifest_path, tmp_path,
+                                                          monkeypatch):
+        path, _ = manifest_path
+        store = tmp_path / "store.jsonl"
+        # seed the replay store with a run whose replies mix malformed anchors,
+        # wrong answers and frames read right and wrong
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: RecordingBackend(
+            FunctionBackend(reply), TranscriptStore(store)))
+        assert cli.main(["oracle", "--manifest", str(path), "--backend", "scripted",
+                         "--out-dir", str(tmp_path / "seed")]) == 0
+        monkeypatch.undo()
+        outputs = {}
+        for par in ("1", "8"):
+            out = tmp_path / f"p{par}"
+            assert cli.main(["oracle", "--manifest", str(path), "--backend", "replay",
+                             "--store", str(store), "--parallelism", par,
+                             "--out-dir", str(out)]) == 0
+            outputs[par] = output_files(out)
+        assert sorted(outputs["1"]) == ["framewise.jsonl", "scores.jsonl", "set_s.ids",
+                                        "set_u.ids", "trajectories.jsonl"]
+        assert outputs["1"] == outputs["8"]
 
 
     def test_oracle_writes_the_scores_eval_writes(self, manifest_path, tmp_path,
@@ -260,6 +285,130 @@ class TestEval:
                          "--store", str(store), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "line 1: bad store record" in capsys.readouterr().err
+
+
+def output_files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestOracleSharedPool:
+    """`oracle` runs its episodes and its frame-wise queries in one pool of
+    --parallelism workers."""
+
+    def test_calls_in_flight_never_exceed_parallelism(self, manifest_factory, tmp_path,
+                                                      oracle_backend_factory, monkeypatch):
+        manifest = manifest_factory(n_samples=6)
+        path = write_manifest_file(manifest, tmp_path / "manifest.jsonl")
+        answering = oracle_backend_factory(manifest)
+        lock = threading.Lock()
+        inflight = peak = 0
+
+        def fn(request):
+            nonlocal inflight, peak
+            with lock:
+                inflight += 1
+                peak = max(peak, inflight)
+            time.sleep(0.005)  # long enough for the calls of two pools to overlap
+            with lock:
+                inflight -= 1
+            return answering.complete(request)
+
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(fn))
+        assert cli.main(["oracle", "--manifest", str(path), "--backend", "scripted",
+                         "--parallelism", "3", "--out-dir", str(tmp_path / "out")]) == 0
+        assert answering.calls == 6 * (2 + 4)
+        assert peak <= 3
+
+    def test_a_frame_query_is_served_while_the_last_episode_waits(
+            self, manifest_factory, tmp_path, oracle_backend_factory, monkeypatch):
+        manifest = manifest_factory(n_samples=2)
+        path = write_manifest_file(manifest, tmp_path / "manifest.jsonl")
+        answering = oracle_backend_factory(manifest)
+        frame_served = threading.Event()
+        last = manifest.samples[-1].question
+
+        def fn(request):
+            if request_stage(request) == "frame":
+                frame_served.set()
+            elif request_question(request) == last:
+                # the worker done with the first episode must take a frame
+                # query meanwhile; a timeout here fails the run, not hangs it
+                assert frame_served.wait(timeout=10)
+            return answering.complete(request)
+
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(fn))
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--manifest", str(path), "--backend", "scripted",
+                         "--parallelism", "2", "--out-dir", str(out)]) == 0
+        assert (out / "set_s.ids").read_text(encoding="utf-8").split() == ["q000", "q001"]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_fatal_error_in_an_episode_then_resume(self, parallelism, manifest_path, tmp_path,
+                                                   monkeypatch):
+        path, manifest = manifest_path
+        argv = ["oracle", "--manifest", str(path), "--backend", "scripted",
+                "--parallelism", parallelism]
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(reply))
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "whole")]) == 0
+        whole = output_files(tmp_path / "whole")
+        first, doomed = manifest.samples[0].question, manifest.samples[-1].question
+        first_frames = []
+        first_framed = threading.Event()
+
+        def fn(request):
+            stage, question = request_stage(request), request_question(request)
+            if stage == "frame" and question == first:
+                first_frames.append(question)
+                if len(first_frames) == 4:
+                    first_framed.set()
+            if stage == "anchor" and question == doomed:
+                if parallelism == "2":
+                    # fail once the other worker has asked the first sample's
+                    # last frame: that frame-wise record is still logged
+                    assert first_framed.wait(timeout=10)
+                raise RuntimeError("fatal")
+            return reply(request)
+
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(fn))
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="fatal"):
+            cli.main(argv + ["--out-dir", str(out)])
+        # each log holds whole records in manifest order, and nothing is scored
+        partial = output_files(out)
+        assert sorted(partial) == ["framewise.jsonl", "trajectories.jsonl"]
+        for name, data in partial.items():
+            assert whole[name].startswith(data)
+            assert all(line.endswith(b"\n") for line in data.splitlines(keepends=True))
+        assert len(partial["trajectories.jsonl"].splitlines()) == len(manifest.samples) - 1
+        assert len(partial["framewise.jsonl"].splitlines()) >= (parallelism == "2")
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(reply))
+        assert cli.main(argv + ["--out-dir", str(out), "--resume"]) == 0
+        assert output_files(out) == whole
+
+    def test_one_worker_asks_every_episode_before_any_frame(self, manifest_path, tmp_path,
+                                                           monkeypatch, capsys):
+        path, manifest = manifest_path
+        stages = []
+
+        class Scripted(ScriptedBackend):
+            def complete(self, request):
+                stages.append(request_stage(request))
+                return super().complete(request)
+
+        # every episode answers right; then only frame 1 of samples 0 and 2 does
+        golds = [s.gold_answers[0] for s in manifest.samples]
+        replies = [r for gold in golds for r in select_then_answer(gold)]
+        replies += [f"<reasoning>r</reasoning><action>answer: "
+                    f"{golds[i] if i in (0, 2) and frame == 1 else 'wrong'}</action>"
+                    for i in range(len(golds)) for frame in range(4)]
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: Scripted(replies))
+        out = tmp_path / "out"
+        assert cli.main(["oracle", "--manifest", str(path), "--backend", "scripted",
+                         "--parallelism", "1", "--out-dir", str(out)]) == 0
+        assert stages == ["anchor", "answer"] * 4 + ["frame"] * 16
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "video ACC.         100.00", "oracle ACC.         50.00",
+            "oracle - video     -50.00", "Set_s 2  Set_u 2"]
 
 
 class TestCurate:

@@ -1,7 +1,9 @@
 import json
+import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -341,9 +343,60 @@ class TestRunBatch:
 
         log = tmp_path / "log.jsonl"
         with pytest.raises(VtagentError, match="fatal"):
-            engine.run_units(manifest.samples, fn, parallelism, log)
+            engine.run_units([engine.Job(manifest.samples, fn, log)], parallelism)
         assert sorted(ran) == ["q000", "q001"]
         assert [r["sample_id"] for _, r in read_log(log)] == ["q000"]
+
+    def test_no_unit_of_either_job_begins_after_a_fatal_one(self, tmp_path):
+        """Two jobs in one pool of two workers: a0 is done at once and its
+        worker takes b0, and a1 fails while b0 runs. b0 finishes and is
+        logged; b1 and b2, not yet begun, never run."""
+        ran = []
+        b0_running, a1_failing = threading.Event(), threading.Event()
+
+        def fn(sample):
+            ran.append(sample.sample_id)
+            if sample.sample_id == "a1":
+                assert b0_running.wait(timeout=10)
+                a1_failing.set()
+                raise VtagentError("fatal")
+            if sample.sample_id == "b0":
+                b0_running.set()
+                # give the failure time to stop the run before a worker is free
+                assert a1_failing.wait(timeout=10)
+                time.sleep(0.05)
+            return {"sample_id": sample.sample_id}
+
+        def job(name: str, n: int) -> engine.Job:
+            samples = [SimpleNamespace(sample_id=f"{name}{i}") for i in range(n)]
+            return engine.Job(samples, fn, tmp_path / f"{name}.jsonl")
+
+        with pytest.raises(VtagentError, match="fatal"):
+            engine.run_units([job("a", 2), job("b", 3)], 2)
+        assert sorted(ran) == ["a0", "a1", "b0"]
+        assert [r["sample_id"] for _, r in read_log(tmp_path / "a.jsonl")] == ["a0"]
+        assert [r["sample_id"] for _, r in read_log(tmp_path / "b.jsonl")] == ["b0"]
+
+    def test_jobs_sharing_a_pool_log_every_record_in_order(self, tmp_path):
+        """More workers than cores and a short switch interval: every log
+        still holds each of its samples once, in manifest order."""
+        def job(name: str) -> engine.Job:
+            samples = [SimpleNamespace(sample_id=f"{name}{i:03d}") for i in range(300)]
+            return engine.Job(samples, lambda sample: {"sample_id": sample.sample_id,
+                                                       "job": name},
+                              tmp_path / f"{name}.jsonl")
+
+        jobs = [job(name) for name in "abc"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = engine.run_units(jobs, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        for name, j, records in zip("abc", jobs, results):
+            want = [{"sample_id": s.sample_id, "job": name} for s in j.samples]
+            assert records == want
+            assert [r for _, r in read_log(j.log_path)] == want
 
     def test_replay_miss_fails_without_backoff(self, manifest_factory, tmp_path, monkeypatch):
         sleeps = []
@@ -392,7 +445,7 @@ class TestRunBatch:
         log = tmp_path / "log.jsonl"
         log.write_text('{"sample_id": "a"}\n\n\t\n{"foo": 1}\n', encoding="utf-8")
         with pytest.raises(MalformedRecord) as error:
-            engine.run_units((), lambda sample: {}, 1, log)
+            engine.run_units([engine.Job((), lambda sample: {}, log)], 1)
         assert error.value.line_no == 4 and "has no 'sample_id'" in error.value.reason
 
     def test_whole_last_line_without_newline_kept(self, tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtagent.errors import EmptySelection, MissingActionBlock, UnparsableAction
@@ -60,6 +60,13 @@ class TestParseTurn:
         assert t.reasoning == "hmm"
         assert t.action == Answer("yes")
 
+    def test_tags_found_after_a_character_that_lowercases_to_two(self):
+        # "İ" (U+0130) lowercases to "i" and a combining dot
+        t = parse_turn("<reasoning>The sign says İSTANBUL</reasoning>\n"
+                       "<action>answer: İstanbul</action>")
+        assert t.reasoning == "The sign says İSTANBUL"
+        assert t.action == Answer("İstanbul")
+
     def test_first_action_block_wins(self):
         t = parse_turn("<action>answer: first</action><action>answer: second</action>")
         assert t.action == Answer("first")
@@ -105,6 +112,7 @@ turns = st.builds(lambda r, a: Turn(reasoning=r, action=a), block_text, actions)
 
 
 @given(turns)
+@example(Turn(reasoning="The sign says İSTANBUL", action=Answer("İstanbul")))
 @settings(max_examples=300)
 def test_round_trip(turn):
     back = parse_turn(render_turn(turn))
@@ -140,3 +148,11 @@ def test_parse_trajectory_text_two_turns():
               + render_turn(Turn("read", Answer("stop"))))
     turns = parse_trajectory_text(target)
     assert [t.action for t in turns] == [SelectKeyframes((1, 2)), Answer("stop")]
+
+
+def test_parse_trajectory_text_cuts_after_a_character_that_lowercases_to_two():
+    target = (render_turn(Turn("İİ", SelectKeyframes((1,)))) + "\n"
+              + render_turn(Turn("İ", Answer("İzmir"))))
+    turns = parse_trajectory_text(target)
+    assert [(t.reasoning, t.action) for t in turns] == \
+        [("İİ", SelectKeyframes((1,))), ("İ", Answer("İzmir"))]

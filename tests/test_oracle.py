@@ -7,7 +7,7 @@ from conftest import request_question, request_stage
 from vtagent import oracle
 from vtagent.backends import FunctionBackend, ImagePart
 from vtagent.data_model import DatasetManifest
-from vtagent.engine import ANSWER_TEMPLATE, EngineConfig, derive_seed
+from vtagent.engine import ANSWER_TEMPLATE, EngineConfig, derive_seed, run_units
 from vtagent.errors import BackendUnavailable, MalformedRecord, NotFrameSolvable
 from vtagent.metrics import SampleScore
 from vtagent.reporting import subset_table
@@ -17,6 +17,13 @@ def cfg(**kwargs):
     defaults = dict(max_attempts=1)
     defaults.update(kwargs)
     return EngineConfig(**defaults)
+
+
+def upper_bound(manifest, backend, config, log):
+    """The frame-wise job alone through the runner, and its report."""
+    (records,) = run_units([oracle.framewise_job(manifest, backend, config, log)],
+                           config.parallelism)
+    return oracle.oracle_report(manifest, records)
 
 
 def frame_backend(manifest: DatasetManifest, correct_frames: dict[str, set[int]]):
@@ -128,7 +135,7 @@ class TestUpperBound:
         manifest = manifest_factory(n_samples=4, n_frames=3)
         solvable = {s.question: {1} for s in manifest.samples[:3]}
         backend = frame_backend(manifest, solvable)
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        report = upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
         assert report.oracle_accuracy == pytest.approx(75.0)
         assert len(report.partition.set_s) == 3
         assert len(report.partition.set_s) + len(report.partition.set_u) == 4
@@ -137,13 +144,13 @@ class TestUpperBound:
     def test_positive_gap_when_video_fails(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=4)
         backend = frame_backend(manifest, {s.question: {2} for s in manifest.samples})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        report = upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
         assert report.oracle_accuracy - 0.0 == pytest.approx(100.0)
 
     def test_zero_gap_when_identical(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=2)
         backend = frame_backend(manifest, {s.question: {0} for s in manifest.samples})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        report = upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
         assert report.oracle_accuracy - 100.0 == pytest.approx(0.0)
 
     def test_oracle_dominates_fixed_frame(self, manifest_factory, tmp_path):
@@ -152,7 +159,7 @@ class TestUpperBound:
                    manifest.samples[1].question: {3},
                    manifest.samples[2].question: set()}
         backend = frame_backend(manifest, correct)
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        report = upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
         n = len(manifest.samples)
         for k in range(4):
             fixed_acc = 100.0 * sum(r.per_frame_correct[k] for r in report.results) / n
@@ -162,14 +169,14 @@ class TestUpperBound:
     def test_resume_queries_only_unlogged_samples(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=6, n_frames=3)
         solvable = {s.question: {1} for s in manifest.samples[::2]}
-        fresh = oracle.oracle_upper_bound(manifest, frame_backend(manifest, solvable),
+        fresh = upper_bound(manifest, frame_backend(manifest, solvable),
                                           cfg(parallelism=4), tmp_path / "fresh.jsonl")
 
         log = tmp_path / "framewise.jsonl"
         head = replace(manifest, samples=manifest.samples[:4])
-        oracle.oracle_upper_bound(head, frame_backend(manifest, solvable), cfg(), log)
+        upper_bound(head, frame_backend(manifest, solvable), cfg(), log)
         backend = frame_backend(manifest, solvable)
-        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(parallelism=4), log)
+        resumed = upper_bound(manifest, backend, cfg(parallelism=4), log)
         assert backend.calls == 2 * 3  # two unlogged samples, three frames each
         assert resumed.partition == fresh.partition
         assert resumed.oracle_accuracy == fresh.oracle_accuracy
@@ -191,9 +198,9 @@ class TestUpperBound:
             return inner.complete(request)
 
         log = tmp_path / "framewise.jsonl"
-        fresh = oracle.oracle_upper_bound(manifest, FunctionBackend(fn), cfg(), log)
+        fresh = upper_bound(manifest, FunctionBackend(fn), cfg(), log)
         backend = FunctionBackend(fn)
-        resumed = oracle.oracle_upper_bound(manifest, backend, cfg(), log)
+        resumed = upper_bound(manifest, backend, cfg(), log)
         assert backend.calls == 0
         assert [r.failed_frames for r in fresh.results] == [(), (2,)]
         assert resumed.results == fresh.results
@@ -204,7 +211,7 @@ class TestUpperBound:
         log.write_text(json.dumps({"sample_id": "q000", "vector": [False, True],
                                    "any_correct": True}) + "\n", encoding="utf-8")
         backend = frame_backend(manifest, {})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), log)
+        report = upper_bound(manifest, backend, cfg(), log)
         assert backend.calls == 2  # only q001's two frames
         assert [(r.sample_id, r.per_frame_correct, r.failed_frames) for r in report.results] \
             == [("q000", (False, True), ()), ("q001", (False, False), ())]
@@ -220,7 +227,7 @@ class TestUpperBound:
                        encoding="utf-8")
         backend = frame_backend(manifest, {})
         with pytest.raises(MalformedRecord, match="line 2.*'failed_frames'"):
-            oracle.oracle_upper_bound(manifest, backend, cfg(), log)
+            upper_bound(manifest, backend, cfg(), log)
         assert backend.calls == 0
 
     def test_logged_error_record_reads_as_every_frame_failed(self, manifest_factory, tmp_path):
@@ -229,7 +236,7 @@ class TestUpperBound:
         log.write_text(json.dumps({"sample_id": "q000", "error": "down"}) + "\n",
                        encoding="utf-8")
         backend = frame_backend(manifest, {manifest.samples[1].question: {1}})
-        report = oracle.oracle_upper_bound(manifest, backend, cfg(), log)
+        report = upper_bound(manifest, backend, cfg(), log)
         assert backend.calls == 3  # only q001's frames
         assert [(r.per_frame_correct, r.failed_frames) for r in report.results] == \
             [((False,) * 3, (0, 1, 2)), ((False, True, False), ())]
