@@ -13,10 +13,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
-from .jsonl import read_records, write_lines
+from .jsonl import _raw_decode, _record, _record_with, read_lines, write_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,9 +232,80 @@ def _sample_from_record(obj: dict, line_no: int, frames: tuple[FrameRef, ...]) -
         raise MalformedRecord(line_no, str(e)) from e
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
-    """Load a JSONL manifest with read_records, aborting on the first invalid record.
+# A manifest line's frames key, as json.dumps and write_manifest write it
+_FRAMES_KEY = '"frames":'
 
+
+def _flat_objects(line: str, start: int, end: int, value: list) -> bool:
+    """Whether `value`, decoded from line[start:end], is a non-empty array of
+    objects that hold no array or object, so that a decode of the whole line
+    recurses no deeper than a decode of the rest of it."""
+    return (set(map(type, value)) == {dict} and line.find("[", start + 1, end) < 0
+            and line.count("{", start, end) == len(value))
+
+
+def _manifest_records(path: str | Path) -> Iterator[tuple[int, dict, bool]]:
+    """Yield (line number, record, whether its frames equal the previous
+    record's) for each non-blank line: read_records' line numbers and
+    records, or its error, with one decode of a frames list for a run of
+    lines that repeat its text, as the questions about one video do.
+
+    A line without a backslash whose text after `"frames":` (and any spaces
+    and tabs) starts with the text of the frames list last decoded alone
+    holds that list there: a JSON array's text ends at its own closing
+    bracket. Only the rest of such a line is decoded (jsonl._record_with).
+    When a line's text there does not, and the previous record's frames
+    equal the record's before it, its frames array is decoded alone and, if
+    it is an array of flat objects (_flat_objects), kept for the lines after
+    it; when neither holds, the kept list is dropped. Every other line, and
+    any line these steps do not give a record, is decoded whole by `_record`,
+    as read_records decodes it, and so is every line after a frames array
+    that is not flat. A manifest whose records each hold their own frames
+    list thus decodes every line whole, once."""
+    text, shared = "", None  # the frames text last decoded alone, and its list
+    # the previous record's frames, and whether they equalled the record's before
+    previous, same = None, False
+    flat = True  # no frames array decoded alone held an array or object
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        obj = None
+        if (flat and (text or same) and "\\" not in line
+                and (key := line.find(_FRAMES_KEY)) >= 0):
+            start = key + len(_FRAMES_KEY)
+            while line.startswith((" ", "\t"), start):
+                start += 1
+            if text and line.startswith(text, start):
+                obj = _record_with(line, "frames", start, start + len(text), shared)
+            elif not same:
+                text, shared = "", None  # a run of shared frames has ended
+            else:
+                try:
+                    value, end = _raw_decode(line, start)
+                except (ValueError, RecursionError):
+                    value = None
+                if type(value) is list:
+                    flat = _flat_objects(line, start, end, value)
+                    if flat:
+                        text, shared = line[start:end], value
+                        obj = _record_with(line, "frames", start, end, value)
+        if obj is None:
+            obj = _record(line, line_no, path)
+        frames = obj.get("frames")
+        same = frames is previous or frames == previous
+        previous = frames
+        yield line_no, obj, same
+
+
+def load_manifest(path: str | Path) -> DatasetManifest:
+    """Load a JSONL manifest, aborting on the first invalid record.
+
+    Records are read as read_records reads them, through _manifest_records:
+    lines without a backslash whose frames text repeats the text of the
+    frames list last decoded alone share that decoded list, and every other
+    line is decoded whole. write_manifest writes no backslash for non-ASCII
+    text; a writer that does (json.dumps' default) loses the sharing on the
+    lines that hold such text, not their records.
     Every frame file must exist when the load checks it, which it does after
     reading the records (_check_files); MissingFrameFile names the first
     missing path in file order, ahead of any error in a later record.
@@ -245,17 +316,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     samples: list[Sample] = []
     seen: set[str] = set()
     refs: dict[tuple, FrameRef] = {}
-    last_raw, last_frames = None, ()
+    last_frames: tuple[FrameRef, ...] = ()
     try:
-        for line_no, obj in read_records(path):
+        for line_no, obj, same_frames in _manifest_records(path):
             for name in ("sample_id", "video_id", "question", "answers", "frames"):
                 if name not in obj:
                     raise MalformedRecord(line_no, f"missing field {name!r}")
             raw_frames = obj["frames"]
             if not isinstance(raw_frames, list) or not raw_frames:
                 raise MalformedRecord(line_no, "empty frames")
-            if raw_frames != last_raw:
-                last_raw, last_frames = raw_frames, _frame_refs(raw_frames, line_no, refs)
+            if not same_frames:  # the first record's are compared with None
+                last_frames = _frame_refs(raw_frames, line_no, refs)
             sample = _sample_from_record(obj, line_no, last_frames)
             last_frames = sample.frames  # checked now
             if sample.sample_id in seen:

@@ -42,8 +42,12 @@ class KeyframeSet:
     dropped: tuple[tuple[int, str], ...] = ()
 
 
-_SELECT_RE = re.compile(r"^select\s+key\s*frames?\s*:\s*\[([^\]]*)\]", re.IGNORECASE | re.DOTALL)
-_ANSWER_RE = re.compile(r"^answer\s*:\s*(.*)$", re.IGNORECASE | re.DOTALL)
+# The keywords match in any ASCII case only, as the tags do: with Unicode case
+# folding "ſ" (U+017F) would match "s" and the Kelvin sign "K" (U+212A) "k".
+# \s and \d keep their Unicode meaning.
+_SELECT_RE = re.compile(r"^(?a:select)\s+(?a:key)\s*(?a:frames?)\s*:\s*\[([^\]]*)\]",
+                        re.IGNORECASE | re.DOTALL)
+_ANSWER_RE = re.compile(r"^(?a:answer)\s*:\s*(.*)$", re.IGNORECASE | re.DOTALL)
 _ID_RE = re.compile(r"^[Ff]?\s*(-?\d+)$")
 # Tags are found in the text itself, in any ASCII case: text.lower() can be
 # longer than text ("İ", U+0130, lowercases to two characters), so offsets

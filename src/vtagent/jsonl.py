@@ -1,10 +1,12 @@
 """JSON-lines and text files, read by two readers that number lines from 1,
 blank ones counted. `read_lines` reads a file written whole (config, script
-and partition files; a manifest or score log through `read_records`) and
-ends lines as universal-newlines mode does. `read_log` reads an append-only
-log (the store, each pipeline's output log), a run of lines per decoder call
-(`_decode_batch`), ends lines at `\n` only and cuts a torn last line. Both
-decode a JSON line alone with `_record`, which rejects a lone surrogate.
+and partition files; a score log through `read_records`, a manifest through
+`data_model`'s reader) and ends lines as universal-newlines mode does.
+`read_log` reads an append-only log (the store, each pipeline's output log),
+a run of lines per decoder call (`_decode_batch`), ends lines at `\n` only
+and cuts a torn last line. Both decode a JSON line alone with `_record`,
+which rejects a lone surrogate. `_record_with` decodes a line one of whose
+values is already decoded, as `data_model` does with a repeated frames list.
 `replaced` opens every output written whole, as `write_lines` does.
 """
 
@@ -23,10 +25,12 @@ _raw_decode = json.JSONDecoder().raw_decode
 # read_log decodes about this many bytes of whole lines per decoder call: a
 # batch's text and records stay small beside what its caller keeps
 _BATCH_BYTES = 1 << 16
-# _decode_batch puts this string between two lines. json reads the value
-# "\x00" only from this escape (strict mode rejects a raw control character
-# in a string), so a line can yield that value only by holding a \u escape.
-_SEPARATOR = b',"\\u0000",'
+# _decode_batch puts this string between two lines, and _record_with puts it
+# in the place of a value. json reads the value "\x00" only from this escape
+# (strict mode rejects a raw control character in a string), so a line can
+# yield that value only by holding a \u escape.
+_NUL = '"\\u0000"'
+_SEPARATOR = f",{_NUL},".encode()
 # strict UTF-8 holds no surrogate, so a decoded string can hold one only from
 # a \u escape of D800-DFFF: a line without this match holds none
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -47,6 +51,25 @@ def _record(line: str, line_no: int, path: Path) -> dict:
             json.dumps(obj, ensure_ascii=False).encode()
         except UnicodeEncodeError:
             raise MalformedRecord(line_no, f"record in {path} holds a lone surrogate") from None
+    return obj
+
+
+def _record_with(line: str, key: str, start: int, end: int, value) -> Optional[dict]:
+    """json.loads(line) for a line without a backslash whose text from start
+    to end is the JSON text of `value`, when the line with _NUL in that place
+    decodes as an object whose top-level `key` is "\\x00"; else None (also
+    for whitespace around the object). Such a line holds no escape, so only
+    _NUL decodes to "\\x00", and a later duplicate key would replace it: the
+    value's text stands at that key. The caller vouches that the value's text
+    nests no deeper than the rest of the line, which alone is decoded."""
+    rest = line[:start] + _NUL + line[end:]
+    try:
+        obj, stop = _raw_decode(rest)
+    except (ValueError, RecursionError):
+        return None
+    if stop != len(rest) or type(obj) is not dict or obj.get(key) != "\x00":
+        return None
+    obj[key] = value
     return obj
 
 

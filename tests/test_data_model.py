@@ -3,15 +3,18 @@ import os
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import write_manifest_file
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vtagent import data_model
+from vtagent import data_model, jsonl
 from vtagent.data_model import (DatasetManifest, FrameRef, Sample, SamplingPolicy,
                                 dedupe_samples, load_manifest, sample_frames, sample_manifest,
                                 uniform_indices, write_manifest)
-from vtagent.errors import DuplicateSampleId, MalformedRecord, MissingFrameFile
+from vtagent.errors import DuplicateSampleId, MalformedRecord, MissingFrameFile, VtagentError
 
 
 def shared_video_manifest(sample_factory, n_samples=3, n_frames=6) -> DatasetManifest:
@@ -205,6 +208,178 @@ def test_a_shared_frames_tuple_is_checked_once(sample_factory, tmp_path, monkeyp
     manifest = load_manifest(path)
     sample_manifest(manifest, SamplingPolicy.uniform(3))
     assert sum(checked) == 1  # the first record's tuple; samples and sampling share it
+
+
+def _counting_decodes(monkeypatch) -> Counter:
+    """Counts of the load's frames-value decodes ("alone": the only decodes
+    that start inside the line) and whole-line decodes ("whole")."""
+    counts: Counter = Counter()
+    raw_decode, record = data_model._raw_decode, data_model._record
+
+    def alone(text, start=0):
+        counts["alone"] += start > 0
+        return raw_decode(text, start)
+
+    def whole(*args):
+        counts["whole"] += 1
+        return record(*args)
+
+    monkeypatch.setattr(data_model, "_raw_decode", alone)
+    monkeypatch.setattr(data_model, "_record", whole)
+    return counts
+
+
+@pytest.mark.parametrize("separators", [None, (",", ":\t")])
+def test_questions_about_one_video_share_one_frames_decode(sample_factory, tmp_path,
+                                                           monkeypatch, separators):
+    videos = [sample_factory(sample_id=f"v{v}", n_frames=5) for v in range(8)]
+    manifest = DatasetManifest(samples=tuple(
+        replace(video, sample_id=f"{video.sample_id}q{q}", question=f"question {q}?")
+        for video in videos for q in range(8)), source_uri="memory")
+    path = write_manifest_file(manifest, tmp_path / "m.jsonl")
+    if separators:  # a tab before each value
+        path.write_text("".join(json.dumps(json.loads(line), separators=separators) + "\n"
+                                for line in path.read_text().splitlines()))
+    counts = _counting_decodes(monkeypatch)
+    loaded = load_manifest(path)
+    # the first two lines show the sharing, then one frames list per video
+    assert counts == {"whole": 2, "alone": 8}
+    assert loaded.samples == manifest.samples
+    assert len({id(s.frames) for s in loaded.samples}) == 8
+
+
+def test_records_with_their_own_frames_decode_each_line_once(sample_factory, tmp_path,
+                                                             monkeypatch):
+    manifest = DatasetManifest(samples=tuple(
+        sample_factory(sample_id=f"q{i}", n_frames=12) for i in range(8)), source_uri="memory")
+    path = write_manifest_file(manifest, tmp_path / "m.jsonl")
+    counts = _counting_decodes(monkeypatch)
+    assert load_manifest(path).samples == manifest.samples
+    assert counts == {"whole": 8}
+
+
+def test_frames_that_nest_end_the_splitting(sample_factory, tmp_path, monkeypatch):
+    videos = [sample_factory(sample_id=f"v{v}", n_frames=12) for v in range(8)]
+    manifest = DatasetManifest(samples=tuple(
+        replace(video, sample_id=f"{video.sample_id}q{q}", question=f"question {q}?")
+        for video in videos for q in range(8)), source_uri="memory")
+    path = write_manifest_file(manifest, tmp_path / "m.jsonl")
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        for frame in record["frames"]:
+            frame["box"] = [0, 0, 1, 1]  # a decode of the whole line recurses deeper
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    counts = _counting_decodes(monkeypatch)
+    assert load_manifest(path).samples == manifest.samples
+    # every line whole; the third line's frames also alone, which ends the splitting
+    assert counts == {"whole": 64, "alone": 1}
+
+
+@pytest.fixture(scope="module")
+def frame_dir(tmp_path_factory) -> Path:
+    """Frame files for the drawn manifests; a bracket or brace in a path is
+    text a frames value may hold."""
+    root = tmp_path_factory.mktemp("frames")
+    for name in ("a.png", "b.png", "c{d].png"):
+        (root / name).write_bytes(b"png")
+    return root
+
+
+def _frames(draw, root: Path) -> list:
+    names = draw(st.lists(st.sampled_from(["a.png", "b.png"] * 5 + ["c{d].png", "gone.png"]),
+                          min_size=1, max_size=4))
+    frames = []
+    for i, name in enumerate(names):
+        frame = {"index": draw(st.sampled_from([i] * 6 + [float(i), str(i), i + 1])),
+                 "path": str(root / name)}
+        if draw(st.booleans()):
+            frame["t"] = draw(st.sampled_from([0.5 * i] * 8 + [1, "x", {"s": 1}, [i]]))
+        frames.append(frame)
+    return frames
+
+
+@st.composite
+def manifest_lines(draw, root: Path) -> list[str]:
+    """Manifest lines over a few videos, consecutive questions often about one
+    video, written with several separators; some lines hold a frames text
+    that is not their record's frames (a nested or duplicate frames key, a
+    "\\u0000" value, a list that extends another, a cut line)."""
+    videos = [_frames(draw, root) for _ in range(3)]
+    lines, video = [], 0
+    # plain questions about video 0 first: from the third, lines share its frames
+    warmup = draw(st.integers(0, 4))
+    for n in range(warmup + draw(st.integers(0, 8))):
+        video = 0 if n < warmup else draw(st.sampled_from([video] * 4 + [0, 1, 2]))
+        frames = videos[video]
+        question = draw(st.sampled_from(
+            ["q?"] * 4 + ['does it say "frames": [1]?', "caf\u00e9", "frames:[", "a\u2028b"]))
+        obj = {"sample_id": f"q{draw(st.sampled_from([n] * 7 + [0]))}", "video_id": "v",
+               "question": question,
+               "answers": draw(st.sampled_from([["a"]] * 4 + [[], "a"])), "frames": frames}
+        shape = "plain" if n < warmup else draw(st.sampled_from(["plain"] * 3 + [
+            "nested-first", "nested-after", "duplicate", "duplicate-placeholder",
+            "placeholder", "no-frames", "number", "extends", "not-an-object",
+            "cut", "trailing", "blank"]))
+        if shape == "nested-first":
+            obj = {"meta": {"frames": frames}, **obj}
+        elif shape == "nested-after":
+            obj["meta"] = {"frames": frames}
+        elif shape == "no-frames":
+            del obj["frames"]
+        elif shape == "number":
+            obj["frames"] = 12
+        elif shape == "extends":
+            obj["frames"] = frames + [{"index": len(frames), "path": str(root / "a.png")}]
+        sep = draw(st.sampled_from([(", ", ": "), (",", ":"), (", ", ":\t"), (",", ":  ")]))
+        line = json.dumps(obj, separators=sep, ensure_ascii=draw(st.booleans()))
+        other = json.dumps(videos[draw(st.integers(0, 2))], separators=sep)
+        if shape == "duplicate":
+            line = line[:-1] + f', "frames": {other}}}'
+        elif shape == "duplicate-placeholder":
+            line = line[:-1] + ', "frames": "\\u0000"}'
+        elif shape == "placeholder":
+            line = line.replace('"frames"', '"frames": "\\u0000", "x"', 1)
+        elif shape == "not-an-object":
+            line = f"[{line}]"
+        elif shape == "cut":
+            line = line[:draw(st.integers(0, len(line) - 1))]
+        elif shape == "trailing":
+            line += draw(st.sampled_from([" ", "\t", " x", "}", ',"a":1}']))
+        elif shape == "blank":
+            line = draw(st.sampled_from(["", "  ", "\t"]))
+        lines.append(line)
+    return lines
+
+
+def _whole_line_records(path):
+    """_manifest_records(path) as read_records and a plain compare give it."""
+    previous = None
+    for line_no, obj in jsonl.read_records(path):
+        frames = obj.get("frames")
+        yield line_no, obj, frames == previous
+        previous = frames
+
+
+def _outcome(load) -> tuple:
+    """repr of what load() returns, or the type, message and line of its error."""
+    try:
+        return ("ok", repr(load()))
+    except VtagentError as e:
+        return (type(e), str(e), getattr(e, "line_no", None))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_shared_frames_decode_gives_what_a_whole_line_decode_gives(frame_dir, data):
+    lines = data.draw(manifest_lines(frame_dir))
+    path = frame_dir / "m.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    shared = (_outcome(lambda: list(data_model._manifest_records(path))),
+              _outcome(lambda: load_manifest(path)))
+    with mock.patch.object(data_model, "_manifest_records", _whole_line_records):
+        whole = (_outcome(lambda: list(_whole_line_records(path))),
+                 _outcome(lambda: load_manifest(path)))
+    assert shared == whole
 
 
 @pytest.mark.parametrize("frames, answers, reason", [

@@ -30,6 +30,18 @@ class TestParseAction:
         with pytest.raises(UnparsableAction):
             parse_action("zoom into frame 3")
 
+    @pytest.mark.parametrize("payload", [
+        "\u017felect \u212aey frame: [1]",  # "ſ" (U+017F) folds to "s", the Kelvin sign to "k"
+        "an\u017fwer: x",
+    ])
+    def test_keywords_match_in_ascii_case_only(self, payload):
+        with pytest.raises(UnparsableAction):
+            parse_action(payload)
+
+    def test_unicode_spaces_and_digits_still_parse(self):
+        assert parse_action("SELECT\u00a0KEY FRAMES:\u2003[\u0661]") == SelectKeyframes((1,))
+        assert parse_action("Answer:\u3000x") == Answer("x")
+
 
 class TestParseTurn:
     def test_full_turn(self):
@@ -113,6 +125,8 @@ turns = st.builds(lambda r, a: Turn(reasoning=r, action=a), block_text, actions)
 
 @given(turns)
 @example(Turn(reasoning="The sign says İSTANBUL", action=Answer("İstanbul")))
+@example(Turn(reasoning="\u017felect \u212aey frame: [1]", action=Answer("an\u017fwer: x")))
+@example(Turn(reasoning="an\u017fwer: x", action=Answer("\u017felect \u212aey frame: [1]")))
 @settings(max_examples=300)
 def test_round_trip(turn):
     back = parse_turn(render_turn(turn))
