@@ -350,8 +350,9 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
-        if self.eps <= 0 or self.lr <= 0:
-            raise ValueError("eps and lr must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.eps, self.lr)):
+            raise ValueError(f"eps and lr must be finite and > 0, got {self.eps!r} and "
+                             f"{self.lr!r}")
 
 
 @dataclass

@@ -53,22 +53,36 @@ def write_score_log(scores: Sequence[SampleScore], report: MetricReport,
     write_lines(path, (json.dumps(r, ensure_ascii=False) for r in records))
 
 
+def _score_fault(obj: dict) -> Optional[str]:
+    """What a per-sample score record lacks, or None: a string sample_id, an
+    accuracy of the int 0 or 1, a finite anls in [0, 1] and a hit of true,
+    false or null; a bool is no accuracy or anls."""
+    if not isinstance(obj.get("sample_id"), str):
+        return "no string 'sample_id'"
+    if type(obj.get("accuracy")) is not int or obj["accuracy"] not in (0, 1):
+        return "no 'accuracy' of 0 or 1"
+    anls_val = obj.get("anls")
+    if type(anls_val) not in (int, float) or not 0 <= anls_val <= 1:  # nan fails the range
+        return "no finite 'anls' in [0, 1]"
+    if "hit" not in obj or not (obj["hit"] is None or type(obj["hit"]) is bool):
+        return "no 'hit' of true, false or null"
+    return None
+
+
 def read_score_log(path: str | Path) -> list[SampleScore]:
     """Per-sample scores of a score log, which write_score_log writes whole,
     read with read_records: the file is never written, so `report` leaves
-    its inputs as they are. The summary record is skipped; a bad record is
-    named by its line."""
+    its inputs as they are. The summary record is skipped; a record that
+    lacks what scoring reads (_score_fault) is named by its line."""
     scores: list[SampleScore] = []
     for line_no, obj in read_records(path):
         if obj.get("summary"):
             continue
-        try:
-            scores.append(SampleScore(sample_id=obj["sample_id"],
-                                      accuracy=int(obj["accuracy"]),
-                                      anls=float(obj["anls"]),
-                                      hit=obj.get("hit")))
-        except (KeyError, TypeError, ValueError) as e:
-            raise MalformedRecord(line_no, f"bad score record in {path}: {e}") from e
+        fault = _score_fault(obj)
+        if fault:
+            raise MalformedRecord(line_no, f"bad score record in {path}: {fault}")
+        scores.append(SampleScore(sample_id=obj["sample_id"], accuracy=obj["accuracy"],
+                                  anls=float(obj["anls"]), hit=obj["hit"]))
     return scores
 
 

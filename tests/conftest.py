@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vtagent
 from vtagent.backends import FunctionBackend, GenerationRequest, ImagePart, TextPart
 from vtagent.data_model import DatasetManifest, FrameRef, Sample
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # smallest valid PNG (1x1, black)
 PNG_BYTES = bytes.fromhex(
@@ -119,3 +125,31 @@ def write_manifest_file(manifest: DatasetManifest, path: Path) -> Path:
     from vtagent.data_model import write_manifest
     write_manifest(manifest, path)
     return path
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child Python that imports the vtagent this one
+    imports: its directory ahead of any PYTHONPATH already set."""
+    src = str(Path(vtagent.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_script(name: str, *args: str) -> str:
+    """stdout of scripts/<name> run with args in a child Python, which must
+    exit 0."""
+    child = subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=src_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+@pytest.fixture(scope="session")
+def synthetic_manifest(tmp_path_factory) -> Path:
+    """scripts/make_synthetic_manifest.py's manifest of 3 samples x 4 frames:
+    q0000 and q0001 ask about video v0000, q0002 about v0001, and the gold
+    answer of sample i is `text i`. Read it only."""
+    out = tmp_path_factory.mktemp("syn")
+    run_script("make_synthetic_manifest.py", "--out-dir", str(out), "--samples", "3",
+               "--frames", "4")
+    return out / "manifest.jsonl"

@@ -15,11 +15,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import write_manifest_file
+from conftest import src_env, write_manifest_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vtagent
 from vtagent import cli, jsonl
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
@@ -650,9 +649,7 @@ def test_no_module_imports_requests():
             "for name in names:\n"
             "    importlib.import_module('vtagent.' + name)\n"
             "print(json.dumps([names, sorted({'requests', 'urllib3'} & set(sys.modules))]))\n")
-    src = str(Path(vtagent.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    names, leaked = json.loads(subprocess.run([sys.executable, "-c", code], env=env,
+    names, leaked = json.loads(subprocess.run([sys.executable, "-c", code], env=src_env(),
                                               capture_output=True, text=True,
                                               check=True).stdout)
     assert {"backends", "cli", "engine", "oracle"} <= set(names)

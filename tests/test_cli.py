@@ -2,7 +2,6 @@ import contextlib
 import errno
 import io
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -13,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import request_question, request_stage, write_manifest_file
+from conftest import request_question, request_stage, src_env, write_manifest_file
 from kill_child import reply
 from vtagent import cli, oracle, reporting
 from vtagent.backends import (FunctionBackend, GenerationRequest, Message, RecordingBackend,
@@ -45,6 +44,18 @@ def write_script(path: Path, manifest, oracle=True):
     return path
 
 
+def write_replies(path: Path, episode_answers, frame_answers=()) -> Path:
+    """A script of plain (not JSON) reply lines: for each episode answer, a
+    selection of frames 0 and 1 and then that answer; then one answer per
+    frame-wise query."""
+    select = "<reasoning>r</reasoning><action>select key frame: [0, 1]</action>"
+    answer = "<reasoning>r</reasoning><action>answer: {}</action>".format
+    lines = [r for a in episode_answers for r in (select, answer(a))]
+    lines += [answer(a) for a in frame_answers]
+    path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+    return path
+
+
 class TestEval:
     def test_scripted_eval_summary(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
@@ -56,6 +67,22 @@ class TestEval:
         assert "100.00" in out
         assert (tmp_path / "out" / "trajectories.jsonl").exists()
         assert (tmp_path / "out" / "scores.jsonl").exists()
+
+    def test_synthetic_manifest_at_two_frames_then_a_resume_that_makes_no_call(
+            self, synthetic_manifest, tmp_path, capsys):
+        """The two questions about one video share one frames tuple at load
+        and their sampled frames after it. The resume gets no replies, so any
+        call it made would fail its sample and change the printed report."""
+        argv = ["eval", "--manifest", str(synthetic_manifest), "--frames", "2",
+                "--backend", "scripted", "--out-dir", str(tmp_path / "eval")]
+        replies = write_replies(tmp_path / "replies.txt", ["text 0", "text 1", "text 2"])
+        assert cli.main(argv + ["--script", str(replies)]) == 0
+        first = capsys.readouterr().out
+        assert "100.00" in first
+        empty = tmp_path / "no-replies.txt"
+        empty.write_text("", encoding="utf-8")
+        assert cli.main(argv + ["--script", str(empty), "--resume"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         code = cli.main(["eval", "--manifest", str(tmp_path / "none.jsonl"),
@@ -499,6 +526,24 @@ class TestCurate:
         assert capsys.readouterr().out == first
         assert {p.name: p.read_bytes() for p in out.iterdir()} == outputs
 
+    @pytest.mark.parametrize("command, answers, kept", [
+        # right at once, right on the second try, never right (dropped)
+        ("curate-sft", ["text 0", "wrong", "text 1", "wrong", "wrong"], ["q0000", "q0001"]),
+        # right then wrong, right twice (dropped), wrong then right
+        ("curate-rl", ["text 0", "wrong", "text 1", "text 1", "wrong", "text 2"],
+         ["q0000", "q0002"]),
+    ])
+    def test_two_attempts_on_the_synthetic_manifest(self, command, answers, kept,
+                                                    synthetic_manifest, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([command, "--manifest", str(synthetic_manifest), "--backend", "scripted",
+                         "--max-attempts", "2", "--out-dir", str(out), "--script",
+                         str(write_replies(tmp_path / "replies.txt", answers))]) == 0
+        assert "kept 2, dropped 1, failed 0" in capsys.readouterr().out
+        corpus = out / f"{command[len('curate-'):]}_corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["sample_id"] for line in lines] == kept
+
     def test_rl_histogram(self, manifest_path, tmp_path, capsys):
         path, manifest = manifest_path
         # scripted: every attempt answers wrong except attempt 1 -> mixed outcomes
@@ -775,6 +820,24 @@ class TestGrpoCmd:
     def test_invalid_group_exit_2(self, tmp_path):
         assert cli.main(["grpo", "--group", "1", "--out-dir", str(tmp_path)]) == 2
 
+    def test_many_frames_few_draws_writes_the_curve_and_its_plot(self, tmp_path, capsys):
+        """256 frames and 2 draws a group: the log-prob tables fill few of
+        their answer rows."""
+        out = tmp_path / "out"
+        assert cli.main(["grpo", "--steps", "20", "--env-frames", "256", "--group", "2",
+                         "--svg", "--out-dir", str(out)]) == 0
+        assert len((out / "curve.csv").read_text(encoding="utf-8").splitlines()) == 1 + 20
+        assert (out / "curve.svg").read_text(encoding="utf-8").count("<polyline") == 2
+
+    @pytest.mark.parametrize("flag", ["--eps", "--lr"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_eps_or_lr_exit_2_before_any_output(self, tmp_path, capsys, flag,
+                                                           value):
+        out = tmp_path / "out"
+        assert cli.main(["grpo", "--steps", "3", flag, value, "--out-dir", str(out)]) == 2
+        assert "eps and lr must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-3"),
                                              ("--env-frames", "0"), ("--vocab", "0")])
     def test_invalid_size_exit_2_before_any_output(self, tmp_path, capsys, flag, value):
@@ -864,13 +927,41 @@ class TestReport:
 
     def test_malformed_line_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        good = '{"sample_id": "s0", "accuracy": 1, "anls": 1.0, "hit": null}\n'
-        for line_no, text in ((1, '{"sample_id": "s1"\n'), (2, good + "[1, 2]\n"),
-                              (2, good + '{"sample_id": "s1", "accuracy": "x"}\n')):
+        record = {"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": None}
+        good = json.dumps(record) + "\n"
+        faults = [{"accuracy": "x"}, {"sample_id": 1}, {"accuracy": 1.9}, {"accuracy": True},
+                  {"accuracy": 2}, {"anls": "nan"}, {"anls": float("nan")},
+                  {"anls": float("inf")}, {"anls": 1.5}, {"anls": -0.5}, {"anls": True},
+                  {"hit": "no"}, {"hit": 1}]
+        texts = [(1, '{"sample_id": "s1"\n'), (2, good + "[1, 2]\n")]
+        texts += [(2, good + json.dumps({**record, **fault}) + "\n") for fault in faults]
+        texts += [(2, good + json.dumps({k: v for k, v in record.items() if k != key}) + "\n")
+                  for key in record]
+        for line_no, text in texts:
             bad.write_text(text, encoding="utf-8")
             code = cli.main(["report", "--scores", f"sys={bad}"])
-            assert code == 2
-            assert f"line {line_no}" in capsys.readouterr().err
+            assert code == 2, text
+            captured = capsys.readouterr()
+            assert f"line {line_no}" in captured.err and str(bad) in captured.err
+            assert captured.out == ""
+
+    def test_partition_the_oracle_wrote_on_the_synthetic_manifest(self, synthetic_manifest,
+                                                                  tmp_path, capsys):
+        # the three episodes answer right; of the six frame-wise queries, one
+        # a frame in order, frame 0 of q0000 and frame 1 of q0002 read right
+        out = tmp_path / "oracle"
+        replies = write_replies(tmp_path / "replies.txt", ["text 0", "text 1", "text 2"],
+                                ["text 0", "wrong", "wrong", "wrong", "wrong", "text 2"])
+        assert cli.main(["oracle", "--manifest", str(synthetic_manifest), "--frames", "2",
+                         "--backend", "scripted", "--parallelism", "1", "--script",
+                         str(replies), "--out-dir", str(out)]) == 0
+        assert "Set_s 2  Set_u 1" in capsys.readouterr().out.splitlines()
+        assert (out / "set_s.ids").read_text(encoding="utf-8").split() == ["q0000", "q0002"]
+        assert cli.main(["report", "--scores", f"agent={out / 'scores.jsonl'}",
+                         "--partition", str(out)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[-2:] == [["agent", "Set_s", "2", "100.00", "-"],
+                             ["agent", "Set_u", "1", "100.00", "-"]]
 
     @pytest.mark.parametrize("named", [False, True], ids=["stem", "name=path"])
     def test_repeated_system_name_exit_2(self, tmp_path, capsys, named):
@@ -1065,11 +1156,9 @@ def test_main_without_a_command_first_uses_the_full_parser(argv, capsys):
     "from vtagent import cli; cli.main(['config', 'show'])",
 ])
 def test_cli_leaves_numpy_to_grpo(code):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
                     "assert 'numpy' not in sys.modules, 'numpy imported'"],
-                   env=env, check=True, capture_output=True)
+                   env=src_env(), check=True, capture_output=True)
 
 
 @pytest.mark.parametrize("command", ["eval", "grpo"])

@@ -1,7 +1,6 @@
 """A run killed at a model call and then resumed ends with the stdout and
 the output files of a run that was never killed."""
 
-import os
 import random
 import signal
 import subprocess
@@ -10,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_manifest_file
+from conftest import src_env, write_manifest_file
 from kill_child import reply
 from vtagent import cli
 from vtagent.backends import FunctionBackend
 
 CHILD = Path(__file__).with_name("kill_child.py")
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def output_files(out: Path) -> dict[str, bytes]:
@@ -39,11 +37,10 @@ def test_resumed_run_matches_an_uninterrupted_one(command, parallelism, manifest
     stdout = capsys.readouterr().out
     # the first call, and one other drawn from the calls the run makes
     kill_points = (1, random.Random(f"{command} {parallelism}").randint(2, backend.calls))
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for kill_at in kill_points:
         out = tmp_path / f"killed-at-{kill_at}"
         child = subprocess.run([sys.executable, str(CHILD), str(kill_at), *argv(out)],
-                               env=env, capture_output=True, text=True, timeout=60)
+                               env=src_env(), capture_output=True, text=True, timeout=60)
         assert child.returncode == -signal.SIGKILL, child.stderr
         assert cli.main(argv(out) + ["--resume"]) == 0
         assert capsys.readouterr().out == stdout
