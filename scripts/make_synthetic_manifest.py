@@ -56,7 +56,7 @@ def main() -> None:
             gold_answers=(f"text {i}",),
             split_tag=args.split,
         ))
-    manifest = DatasetManifest(samples=tuple(samples), source_uri="synthetic")
+    manifest = DatasetManifest(samples=tuple(samples))
     out = root / "manifest.jsonl"
     write_manifest(manifest, out)
     print(f"wrote {len(samples)} samples to {out}")

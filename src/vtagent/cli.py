@@ -202,10 +202,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"Set_s {len(report.partition.set_s)}  Set_u {len(report.partition.set_u)}")
     if failures:
         print(f"per-sample failures: {failures}")
-    failed = [len(r.failed_frames) for r in report.results if r.failed_frames]
-    if failed:
-        # a frame the backend never answered counts as incorrect
-        print(f"failed frames: {sum(failed)} in {len(failed)} samples")
+    if report.failed_frames:
+        print(f"failed frames: {report.failed_frames} in {report.failed_samples} samples")
     return 0
 
 
@@ -286,11 +284,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         scores = reporting.read_score_log(path)
         scores_by_system[name] = scores
         reports[name] = aggregate(scores, split_tag=name)
+    part = oracle.read_partition(args.partition) if args.partition else None
     print(reporting.side_by_side_table(reports))
     rows_csv = [{"system": name, "n": r.n, "acc": r.mean_accuracy, "anls": r.mean_anls,
                  "hit_rate": r.hit_rate} for name, r in reports.items()]
-    if args.partition:
-        part = oracle.read_partition(args.partition)
+    if part:
         rows_by_system = {name: oracle.stratified_report(scores, part)
                           for name, scores in scores_by_system.items()}
         print(reporting.subset_table(rows_by_system))

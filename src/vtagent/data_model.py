@@ -80,7 +80,6 @@ class Sample:
 @dataclass(frozen=True)
 class DatasetManifest:
     samples: tuple[Sample, ...]
-    source_uri: str
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         _check_files(refs)  # the frames read before the failing record come first
         raise
     _check_files(refs)
-    return DatasetManifest(samples=tuple(samples), source_uri=str(Path(path)))
+    return DatasetManifest(samples=tuple(samples))
 
 
 def _sample_to_record(sample: Sample) -> dict:

@@ -35,16 +35,13 @@ class MissingFrameFile(VtagentError):
 # --- trajectory grammar ---
 
 class MissingActionBlock(VtagentError):
-    def __init__(self, raw: str):
+    def __init__(self):
         super().__init__("no <action> block found")
-        self.raw = raw
 
 
 class UnparsableAction(VtagentError):
-    def __init__(self, payload: str, raw: str = ""):
+    def __init__(self, payload: str):
         super().__init__(f"unparsable action payload: {payload!r}")
-        self.payload = payload
-        self.raw = raw
 
 
 class EmptySelection(VtagentError):
@@ -80,10 +77,6 @@ class ResponseEmpty(BackendUnavailable):
 # --- metrics / analysis ---
 
 class EmptyScoreSet(VtagentError):
-    pass
-
-
-class NotFrameSolvable(VtagentError):
     pass
 
 

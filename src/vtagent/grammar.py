@@ -97,12 +97,8 @@ def parse_turn(text: str) -> Turn:
     reasoning = reasoning_block.strip() if reasoning_block is not None else ""
     action_block = _extract_block(text, "action")
     if action_block is None:
-        raise MissingActionBlock(text)
-    try:
-        action = parse_action(action_block)
-    except UnparsableAction as e:
-        raise UnparsableAction(e.payload, raw=text) from e
-    return Turn(reasoning=reasoning, action=action, raw=text)
+        raise MissingActionBlock()
+    return Turn(reasoning=reasoning, action=parse_action(action_block), raw=text)
 
 
 def render_action(action: Action) -> str:
@@ -128,7 +124,7 @@ def parse_trajectory_text(text: str) -> list[Turn]:
         turns.append(parse_turn(rest[:cut]))
         rest = rest[cut:]
     if not turns:
-        raise MissingActionBlock(text)
+        raise MissingActionBlock()
     return turns
 
 

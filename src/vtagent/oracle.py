@@ -7,10 +7,12 @@ bound exposing how much of the video-level gap is evidence localization
 rather than reasoning. Correct frames double as pseudo keyframe annotations
 for hit-rate measurement.
 
-`framewise_job` is one `framewise_eval` per sample as a job of
-`engine.run_units`, so its log is written per sample and a rerun resumes
-it; the CLI runs it in one pool with the agent episodes. `oracle_report`
-builds the accuracy and partition from its records.
+A sample's result is the record `framewise_eval` returns, `{"sample_id",
+"vector", "any_correct", "failed_frames"}`: `framewise_job` hands it to
+`engine.run_units`, which logs it to framewise.jsonl per sample, so a rerun
+resumes it; the CLI runs that job in one pool with the agent episodes.
+`oracle_report` builds the accuracy, partition and failed-frame totals from
+the records, and `pseudo_keyframes` reads a record's correct frames.
 """
 
 from __future__ import annotations
@@ -22,20 +24,9 @@ from typing import Optional, Sequence
 from .backends import Backend, Message
 from .data_model import DatasetManifest, Sample
 from .engine import ANSWER_TEMPLATE, EngineConfig, Job, ask, frames_turn
-from .errors import BackendUnavailable, NotFrameSolvable
+from .errors import BackendUnavailable, MalformedRecord
 from .jsonl import read_lines, write_lines
 from .metrics import MetricReport, SampleScore, aggregate, exact_accuracy
-
-
-@dataclass(frozen=True)
-class FramewiseResult:
-    sample_id: str
-    per_frame_correct: tuple[bool, ...]
-    failed_frames: tuple[int, ...] = ()  # backend failures, recorded as incorrect
-
-    @property
-    def any_correct(self) -> bool:
-        return any(self.per_frame_correct)
 
 
 @dataclass(frozen=True)
@@ -50,10 +41,12 @@ def build_frame_prompt(sample: Sample, frame_index: int) -> tuple[Message, ...]:
     return (frames_turn(ANSWER_TEMPLATE, (sample.frames[frame_index],), sample.question),)
 
 
-def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> FramewiseResult:
-    """One reply per frame: a malformed or non-answer reply counts as incorrect;
-    a frame whose transport tries all fail is also recorded in failed_frames."""
-    correct: list[bool] = []
+def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> dict:
+    """The sample's framewise.jsonl record: one reply per frame, whose verdict
+    is its entry in `vector`. A malformed or non-answer reply counts as
+    incorrect; a frame whose transport tries all fail is also listed in
+    `failed_frames`."""
+    vector: list[bool] = []
     failed: list[int] = []
     for i in range(len(sample.frames)):
         try:
@@ -62,38 +55,30 @@ def framewise_eval(sample: Sample, backend: Backend, config: EngineConfig) -> Fr
         except BackendUnavailable:
             turn = None
             failed.append(i)
-        correct.append(turn is not None
-                       and exact_accuracy(turn.action.text, sample.gold_answers) == 1)
-    return FramewiseResult(sample_id=sample.sample_id,
-                           per_frame_correct=tuple(correct),
-                           failed_frames=tuple(failed))
+        vector.append(turn is not None
+                      and exact_accuracy(turn.action.text, sample.gold_answers) == 1)
+    return {"sample_id": sample.sample_id, "vector": vector, "any_correct": any(vector),
+            "failed_frames": failed}
 
 
-def pseudo_keyframes(result: FramewiseResult) -> frozenset[int]:
-    if not result.any_correct:
-        raise NotFrameSolvable(result.sample_id)
-    return frozenset(i for i, ok in enumerate(result.per_frame_correct) if ok)
+def pseudo_keyframes(record: dict) -> frozenset[int]:
+    """The frames a framewise record judged correct: none for a Set_u sample
+    or an error record."""
+    return frozenset(i for i, ok in enumerate(record.get("vector", ())) if ok)
 
 
 @dataclass
 class OracleReport:
     oracle_accuracy: float  # x100
     partition: Partition
-    results: list[FramewiseResult]
+    failed_frames: int  # frames the backend never answered, each counted incorrect
+    failed_samples: int  # samples with such a frame
 
 
 def framewise_job(manifest: DatasetManifest, backend: Backend, config: EngineConfig,
                   log_path: str | Path) -> Job:
-    """One `framewise_eval` per sample of the manifest, for `engine.run_units`.
-    Each sample's record in log_path (framewise.jsonl) is its vector, which a
-    rerun reuses."""
-    def one(sample: Sample) -> dict:
-        result = framewise_eval(sample, backend, config)
-        return {"sample_id": result.sample_id,
-                "vector": list(result.per_frame_correct),
-                "any_correct": result.any_correct,
-                "failed_frames": list(result.failed_frames)}
-
+    """`framewise_eval` per sample of the manifest, for `engine.run_units`:
+    its record is what log_path (framewise.jsonl) holds and a rerun reuses."""
     n_frames = {s.sample_id: len(s.frames) for s in manifest.samples}
 
     def check(record: dict) -> Optional[str]:
@@ -112,27 +97,25 @@ def framewise_job(manifest: DatasetManifest, backend: Backend, config: EngineCon
             return "has a 'failed_frames' that is not a list of frame indices"
         return None
 
-    return Job(manifest.samples, one, log_path, check)
+    return Job(manifest.samples, lambda sample: framewise_eval(sample, backend, config),
+               log_path, check)
 
 
 def oracle_report(manifest: DatasetManifest, records: Sequence[dict]) -> OracleReport:
-    """The oracle accuracy and partition of the records `run_units` returns
-    for `framewise_job`, one per sample of the manifest in its order."""
+    """The oracle accuracy, partition and failed-frame totals of the records
+    `run_units` returns for `framewise_job`, one per sample of the manifest
+    in its order."""
     n_frames = {s.sample_id: len(s.frames) for s in manifest.samples}
     # framewise_eval fails frames one by one, so only a log written by hand
     # holds an error record: the backend answered none of that sample's frames
-    results = [FramewiseResult(r["sample_id"], tuple(r["vector"]),
-                               tuple(r.get("failed_frames", ()))) if "error" not in r else
-               FramewiseResult(r["sample_id"], (False,) * n_frames[r["sample_id"]],
-                               tuple(range(n_frames[r["sample_id"]])))
-               for r in records]
-    set_s = tuple(r.sample_id for r in results if r.any_correct)
-    set_u = tuple(r.sample_id for r in results if not r.any_correct)
-    n = len(results) or 1
-    oracle_acc = 100.0 * len(set_s) / n
-    return OracleReport(oracle_accuracy=oracle_acc,
+    failed = [n_frames[r["sample_id"]] if "error" in r else len(r.get("failed_frames", ()))
+              for r in records]
+    solvable = [bool(pseudo_keyframes(r)) for r in records]
+    set_s = tuple(r["sample_id"] for r, ok in zip(records, solvable) if ok)
+    set_u = tuple(r["sample_id"] for r, ok in zip(records, solvable) if not ok)
+    return OracleReport(oracle_accuracy=100.0 * len(set_s) / (len(records) or 1),
                         partition=Partition(set_s=set_s, set_u=set_u),
-                        results=results)
+                        failed_frames=sum(failed), failed_samples=sum(map(bool, failed)))
 
 
 def stratified_report(scores: Sequence[SampleScore], partition: Partition,
@@ -155,6 +138,17 @@ def write_partition(partition: Partition, out_dir: str | Path) -> None:
 
 
 def read_partition(out_dir: str | Path) -> Partition:
-    """What write_partition wrote: one sample_id a line, spaces kept."""
-    return Partition(*(tuple(line for _, line in read_lines(Path(out_dir) / name))
-                       for name in ("set_s.ids", "set_u.ids")))
+    """What write_partition wrote: one sample_id a line, spaces kept. An id
+    listed twice, in one file or in both, is named by its second line."""
+    seen: set[str] = set()
+    subsets = []
+    for name in ("set_s.ids", "set_u.ids"):
+        path = Path(out_dir) / name
+        subsets.append([])
+        for line_no, sample_id in read_lines(path):
+            if sample_id in seen:
+                raise MalformedRecord(line_no, f"sample_id {sample_id!r} in {path} "
+                                               "is listed twice in the partition")
+            seen.add(sample_id)
+            subsets[-1].append(sample_id)
+    return Partition(*map(tuple, subsets))

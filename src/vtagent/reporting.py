@@ -73,14 +73,18 @@ def read_score_log(path: str | Path) -> list[SampleScore]:
     """Per-sample scores of a score log, which write_score_log writes whole,
     read with read_records: the file is never written, so `report` leaves
     its inputs as they are. The summary record is skipped; a record that
-    lacks what scoring reads (_score_fault) is named by its line."""
+    lacks what scoring reads (_score_fault), or repeats an earlier record's
+    sample_id, is named by its line."""
     scores: list[SampleScore] = []
+    seen: set[str] = set()
     for line_no, obj in read_records(path):
         if obj.get("summary"):
             continue
-        fault = _score_fault(obj)
+        fault = _score_fault(obj) or (
+            f"repeated sample_id {obj['sample_id']!r}" if obj["sample_id"] in seen else None)
         if fault:
             raise MalformedRecord(line_no, f"bad score record in {path}: {fault}")
+        seen.add(obj["sample_id"])
         scores.append(SampleScore(sample_id=obj["sample_id"], accuracy=obj["accuracy"],
                                   anls=float(obj["anls"]), hit=obj["hit"]))
     return scores

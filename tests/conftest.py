@@ -65,7 +65,7 @@ def manifest_factory(sample_factory, tmp_path):
                            answers=(f"answer {i}",), n_frames=n_frames, **kwargs)
             for i in range(n_samples)
         )
-        return DatasetManifest(samples=samples, source_uri="memory")
+        return DatasetManifest(samples=samples)
     return make
 
 

@@ -266,8 +266,8 @@ def test_oracle_analysis(manifest_factory, tmp_path):
 
         backend = FunctionBackend(fn)
         config = EngineConfig(max_attempts=1)
-        result = oracle.framewise_eval(sample, backend, config)
-        assert oracle.pseudo_keyframes(result) == frozenset({2})
+        record = oracle.framewise_eval(sample, backend, config)
+        assert oracle.pseudo_keyframes(record) == frozenset({2})
 
         from vtagent.engine import run_episode, trajectory_record
         video_rec = trajectory_record(run_episode(sample, backend, config))
@@ -281,8 +281,7 @@ def test_oracle_analysis(manifest_factory, tmp_path):
         assert hit(KeyframeSet(ids=(2,)), {2}) is True
         annotated = DatasetManifest(
             samples=(sample.__class__(**{**sample.__dict__,
-                                         "pseudo_keyframes": frozenset({2})}),),
-            source_uri="memory")
+                                         "pseudo_keyframes": frozenset({2})}),))
         scored = score_records(annotated, [video_rec])
         assert aggregate(scored).hit_rate == pytest.approx(100.0)
 

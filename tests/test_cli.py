@@ -15,8 +15,8 @@ import pytest
 from conftest import request_question, request_stage, src_env, write_manifest_file
 from kill_child import reply
 from vtagent import cli, oracle, reporting
-from vtagent.backends import (FunctionBackend, GenerationRequest, Message, RecordingBackend,
-                              ScriptedBackend, TextPart, TranscriptStore)
+from vtagent.backends import (FunctionBackend, GenerationRequest, ImagePart, Message,
+                              RecordingBackend, ScriptedBackend, TextPart, TranscriptStore)
 from vtagent.engine import EngineConfig, run_batch
 from vtagent.errors import BackendUnavailable, CacheMiss
 from vtagent.metrics import SampleScore, aggregate
@@ -436,6 +436,71 @@ class TestOracleSharedPool:
         assert capsys.readouterr().out.splitlines()[:4] == [
             "video ACC.         100.00", "oracle ACC.         50.00",
             "oracle - video     -50.00", "Set_s 2  Set_u 2"]
+
+
+def test_oracle_golden_outputs_fresh_and_resumed(manifest_factory, tmp_path, monkeypatch,
+                                                 capsys):
+    """The exact bytes `oracle` writes and prints. Fresh: frame 1 of q000
+    and frame 0 of q002 read right, and frame 0 of q001 is never answered.
+    Then q002's record is replaced by an error record written by hand, which
+    --resume reads, with no call, as a sample whose every frame failed."""
+    manifest = manifest_factory(n_samples=3, n_frames=2)
+    path = write_manifest_file(manifest, tmp_path / "manifest.jsonl")
+    right = {("question 0?", 1), ("question 2?", 0)}
+
+    def fn(request):
+        stage, question = request_stage(request), request_question(request)
+        if stage == "anchor":
+            return "<reasoning>r</reasoning>\n<action>select key frame: [0]</action>"
+        if stage == "frame":
+            (image,) = [p for m in request.messages for p in m.parts
+                        if isinstance(p, ImagePart)]
+            if (question, image.index) == ("question 1?", 0):
+                raise BackendUnavailable("HTTP 503: busy")
+            ok = (question, image.index) in right
+        else:  # only q000's episode answers right
+            ok = question == "question 0?"
+        answer = f"answer {question[9]}" if ok else "blur"
+        return f"<reasoning>r</reasoning>\n<action>answer: {answer}</action>"
+
+    def no_call(request):
+        raise AssertionError("a resume with every sample logged makes no call")
+
+    out = tmp_path / "out"
+    argv = ["oracle", "--manifest", str(path), "--backend", "scripted", "--out-dir", str(out)]
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(fn))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "video ACC.          33.33\n"
+        "oracle ACC.         66.67\n"
+        "oracle - video     +33.33\n"
+        "Set_s 2  Set_u 1\n"
+        "failed frames: 1 in 1 samples\n")
+    framewise = (
+        b'{"sample_id": "q000", "vector": [false, true], "any_correct": true,'
+        b' "failed_frames": []}\n'
+        b'{"sample_id": "q001", "vector": [false, false], "any_correct": false,'
+        b' "failed_frames": [0]}\n'
+        b'{"sample_id": "q002", "vector": [true, false], "any_correct": true,'
+        b' "failed_frames": []}\n')
+    assert (out / "framewise.jsonl").read_bytes() == framewise
+    assert (out / "set_s.ids").read_bytes() == b"q000\nq002\n"
+    assert (out / "set_u.ids").read_bytes() == b"q001\n"
+
+    by_hand = framewise.splitlines(keepends=True)[:2] + [
+        b'{"sample_id": "q002", "error": "HTTP 503: busy"}\n']
+    (out / "framewise.jsonl").write_bytes(b"".join(by_hand))
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: FunctionBackend(no_call))
+    assert cli.main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == (
+        "video ACC.          33.33\n"
+        "oracle ACC.         33.33\n"
+        "oracle - video      +0.00\n"
+        "Set_s 1  Set_u 2\n"
+        "failed frames: 3 in 2 samples\n")
+    assert (out / "framewise.jsonl").read_bytes() == b"".join(by_hand)
+    assert (out / "set_s.ids").read_bytes() == b"q000\n"
+    assert (out / "set_u.ids").read_bytes() == b"q001\nq002\n"
 
 
 class TestCurate:
@@ -1004,6 +1069,33 @@ class TestReport:
         assert cli.main(["report", "--scores", f"sys={path}"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[:3] == ["sys", "3", "66.67"]
         assert path.read_bytes() == raw
+
+    def test_repeated_sample_id_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.jsonl"
+        self.make_score_log(path, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": None},
+                                   {"sample_id": "s1", "accuracy": 0, "anls": 0.0, "hit": None}],
+                            {"summary": True})
+        assert cli.main(["report", "--scores", f"sys={path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 2: bad score record in {path}: repeated sample_id 's1'" in captured.err
+
+    @pytest.mark.parametrize("set_s,set_u,name,line", [
+        ("s1\ns2\ns1\n", "", "set_s.ids", 3),
+        ("s1\n", "s2\n\ns1\n", "set_u.ids", 3),
+    ], ids=["in-one-file", "in-both-files"])
+    def test_partition_listing_an_id_twice_exit_2(self, tmp_path, capsys, set_s, set_u, name,
+                                                  line):
+        a = tmp_path / "a.jsonl"
+        self.make_score_log(a, [{"sample_id": "s1", "accuracy": 1, "anls": 1.0, "hit": None},
+                                {"sample_id": "s2", "accuracy": 0, "anls": 0.0, "hit": None}],
+                            {"summary": True})
+        (tmp_path / "set_s.ids").write_text(set_s, encoding="utf-8")
+        (tmp_path / "set_u.ids").write_text(set_u, encoding="utf-8")
+        assert cli.main(["report", "--scores", f"sys={a}", "--partition", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {line}: sample_id 's1' in {tmp_path / name} is listed twice" in captured.err
 
     @pytest.mark.parametrize("missing,as_dir", [("set_s.ids", False), ("set_u.ids", False),
                                                 ("set_s.ids", True)])

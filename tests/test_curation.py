@@ -330,7 +330,7 @@ def test_episodes_reuse_one_anchor_message_per_sample(curate, tmp_path):
     manifest = DatasetManifest(samples=tuple(
         Sample(sample_id=f"g{i}", video_id="v0", frames=frames,
                question=f'What does the "EXIT" sign {i} say?', gold_answers=(f"exit {i}",))
-        for i in range(2)), source_uri="memory")
+        for i in range(2)))
     golds = {s.question: s.gold_answers[0] for s in manifest.samples}
     requests, answered = [], Counter()
 

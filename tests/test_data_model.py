@@ -26,7 +26,7 @@ def shared_video_manifest(sample_factory, n_samples=3, n_frames=6) -> DatasetMan
         replace(video, sample_id=f"q{i}", question=f"question {i}?",
                 gold_answers=(f"answer {i}",), frames=frames,
                 pseudo_keyframes=frozenset({i, i + 2}))
-        for i in range(n_samples)), source_uri="memory")
+        for i in range(n_samples)))
 
 
 def test_load_happy_path(manifest_factory, sample_factory, tmp_path):
@@ -235,7 +235,7 @@ def test_questions_about_one_video_share_one_frames_decode(sample_factory, tmp_p
     videos = [sample_factory(sample_id=f"v{v}", n_frames=5) for v in range(8)]
     manifest = DatasetManifest(samples=tuple(
         replace(video, sample_id=f"{video.sample_id}q{q}", question=f"question {q}?")
-        for video in videos for q in range(8)), source_uri="memory")
+        for video in videos for q in range(8)))
     path = write_manifest_file(manifest, tmp_path / "m.jsonl")
     if separators:  # a tab before each value
         path.write_text("".join(json.dumps(json.loads(line), separators=separators) + "\n"
@@ -251,7 +251,7 @@ def test_questions_about_one_video_share_one_frames_decode(sample_factory, tmp_p
 def test_records_with_their_own_frames_decode_each_line_once(sample_factory, tmp_path,
                                                              monkeypatch):
     manifest = DatasetManifest(samples=tuple(
-        sample_factory(sample_id=f"q{i}", n_frames=12) for i in range(8)), source_uri="memory")
+        sample_factory(sample_id=f"q{i}", n_frames=12) for i in range(8)))
     path = write_manifest_file(manifest, tmp_path / "m.jsonl")
     counts = _counting_decodes(monkeypatch)
     assert load_manifest(path).samples == manifest.samples
@@ -262,7 +262,7 @@ def test_frames_that_nest_end_the_splitting(sample_factory, tmp_path, monkeypatc
     videos = [sample_factory(sample_id=f"v{v}", n_frames=12) for v in range(8)]
     manifest = DatasetManifest(samples=tuple(
         replace(video, sample_id=f"{video.sample_id}q{q}", question=f"question {q}?")
-        for video in videos for q in range(8)), source_uri="memory")
+        for video in videos for q in range(8)))
     path = write_manifest_file(manifest, tmp_path / "m.jsonl")
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for record in records:
@@ -415,7 +415,7 @@ def test_shared_frames_are_one_ref_and_stay_per_sample(sample_factory, tmp_path)
 
 def two_frame_records(sample_factory, tmp_path) -> tuple[Path, list[dict]]:
     path = write_manifest_file(DatasetManifest(samples=tuple(
-        sample_factory(sample_id=f"q{i}", n_frames=2) for i in range(2)), source_uri="memory"),
+        sample_factory(sample_id=f"q{i}", n_frames=2) for i in range(2))),
         tmp_path / "m.jsonl")
     return path, [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -472,8 +472,8 @@ def test_malformed_keyframes_name_their_line(sample_factory, tmp_path, keyframes
 
 
 def test_keyframes_taken_when_int_converts_them_exactly(sample_factory, tmp_path):
-    path = write_manifest_file(DatasetManifest(samples=(sample_factory(n_frames=4),),
-                                               source_uri="memory"), tmp_path / "m.jsonl")
+    path = write_manifest_file(DatasetManifest(samples=(sample_factory(n_frames=4),)),
+                               tmp_path / "m.jsonl")
     record = json.loads(path.read_text())
     path.write_text(json.dumps(dict(record, keyframes=[1, 2.0, "3"])) + "\n")
     (sample,) = load_manifest(path).samples
@@ -588,7 +588,7 @@ def test_sample_manifest_shares_sampled_frames_per_video_and_policy(sample_facto
     other = sample_factory(sample_id="w", video_id="v2", n_frames=6)
     manifest = DatasetManifest(samples=(
         replace(video, sample_id="q0"), other,
-        replace(video, sample_id="q1", pseudo_keyframes=frozenset({5}))), source_uri="memory")
+        replace(video, sample_id="q1", pseudo_keyframes=frozenset({5}))))
     path = write_manifest_file(manifest, tmp_path / "m.jsonl")
     loads = [load_manifest(path) for _ in range(2)]
     for n in (2, 3):

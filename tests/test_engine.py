@@ -72,8 +72,7 @@ class TestPrompts:
         other = sample_factory(sample_id="w", video_id="v2", n_frames=3)
         q0, q1 = (replace(video, sample_id=f"q{i}", question=f"question {i}?") for i in range(2))
         # a question about another video between them: only their FrameRefs tie them
-        path = write_manifest_file(DatasetManifest(samples=(q0, other, q1), source_uri="memory"),
-                                   tmp_path / "m.jsonl")
+        path = write_manifest_file(DatasetManifest(samples=(q0, other, q1)), tmp_path / "m.jsonl")
         for samples, n in ((load_manifest(path).samples, 3),
                            (cli._load_sampled_manifest(cli.RunConfig(frames=2), path).samples, 2)):
             a, b = (build_anchor_prompt(s)[0].parts for s in samples[::2])
@@ -220,7 +219,7 @@ def test_fallback_episode_scores_no_hit(sample_factory, fallback):
     undefined whichever frames the fallback answered from: under direct, all
     8 (which hold the annotated frame 5); under uniform, 0 and 7."""
     sample = sample_factory(n_frames=8, keyframes=[5])
-    manifest = DatasetManifest(samples=(sample,), source_uri="memory")
+    manifest = DatasetManifest(samples=(sample,))
     config = EngineConfig(cap=2, max_attempts=1, fallback=fallback)
     records = [trajectory_record(run_episode(sample, ScriptedBackend(replies), config))
                for replies in ([valid_select("5"), valid_answer("stop")],

@@ -8,7 +8,7 @@ from vtagent import oracle
 from vtagent.backends import FunctionBackend, ImagePart
 from vtagent.data_model import DatasetManifest
 from vtagent.engine import ANSWER_TEMPLATE, EngineConfig, derive_seed, run_units
-from vtagent.errors import BackendUnavailable, MalformedRecord, NotFrameSolvable
+from vtagent.errors import BackendUnavailable, MalformedRecord
 from vtagent.metrics import SampleScore
 from vtagent.reporting import subset_table
 
@@ -19,11 +19,21 @@ def cfg(**kwargs):
     return EngineConfig(**defaults)
 
 
-def upper_bound(manifest, backend, config, log):
-    """The frame-wise job alone through the runner, and its report."""
+def frame_records(manifest, backend, config, log):
+    """The frame-wise job alone through the runner: every sample's record."""
     (records,) = run_units([oracle.framewise_job(manifest, backend, config, log)],
                            config.parallelism)
-    return oracle.oracle_report(manifest, records)
+    return records
+
+
+def upper_bound(manifest, backend, config, log):
+    """The report of the frame-wise job's records."""
+    return oracle.oracle_report(manifest, frame_records(manifest, backend, config, log))
+
+
+def record(*vector, failed=()):
+    return {"sample_id": "s", "vector": list(vector), "any_correct": any(vector),
+            "failed_frames": list(failed)}
 
 
 def frame_backend(manifest: DatasetManifest, correct_frames: dict[str, set[int]]):
@@ -48,21 +58,21 @@ class TestFramewiseEval:
         sample = manifest.samples[0]
         backend = frame_backend(manifest, {sample.question: {2}})
         result = oracle.framewise_eval(sample, backend, cfg())
-        assert result.per_frame_correct == (False, False, True, False)
-        assert result.any_correct
+        assert result == {"sample_id": sample.sample_id, "vector": [False, False, True, False],
+                          "any_correct": True, "failed_frames": []}
 
     def test_all_wrong(self, manifest_factory):
         manifest = manifest_factory(n_samples=1, n_frames=3)
         sample = manifest.samples[0]
         result = oracle.framewise_eval(sample, frame_backend(manifest, {}), cfg())
-        assert not result.any_correct
+        assert not result["any_correct"]
 
     def test_oracle_backend_all_true(self, manifest_factory):
         manifest = manifest_factory(n_samples=1, n_frames=3)
         sample = manifest.samples[0]
         backend = frame_backend(manifest, {sample.question: {0, 1, 2}})
         result = oracle.framewise_eval(sample, backend, cfg())
-        assert result.per_frame_correct == (True, True, True)
+        assert result["vector"] == [True, True, True]
 
     def test_frame_requests_are_pinned(self, manifest_factory):
         manifest = manifest_factory(n_samples=1, n_frames=3)
@@ -90,11 +100,11 @@ class TestFramewiseEval:
         result = oracle.framewise_eval(sample_factory(n_frames=1), backend,
                                        cfg(max_attempts=3))
         assert backend.calls == 1
-        assert result.per_frame_correct == (False,) and result.failed_frames == ()
+        assert result["vector"] == [False] and result["failed_frames"] == []
 
     @pytest.mark.parametrize("transient, calls, correct, failed", [
-        (1, 2, (True,), ()),
-        (3, 3, (False,), (0,)),
+        (1, 2, [True], []),
+        (3, 3, [False], [0]),
     ], ids=["429_then_answer", "every_try_fails"])
     def test_transient_errors_get_every_transport_try(self, transient, calls, correct,
                                                       failed, sample_factory):
@@ -110,24 +120,24 @@ class TestFramewiseEval:
         backend = FunctionBackend(fn)
         result = oracle.framewise_eval(sample, backend, cfg(max_attempts=3))
         assert backend.calls == calls
-        assert result.per_frame_correct == correct and result.failed_frames == failed
+        assert result["vector"] == correct and result["failed_frames"] == failed
 
 
 class TestPseudoKeyframes:
     def test_correct_indices(self):
-        r = oracle.FramewiseResult("s", (False, True, False, True))
-        assert oracle.pseudo_keyframes(r) == frozenset({1, 3})
+        assert oracle.pseudo_keyframes(record(False, True, False, True)) == frozenset({1, 3})
 
     def test_single(self):
-        assert oracle.pseudo_keyframes(oracle.FramewiseResult("s", (True,))) == frozenset({0})
+        assert oracle.pseudo_keyframes(record(True)) == frozenset({0})
 
-    def test_unsolvable_raises(self):
-        with pytest.raises(NotFrameSolvable):
-            oracle.pseudo_keyframes(oracle.FramewiseResult("s", (False, False)))
+    def test_set_u_and_error_records_have_none(self):
+        assert oracle.pseudo_keyframes(record(False, False, failed=[1])) == frozenset()
+        assert oracle.pseudo_keyframes({"sample_id": "s", "error": "down"}) == frozenset()
 
     def test_nonempty_iff_any_correct(self):
-        r = oracle.FramewiseResult("s", (False, True))
-        assert r.any_correct and oracle.pseudo_keyframes(r)
+        for vector in ((False,), (True,), (False, True), (False, False, False)):
+            r = record(*vector)
+            assert bool(oracle.pseudo_keyframes(r)) == r["any_correct"]
 
 
 class TestUpperBound:
@@ -159,18 +169,20 @@ class TestUpperBound:
                    manifest.samples[1].question: {3},
                    manifest.samples[2].question: set()}
         backend = frame_backend(manifest, correct)
-        report = upper_bound(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        records = frame_records(manifest, backend, cfg(), tmp_path / "framewise.jsonl")
+        report = oracle.oracle_report(manifest, records)
         n = len(manifest.samples)
         for k in range(4):
-            fixed_acc = 100.0 * sum(r.per_frame_correct[k] for r in report.results) / n
+            fixed_acc = 100.0 * sum(r["vector"][k] for r in records) / n
             assert report.oracle_accuracy >= fixed_acc
 
 
     def test_resume_queries_only_unlogged_samples(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=6, n_frames=3)
         solvable = {s.question: {1} for s in manifest.samples[::2]}
-        fresh = upper_bound(manifest, frame_backend(manifest, solvable),
-                                          cfg(parallelism=4), tmp_path / "fresh.jsonl")
+        fresh_records = frame_records(manifest, frame_backend(manifest, solvable),
+                                      cfg(parallelism=4), tmp_path / "fresh.jsonl")
+        fresh = oracle.oracle_report(manifest, fresh_records)
 
         log = tmp_path / "framewise.jsonl"
         head = replace(manifest, samples=manifest.samples[:4])
@@ -182,8 +194,7 @@ class TestUpperBound:
         assert resumed.oracle_accuracy == fresh.oracle_accuracy
         logged = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
         assert [r["sample_id"] for r in logged] == [s.sample_id for s in manifest.samples]
-        assert [tuple(r["vector"]) for r in logged] == \
-            [r.per_frame_correct for r in fresh.results]
+        assert [r["vector"] for r in logged] == [r["vector"] for r in fresh_records]
 
     def test_resume_keeps_failed_frames(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=3)
@@ -198,12 +209,14 @@ class TestUpperBound:
             return inner.complete(request)
 
         log = tmp_path / "framewise.jsonl"
-        fresh = upper_bound(manifest, FunctionBackend(fn), cfg(), log)
+        fresh = frame_records(manifest, FunctionBackend(fn), cfg(), log)
         backend = FunctionBackend(fn)
-        resumed = upper_bound(manifest, backend, cfg(), log)
+        resumed = frame_records(manifest, backend, cfg(), log)
         assert backend.calls == 0
-        assert [r.failed_frames for r in fresh.results] == [(), (2,)]
-        assert resumed.results == fresh.results
+        assert [r["failed_frames"] for r in fresh] == [[], [2]]
+        assert resumed == fresh
+        report = oracle.oracle_report(manifest, resumed)
+        assert (report.failed_frames, report.failed_samples) == (1, 1)
 
     def test_log_without_failed_frames_reads_as_none(self, manifest_factory, tmp_path):
         manifest = manifest_factory(n_samples=2, n_frames=2)
@@ -211,10 +224,12 @@ class TestUpperBound:
         log.write_text(json.dumps({"sample_id": "q000", "vector": [False, True],
                                    "any_correct": True}) + "\n", encoding="utf-8")
         backend = frame_backend(manifest, {})
-        report = upper_bound(manifest, backend, cfg(), log)
+        records = frame_records(manifest, backend, cfg(), log)
         assert backend.calls == 2  # only q001's two frames
-        assert [(r.sample_id, r.per_frame_correct, r.failed_frames) for r in report.results] \
-            == [("q000", (False, True), ()), ("q001", (False, False), ())]
+        assert [(r["sample_id"], r["vector"], r.get("failed_frames")) for r in records] \
+            == [("q000", [False, True], None), ("q001", [False, False], [])]
+        report = oracle.oracle_report(manifest, records)
+        assert (report.failed_frames, report.failed_samples) == (0, 0)
         assert report.partition == oracle.Partition(set_s=("q000",), set_u=("q001",))
 
     @pytest.mark.parametrize("failed", [5, None, "0", [2], [-1], [True], [0.0], ["1"]])
@@ -236,10 +251,12 @@ class TestUpperBound:
         log.write_text(json.dumps({"sample_id": "q000", "error": "down"}) + "\n",
                        encoding="utf-8")
         backend = frame_backend(manifest, {manifest.samples[1].question: {1}})
-        report = upper_bound(manifest, backend, cfg(), log)
+        records = frame_records(manifest, backend, cfg(), log)
         assert backend.calls == 3  # only q001's frames
-        assert [(r.per_frame_correct, r.failed_frames) for r in report.results] == \
-            [((False,) * 3, (0, 1, 2)), ((False, True, False), ())]
+        assert records[0] == {"sample_id": "q000", "error": "down"}
+        assert [oracle.pseudo_keyframes(r) for r in records] == [frozenset(), frozenset({1})]
+        report = oracle.oracle_report(manifest, records)
+        assert (report.failed_frames, report.failed_samples) == (3, 1)
         assert report.partition == oracle.Partition(set_s=("q001",), set_u=("q000",))
 
 
