@@ -8,10 +8,12 @@ Three implementations share one `complete(request) -> str` surface:
                     Its Content-Length comes from the frames' file sizes, and
                     the stream holds one frame's base64 at a time. A frame
                     missing when the call starts raises MissingFrameFile, which
-                    the CLI reports with exit 2. One standard-library `urllib`
-                    POST per call, on a connection of its own: proxies come
-                    from the environment, netrc is not read, and the key is an
-                    unredirected header, so a redirect never carries it
+                    the CLI reports with exit 2. One HTTP/1.1 POST per call,
+                    on a socket of its own that `_exchange` writes and reads
+                    (RFC 9112 framing, no http.client): proxies come from the
+                    environment, TLS uses the default context, netrc is not
+                    read, and a redirect is followed as a GET that carries
+                    neither the body nor the key
 * ScriptedBackend — queue of canned responses for tests and dry runs
 * ReplayBackend   — deterministic cache keyed by a canonical request digest,
                     spliced from the JSON fragment each prompt part and each
@@ -28,15 +30,19 @@ import json
 import math
 import mimetypes
 import os
+import re
+import socket
+import ssl
+import string
 import threading
 import time
 from dataclasses import dataclass, field
-from http.client import HTTPException, HTTPMessage
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Protocol, Union
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from typing import Callable, Iterator, Optional, Protocol, Sequence, Union
+from urllib.parse import quote, unquote, urljoin, urlsplit
+from urllib.request import getproxies, proxy_bypass_environment
 
+from . import __version__
 from .errors import (BackendTimeout, BackendUnavailable, CacheMiss, MalformedRecord,
                      MissingFrameFile, ResponseEmpty, VtagentError)
 from .jsonl import read_log
@@ -272,21 +278,49 @@ class RecordingBackend:
 
 HTTP_TIMEOUT_S = 120.0  # connect and read timeout of one POST
 
+_USER_AGENT = f"vtagent/{__version__}"
+_MAX_LINE = 1 << 16  # bytes in a status, header or chunk-size line, its end included
+_MAX_FIELDS = 100  # header fields in one reply
+_MAX_REDIRECTS = 10  # urllib's max_redirections
+# an URL goes on the request line as it is: no space, control or non-ASCII
+_URL_FAULT = re.compile(r"[^\x21-\x7e]")
+# a header field's value: a control other than tab (CR and LF would end the
+# field, NUL cut it) or a character Latin-1 cannot encode
+_FIELD_FAULT = re.compile(r"[^\t\x20-\x7e\x80-\xff]")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
+
 
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str
     model: str
     api_key: Optional[str] = None
+    # the proxies of the environment, urllib's getproxies() with its "no"
+    # entry from NO_PROXY, read once per endpoint
+    proxies: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "proxies", getproxies())
+
+    def _tls(self) -> ssl.SSLContext:
+        """The context of this endpoint's TLS connections, made on first use:
+        the default one, which checks the hostname and reads the trust store
+        that SSL_CERT_FILE and SSL_CERT_DIR point to."""
+        context = self.__dict__.get("_context")
+        if context is None:
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])
+            object.__setattr__(self, "_context", context)
+        return context
 
 
 def _frame_base64(path: str, size: int) -> bytes:
     """The base64 of a frame that _wire_stream stat'ed at `size` bytes; its
     raw bytes are freed on return, before the stream joins the base64 to text.
 
-    Any fault raises a VtagentError naming the path: an OSError raised inside
-    urlopen would become a URLError, and so a transient BackendUnavailable,
-    whose retry would declare the same wrong length again.
+    Any fault raises a VtagentError naming the path: an OSError raised while
+    the body is sent would pass for a socket fault, and so for a transient
+    BackendUnavailable, whose retry would declare the same wrong length again.
     """
     try:
         data = Path(path).read_bytes()
@@ -354,39 +388,244 @@ def _wire_stream(config: EndpointConfig,
     return length, stream()
 
 
-def _exchange(request: Request | str, timeout: float) -> tuple[int, HTTPMessage, bytes]:
-    """Status, headers and body of one urllib exchange (a GET of a str URL),
-    whatever the status; a transport failure raises BackendTimeout or
-    BackendUnavailable."""
+def _split(url: str) -> tuple[str, str, int, str, str]:
+    """(scheme, host, port, authority, origin-form target) of an http or
+    https URL, its fragment dropped; a ValueError says what else it is."""
+    if _URL_FAULT.search(url):
+        raise ValueError("holds a space, a control or a non-ASCII character")
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError("is not an http or https URL")
+    if not parts.hostname:
+        raise ValueError("has no host")
+    if "@" in parts.netloc:
+        raise ValueError("holds user info")
+    port = parts.port  # a ValueError if it is not a port
+    if port is None:
+        port = 443 if parts.scheme == "https" else 80
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return parts.scheme, parts.hostname, port, parts.netloc, target
+
+
+def _head(method: str, target: str, fields: Sequence[tuple[str, str]]) -> bytes:
+    """The request line and header section. A value that would break the
+    framing raises VtagentError: the call can never be sent."""
+    lines = [f"{method} {target} HTTP/1.1"]
+    for name, value in fields:
+        if _FIELD_FAULT.search(value):
+            raise VtagentError(f"header {name} holds a control or non-Latin-1 character")
+        lines.append(f"{name}: {value}")
+    lines += ["", ""]
+    return "\r\n".join(lines).encode("latin-1")
+
+
+def _line(reader, what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise BackendUnavailable(f"{what} line over {_MAX_LINE} bytes")
+    return line
+
+
+def _status(reader) -> tuple[int, str]:
+    """The status code and reason of a reply's status line."""
+    line = _line(reader, "status")
+    if not line:
+        raise BackendUnavailable("connection closed before a reply")
+    version, _, rest = line.rstrip(b"\r\n").partition(b" ")
+    code, _, reason = rest.partition(b" ")
+    if not (version in (b"HTTP/1.0", b"HTTP/1.1") and len(code) == 3 and code.isdigit()):
+        raise BackendUnavailable(f"bad status line {line[:80]!r}")
+    return int(code), reason.decode("latin-1")
+
+
+def _fields(reader) -> dict[str, str]:
+    """A header or trailer section's fields by lower-cased name, the values
+    of a repeated name joined with ", " (RFC 9110 §5.3)."""
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _line(reader, "header")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line.endswith(b"\n"):
+            raise BackendUnavailable("connection closed inside a header section")
+        name, colon, value = line.decode("latin-1").partition(":")
+        name = name.lower()
+        if not colon or not name or name != name.strip():  # obs-fold too
+            raise BackendUnavailable(f"bad header line {line[:80]!r}")
+        value = value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise BackendUnavailable(f"more than {_MAX_FIELDS} header fields")
+
+
+def _exactly(reader, n: int) -> bytes:
+    """n bytes, read a MiB at most at a time: a false length claims no memory
+    up front."""
+    parts = []
+    while n > 0:
+        part = reader.read(min(n, 1 << 20))
+        if not part:
+            raise BackendUnavailable(f"reply body cut short, {n} bytes missing")
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def _chunked(reader) -> bytes:
+    """A chunked body (RFC 9112 §7.1): chunk extensions and the trailer
+    section are read and dropped."""
+    parts = []
+    while True:
+        line = _line(reader, "chunk size")
+        size = line.partition(b";")[0].strip()
+        if not _HEX.fullmatch(size):
+            raise BackendUnavailable(f"bad chunk size line {line[:80]!r}")
+        n = int(size, 16)
+        if n == 0:
+            break
+        parts.append(_exactly(reader, n))
+        if _line(reader, "chunk end") not in (b"\r\n", b"\n"):
+            raise BackendUnavailable("chunk longer than its size")
+    _fields(reader)
+    return b"".join(parts)
+
+
+def _reply(reader) -> tuple[int, dict[str, str], bytes]:
+    """Status, fields and body of the reply, after any 1xx interim ones; the
+    body ends as RFC 9112 §6.3 says for a reply to a GET or POST."""
+    status = 100
+    while status < 200:
+        status, _ = _status(reader)
+        fields = _fields(reader)
+    if status in (204, 304):
+        return status, fields, b""
+    coding = fields.get("transfer-encoding")
+    if coding is not None:
+        if coding.lower() != "chunked":
+            raise BackendUnavailable(f"unsupported transfer coding {coding!r}")
+        return status, fields, _chunked(reader)
+    length = fields.get("content-length")
+    if length is None:
+        return status, fields, reader.read()  # until the server closes
+    lengths = {n.strip() for n in length.split(",")}
+    n = lengths.pop()
+    if lengths or not (n.isascii() and n.isdigit()):
+        raise BackendUnavailable(f"bad Content-Length {length!r}")
+    return status, fields, _exactly(reader, int(n))
+
+
+def _proxy(config: EndpointConfig, scheme: str,
+           authority: str) -> Optional[tuple[tuple[str, int], Optional[str]]]:
+    """(address, Proxy-Authorization value or None) of the proxy for a URL of
+    this scheme and authority, or None to connect directly. A proxy URL
+    without a scheme is an http one; its user info, if it holds a password,
+    becomes Basic credentials, as urllib sends them."""
+    proxy = config.proxies.get(scheme)
+    if not proxy or proxy_bypass_environment(authority, config.proxies):
+        return None
     try:
+        parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        port = parts.port
+    except ValueError as e:
+        raise BackendUnavailable(f"bad proxy URL {proxy!r}: {e}") from e
+    if not parts.hostname:
+        raise BackendUnavailable(f"bad proxy URL {proxy!r}: it has no host")
+    credentials = None
+    if parts.username and parts.password:
+        user_pass = f"{unquote(parts.username)}:{unquote(parts.password)}"
+        credentials = "Basic " + base64.b64encode(user_pass.encode()).decode("ascii")
+    address = (parts.hostname, port if port is not None else
+               443 if parts.scheme == "https" else 80)
+    return address, credentials
+
+
+def _tunnel(sock: socket.socket, host: str, port: int, credentials: Optional[str]) -> None:
+    """Ask the proxy at the other end of sock for a tunnel to host:port."""
+    authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    fields = [("Host", authority)]
+    if credentials is not None:
+        fields.append(("Proxy-Authorization", credentials))
+    sock.sendall(_head("CONNECT", authority, fields))
+    with sock.makefile("rb") as reader:
+        status, reason = _status(reader)
+        _fields(reader)
+    if not 200 <= status < 300:
+        raise BackendUnavailable(f"proxy refused CONNECT {authority}: {status} {reason}")
+
+
+def _exchange_once(config: EndpointConfig, parts: tuple[str, str, int, str, str],
+                   timeout: float, fields: Sequence[tuple[str, str]],
+                   body: Optional[Iterator[bytes]]) -> tuple[int, dict[str, str], bytes]:
+    """One request to the URL of these _split parts, on a connection of its
+    own, closed on every path."""
+    scheme, host, port, authority, target = parts
+    head = [("Host", authority), ("User-Agent", _USER_AGENT),
+            ("Accept-Encoding", "identity"), ("Connection", "close")]
+    route = _proxy(config, scheme, authority)
+    address, credentials = route if route is not None else ((host, port), None)
+    if route is not None and scheme == "http":  # absolute form, to the proxy itself
+        target = f"http://{authority}{target}"
+        if credentials is not None:
+            head.append(("Proxy-Authorization", credentials))
+    sock = socket.create_connection(address, timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if scheme == "https":
+            if route is not None:
+                _tunnel(sock, host, port, credentials)
+            sock = config._tls().wrap_socket(sock, server_hostname=host)
+        sock.sendall(_head("GET" if body is None else "POST", target, [*head, *fields]))
+        for chunk in body or ():
+            sock.sendall(chunk)
+        with sock.makefile("rb") as reader:
+            return _reply(reader)
+    finally:
+        sock.close()
+
+
+def _exchange(config: EndpointConfig, url: str, timeout: float,
+              fields: Sequence[tuple[str, str]] = (),
+              body: Optional[Iterator[bytes]] = None) -> tuple[int, dict[str, str], bytes]:
+    """Status, fields (by lower-cased name) and body of the reply to a POST
+    of body to url with these header fields, or to a GET of url when body is
+    None, whatever the status. A 301, 302 or 303 is followed as a GET
+    without the fields and body, up to _MAX_REDIRECTS hops; the reply after
+    the last hop is returned as it is. A connect or read timeout raises
+    BackendTimeout; any other socket, TLS or framing fault, and a redirect
+    to a URL that is not http or https, BackendUnavailable."""
+    hops = 0
+    while True:
         try:
-            with urlopen(request, timeout=timeout) as resp:
-                return resp.status, resp.headers, resp.read()
-        except HTTPError as e:  # a reply, but not a 2xx one
-            with e:  # an unclosed HTTPError keeps its socket open
-                return e.code, e.headers, e.read()
-    # a connect timeout comes wrapped in a URLError, a read timeout bare; a
-    # URL without a scheme raises ValueError
-    except (OSError, HTTPException, ValueError) as e:
-        if isinstance(e, TimeoutError) or isinstance(getattr(e, "reason", None), TimeoutError):
-            raise BackendTimeout(str(e)) from e
-        raise BackendUnavailable(str(e)) from e
+            parts = _split(url)
+        except ValueError as e:  # a redirect's URL; build_backend checks the base URL
+            raise BackendUnavailable(f"{url}: {e}") from e
+        try:
+            reply = _exchange_once(config, parts, timeout, fields, body)
+        except TimeoutError as e:
+            raise BackendTimeout(f"{url}: {e}") from e
+        except (OSError, UnicodeError) as e:  # UnicodeError: a host name IDNA cannot encode
+            raise BackendUnavailable(f"{url}: {e}") from e
+        status, headers, _ = reply
+        if status not in (301, 302, 303) or "location" not in headers or hops == _MAX_REDIRECTS:
+            return reply
+        hops += 1
+        # as urllib quotes it, so the new URL holds no space or control
+        url = quote(urljoin(url, headers["location"]), encoding="latin-1",
+                    safe=string.punctuation)
+        fields, body = (), None
 
 
 def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
     """One POST to {base_url}/chat/completions. Never retries internally."""
-    length, body = _wire_stream(config, request)
     # a fresh stream per call: a retry resends the whole body
-    req = Request(config.base_url.rstrip("/") + "/chat/completions", data=body,
-                  headers={"Content-Type": "application/json",
-                           "Content-Length": str(length)})
-    if config.api_key:
-        # an unredirected header is never forwarded to a redirect's target
-        req.add_unredirected_header("Authorization", f"Bearer {config.api_key}")
-    status, headers, raw = _exchange(req, HTTP_TIMEOUT_S)
+    length, body = _wire_stream(config, request)
+    fields = [("Content-Type", "application/json"), ("Content-Length", str(length))]
+    if config.api_key:  # a redirect drops the fields, so it never carries the key
+        fields.append(("Authorization", f"Bearer {config.api_key}"))
+    status, headers, raw = _exchange(config, config.base_url.rstrip("/") + "/chat/completions",
+                                     HTTP_TIMEOUT_S, fields, body)
     if status == 429:
         # only the delay-seconds form; for an HTTP-date the engine backs off
-        seconds = headers.get("Retry-After", "").strip()
+        seconds = headers.get("retry-after", "").strip()
         raise BackendUnavailable("rate limited (429)",
                                  retry_after=float(seconds) if seconds.isdecimal() else None)
     if not 200 <= status < 300:

@@ -22,7 +22,8 @@ from typing import Optional
 
 from . import curation, oracle, reporting
 from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
-                       ReplayBackend, ScriptedBackend, TranscriptStore, _exchange)
+                       ReplayBackend, ScriptedBackend, TranscriptStore, _exchange,
+                       _FIELD_FAULT, _split)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_manifest)
 from .engine import EngineConfig, episode_job, run_batch, run_units
@@ -104,6 +105,12 @@ def build_backend(cfg: RunConfig) -> Backend:
     if cfg.backend == "http":
         if not cfg.api_base:
             raise ConfigError("http backend requires --api-base or VTAGENT_API_BASE")
+        try:
+            _split(cfg.api_base)
+        except ValueError as e:
+            raise ConfigError(f"--api-base {cfg.api_base!r} {e}") from e
+        if cfg.api_key and _FIELD_FAULT.search(cfg.api_key):
+            raise ConfigError("--api-key holds a control or non-Latin-1 character")
         backend: Backend = HttpBackend(EndpointConfig(
             base_url=cfg.api_base, model=cfg.model, api_key=cfg.api_key or None))
     elif cfg.backend == "scripted":
@@ -134,7 +141,7 @@ def preflight(cfg: RunConfig) -> None:
     """A GET of the API base: a reply of any status, such as 404 for GET /v1,
     means reachable, and a BackendUnavailable ends the command with exit 3."""
     if cfg.backend == "http":
-        _exchange(cfg.api_base, timeout=10)
+        _exchange(EndpointConfig(base_url=cfg.api_base, model=cfg.model), cfg.api_base, 10)
 
 
 def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifest:

@@ -249,10 +249,11 @@ def _manifest_records(path: str | Path) -> Iterator[tuple[int, dict, bool]]:
     records, or its error, with one decode of a frames list for a run of
     lines that repeat its text, as the questions about one video do.
 
-    A line without a backslash whose text after `"frames":` (and any spaces
-    and tabs) starts with the text of the frames list last decoded alone
-    holds that list there: a JSON array's text ends at its own closing
-    bracket. Only the rest of such a line is decoded (jsonl._record_with).
+    A line whose text after `"frames":` (and any spaces and tabs) starts
+    with the text of the frames list last decoded alone holds that list
+    there: a JSON array's text ends at its own closing bracket. Only the
+    rest of such a line is decoded (jsonl._record_with, which sends a line
+    with a surrogate escape or a second \\u0000 escape to the whole decode).
     When a line's text there does not, and the previous record's frames
     equal the record's before it, its frames array is decoded alone and, if
     it is an array of flat objects (_flat_objects), kept for the lines after
@@ -269,8 +270,7 @@ def _manifest_records(path: str | Path) -> Iterator[tuple[int, dict, bool]]:
         if not line.strip():
             continue
         obj = None
-        if (flat and (text or same) and "\\" not in line
-                and (key := line.find(_FRAMES_KEY)) >= 0):
+        if flat and (text or same) and (key := line.find(_FRAMES_KEY)) >= 0:
             start = key + len(_FRAMES_KEY)
             while line.startswith((" ", "\t"), start):
                 start += 1
@@ -300,11 +300,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     """Load a JSONL manifest, aborting on the first invalid record.
 
     Records are read as read_records reads them, through _manifest_records:
-    lines without a backslash whose frames text repeats the text of the
-    frames list last decoded alone share that decoded list, and every other
-    line is decoded whole. write_manifest writes no backslash for non-ASCII
-    text; a writer that does (json.dumps' default) loses the sharing on the
-    lines that hold such text, not their records.
+    lines whose frames text repeats the text of the frames list last decoded
+    alone share that decoded list, and every other line is decoded whole.
+    Escaped non-ASCII text (json.dumps' default) keeps the sharing, except
+    on a line that holds a surrogate escape, as an emoji written so does.
     Every frame file must exist when the load checks it, which it does after
     reading the records (_check_files); MissingFrameFile names the first
     missing path in file order, ahead of any error in a later record.

@@ -55,14 +55,19 @@ def _record(line: str, line_no: int, path: Path) -> dict:
 
 
 def _record_with(line: str, key: str, start: int, end: int, value) -> Optional[dict]:
-    """json.loads(line) for a line without a backslash whose text from start
-    to end is the JSON text of `value`, when the line with _NUL in that place
-    decodes as an object whose top-level `key` is "\\x00"; else None (also
-    for whitespace around the object). Such a line holds no escape, so only
-    _NUL decodes to "\\x00", and a later duplicate key would replace it: the
-    value's text stands at that key. The caller vouches that the value's text
-    nests no deeper than the rest of the line, which alone is decoded."""
+    """json.loads(line) for a line whose text from start to end is the JSON
+    text of `value`, when the line with _NUL in that place decodes as an
+    object whose top-level `key` is "\\x00"; else None (also for whitespace
+    around the object). A line with a backslash is accepted only when the
+    spliced text holds no \\u0000 escape but _NUL's and the line no surrogate
+    escape. So only _NUL decodes to "\\x00", and a later duplicate key would
+    replace it: the value's text stands at that key; and a lone surrogate,
+    which _record rejects, is never decoded here. The caller vouches that the
+    value's text nests no deeper than the rest of the line, which alone is
+    decoded."""
     rest = line[:start] + _NUL + line[end:]
+    if "\\" in line and (rest.count("\\u0000") != 1 or _SURROGATE_ESCAPE.search(line)):
+        return None
     try:
         obj, stop = _raw_decode(rest)
     except (ValueError, RecursionError):

@@ -4,7 +4,11 @@ import hashlib
 import json
 import math
 import os
+import re
+import select
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -19,6 +23,7 @@ from conftest import src_env, write_manifest_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vtagent
 from vtagent import cli, jsonl
 from vtagent.backends import (EndpointConfig, GenerationRequest, HttpBackend,
                               ImagePart, Message, RecordingBackend, ReplayBackend,
@@ -468,11 +473,13 @@ def test_store_names_a_bad_record_by_its_line(tmp_path):
 class _Handler(BaseHTTPRequestHandler):
     """Records each request and replies as `behavior` says: "ok" (the
     payload), "empty_choices", "429", "404" or "500" (a "boom" body),
-    "503_once" (a 503, then "ok"), or "redirect" (302 to `location`)."""
+    "503_once" (a 503, then "ok"), or "redirect" (`redirect_status` to
+    `location`)."""
     behavior = "ok"
     retry_after = "7"
     payload = {"choices": [{"message": {"content": "pong"}}]}
     location = ""
+    redirect_status = 302
     seen = []  # POST bodies, as bytes
     auth = []  # the Authorization header of each request, None if absent
 
@@ -493,7 +500,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         if self.behavior == "redirect":
-            self.send_response(302)
+            self.send_response(self.redirect_status)
             self.send_header("Location", self.location)
             self.end_headers()
             return
@@ -544,6 +551,7 @@ def fake_server(serve):
     _Handler.seen, _Handler.auth, _RedirectTarget.auth = [], [], []
     _Handler.behavior = "ok"
     _Handler.retry_after = "7"
+    _Handler.redirect_status = 302
     return serve(_Handler)
 
 
@@ -640,6 +648,177 @@ class TestHttp:
              fake_server + "/v1"])
         cli.preflight(cli.resolve_config(args))
         assert _Handler.auth == [None]  # one GET, which carries no key
+
+    def test_redirect_to_a_file_url_fails(self, fake_server):
+        _Handler.behavior, _Handler.location = "redirect", "file:///etc/passwd"
+        with pytest.raises(BackendUnavailable, match="file:///etc/passwd: is not an http"):
+            http_complete(self.config(fake_server), simple_request())
+        assert len(_Handler.seen) == 1
+
+    def test_a_307_is_not_followed(self, fake_server, serve):
+        _Handler.behavior, _Handler.redirect_status = "redirect", 307
+        _Handler.location = serve(_RedirectTarget) + "/elsewhere"
+        with pytest.raises(BackendUnavailable, match="HTTP 307"):
+            http_complete(self.config(fake_server), simple_request())
+        assert _RedirectTarget.auth == []
+
+    def test_redirects_stop_after_ten_hops(self, fake_server):
+        _Handler.behavior, _Handler.location = "redirect", fake_server + "/again"
+        with pytest.raises(BackendUnavailable, match="HTTP 302"):
+            http_complete(self.config(fake_server), simple_request())
+        assert len(_Handler.auth) == 11  # the POST, then ten GETs
+
+
+OK_BODY = json.dumps({"choices": [{"message": {"content": "pong"}}]}).encode()
+
+
+class _RawServer:
+    """Serves one reply per connection, in order, as raw bytes: reads the
+    request's head and its Content-Length body into `requests`, writes the
+    reply and closes."""
+
+    def __init__(self, *replies: bytes):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.replies, self.requests = list(replies), []
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        for reply in self.replies:
+            conn, _ = self.listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                head = b""
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    head += line
+                if not line:  # close()'s wake-up call
+                    return
+                length = re.search(rb"(?im)^content-length: *(\d+)", head)
+                self.requests.append(head + b"\r\n" + reader.read(int(length[1]) if length else 0))
+                conn.sendall(reply)
+
+    def close(self):
+        if self.thread.is_alive():  # still waiting for a connection
+            socket.create_connection(self.listener.getsockname()).close()
+        self.thread.join(timeout=5)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def raw_server():
+    """start(*replies) serves the replies on a free loopback port (_RawServer)."""
+    servers = []
+
+    def start(*replies):
+        servers.append(_RawServer(*replies))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def reply_bytes(head: str, body: bytes = b"") -> bytes:
+    return head.replace("\n", "\r\n").encode() + b"\r\n" + body
+
+
+class TestHttpFraming:
+    """The reply framings of RFC 9112 and the faults each can show."""
+
+    def call(self, server, api_key=None):
+        return http_complete(EndpointConfig(base_url=server.url + "/v1", model="m",
+                                            api_key=api_key), simple_request())
+
+    def test_the_request_head(self, raw_server):
+        server = raw_server(reply_bytes(f"HTTP/1.1 200 OK\nContent-Length: {len(OK_BODY)}\n",
+                                        OK_BODY))
+        assert self.call(server, api_key="k") == "pong"
+        head, _, body = server.requests[0].partition(b"\r\n\r\n")
+        length = len(wire_body(EndpointConfig(base_url=server.url, model="m"), simple_request()))
+        assert head.decode().split("\r\n") == [
+            "POST /v1/chat/completions HTTP/1.1", f"Host: {server.url[7:]}",
+            f"User-Agent: vtagent/{vtagent.__version__}", "Accept-Encoding: identity",
+            "Connection: close", "Content-Type: application/json",
+            f"Content-Length: {length}", "Authorization: Bearer k"]
+        assert len(body) == length
+
+    @pytest.mark.parametrize("reply", [
+        reply_bytes("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n",
+                    b"%x;ext=1\r\n%s\r\n%X\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+                    % (10, OK_BODY[:10], len(OK_BODY) - 10, OK_BODY[10:])),
+        reply_bytes("HTTP/1.0 200 OK\nContent-Type: application/json\n", OK_BODY),
+        reply_bytes("HTTP/1.1 100 Continue\n")
+        + reply_bytes(f"HTTP/1.1 200 OK\ncontent-length: {len(OK_BODY)}\n", OK_BODY),
+        reply_bytes(f"HTTP/1.1 200 OK\nContent-Length: {len(OK_BODY)}, {len(OK_BODY)}\n",
+                    OK_BODY),
+    ], ids=["chunked", "close_delimited", "100_continue", "repeated_length"])
+    def test_reply_framings(self, raw_server, reply):
+        assert self.call(raw_server(reply)) == "pong"
+
+    @pytest.mark.parametrize("reply, fault", [
+        (reply_bytes("HTTP/1.1 200 OK\nContent-Length: 100\n", OK_BODY), "cut short"),
+        (reply_bytes("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"ff\r\n{}"),
+         "cut short"),
+        (reply_bytes("HTTP/1.1 200 OK\nX-Long: " + "a" * 70_000 + "\n"), "over 65536 bytes"),
+        (reply_bytes("HTTP/1.1 200 OK\n" + "X-Many: 1\n" * 101), "more than 100 header"),
+        (reply_bytes("HTTP/1.1 200 OK\nContent-Length: 2\nContent-Length: 3\n", b"{}"),
+         "bad Content-Length"),
+        (reply_bytes("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"0x2\r\n{}\r\n"),
+         "bad chunk size"),
+        (reply_bytes("HTTP/1.1 200 OK\nTransfer-Encoding: gzip, chunked\n"),
+         "unsupported transfer coding"),
+        (reply_bytes("HTTP/1.1 200 OK\n folded: 1\n"), "bad header line"),
+        (b"ICY 200 OK\r\n\r\n", "bad status line"),
+        (b"HTTP/1.1 200 OK\r\nContent-", "closed inside a header section"),
+        (b"", "closed before a reply"),
+    ], ids=["short_body", "short_chunk", "long_line", "many_fields", "two_lengths",
+            "bad_chunk_size", "gzip_coding", "obs_fold", "bad_status", "cut_head", "no_reply"])
+    def test_framing_faults(self, raw_server, reply, fault):
+        with pytest.raises(BackendUnavailable, match=fault) as exc:
+            self.call(raw_server(reply))
+        assert not isinstance(exc.value, BackendTimeout)
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """set(**proxies) leaves only these proxy variables in the environment."""
+    def set_proxies(**values):
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+    return set_proxies
+
+
+class TestProxies:
+    def test_http_proxy_gets_the_absolute_form_and_the_key(self, raw_server, proxy_env):
+        proxy = raw_server(reply_bytes(f"HTTP/1.1 200 OK\nContent-Length: {len(OK_BODY)}\n",
+                                       OK_BODY))
+        proxy_env(HTTP_PROXY=proxy.url.replace("//", "//us%3Aer:pw@"))
+        config = EndpointConfig(base_url="http://api.invalid:8080/v1", model="m", api_key="k")
+        assert http_complete(config, simple_request()) == "pong"
+        head = proxy.requests[0].partition(b"\r\n\r\n")[0].decode().split("\r\n")
+        assert head[0] == "POST http://api.invalid:8080/v1/chat/completions HTTP/1.1"
+        assert "Host: api.invalid:8080" in head and "Authorization: Bearer k" in head
+        assert "Proxy-Authorization: Basic " + base64.b64encode(b"us:er:pw").decode() in head
+
+    def test_no_proxy_goes_direct(self, fake_server, raw_server, proxy_env):
+        proxy = raw_server(b"")
+        proxy_env(HTTP_PROXY=proxy.url, NO_PROXY="127.0.0.1")
+        assert http_complete(EndpointConfig(base_url=fake_server, model="m"),
+                             simple_request()) == "pong"
+        assert proxy.requests == [] and len(_Handler.seen) == 1
+
+    def test_https_proxy_is_asked_for_a_tunnel(self, raw_server, proxy_env):
+        proxy = raw_server(reply_bytes("HTTP/1.1 403 Forbidden\nContent-Length: 0\n"))
+        proxy_env(HTTPS_PROXY=proxy.url)
+        config = EndpointConfig(base_url="https://api.invalid/v1", model="m", api_key="k")
+        with pytest.raises(BackendUnavailable, match="CONNECT api.invalid:443: 403 Forbidden"):
+            http_complete(config, simple_request())
+        head = proxy.requests[0].decode()
+        assert head == "CONNECT api.invalid:443 HTTP/1.1\r\nHost: api.invalid:443\r\n\r\n"
 
 
 def test_no_module_imports_requests():
@@ -809,3 +988,94 @@ def test_frame_missing_after_load_exits_2_and_resume_continues(
     assert [r["sample_id"] for r in map(json.loads, log.read_text().splitlines())] == \
         ["q000", "q001", "q002"]
     assert _Handler.seen and not any(b"question 0?" in body for body in _Handler.seen)
+
+
+@pytest.fixture(scope="module")
+def tls_cert(tmp_path_factory) -> Path:
+    """A self-signed certificate for localhost and its key, in one file."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("no openssl to make a certificate with")
+    pem = tmp_path_factory.mktemp("tls") / "localhost.pem"
+    subprocess.run([openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt",
+                    "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1", "-subj",
+                    "/CN=localhost", "-addext", "subjectAltName=DNS:localhost",
+                    "-keyout", pem, "-out", pem], check=True, capture_output=True)
+    return pem
+
+
+@pytest.fixture
+def tls_server(tls_cert, fake_server):
+    """fake_server's handler behind TLS with tls_cert, on a port of its own."""
+    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(tls_cert)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_port
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("host, trusted, fault", [
+    ("localhost", True, None),
+    ("localhost", False, "CERTIFICATE_VERIFY_FAILED"),
+    ("127.0.0.1", True, "IP address mismatch"),
+], ids=["trusted", "untrusted", "wrong_host"])
+def test_https_verifies_the_certificate_and_host(tls_server, tls_cert, monkeypatch,
+                                                  host, trusted, fault):
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert))
+    else:
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    config = EndpointConfig(base_url=f"https://{host}:{tls_server}/v1", model="m",
+                            api_key="k")
+    if fault is None:
+        assert http_complete(config, simple_request()) == "pong"
+        assert _Handler.auth == ["Bearer k"]
+    else:
+        with pytest.raises(BackendUnavailable, match=fault):
+            http_complete(config, simple_request())
+        assert _Handler.auth == []
+
+
+def _tunnel_once(listener: socket.socket, heads: list) -> None:
+    """Serve one CONNECT on listener: record its head, answer 200 and relay
+    bytes both ways until either side closes."""
+    conn, _ = listener.accept()
+    with conn:
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            head += conn.recv(1)
+        heads.append(head.decode())
+        port = int(head.split(b" ")[1].rpartition(b":")[2])
+        with socket.create_connection(("127.0.0.1", port)) as upstream:
+            conn.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            ends = {conn: upstream, upstream: conn}
+            while True:
+                for ready in select.select(list(ends), [], [], 5)[0]:
+                    data = ready.recv(65536)
+                    if not data:
+                        return
+                    ends[ready].sendall(data)
+
+
+def test_https_through_a_connect_tunnel(tls_server, tls_cert, monkeypatch, proxy_env):
+    monkeypatch.setenv("SSL_CERT_FILE", str(tls_cert))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        heads = []
+        thread = threading.Thread(target=_tunnel_once, args=(listener, heads), daemon=True)
+        thread.start()
+        proxy_env(HTTPS_PROXY=f"127.0.0.1:{listener.getsockname()[1]}")
+        config = EndpointConfig(base_url=f"https://localhost:{tls_server}/v1", model="m",
+                                api_key="k")
+        assert http_complete(config, simple_request()) == "pong"
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert heads == [f"CONNECT localhost:{tls_server} HTTP/1.1\r\n"
+                     f"Host: localhost:{tls_server}\r\n\r\n"]
+    assert _Handler.auth == ["Bearer k"]  # inside the tunnel, to the origin only

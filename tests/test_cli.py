@@ -107,6 +107,30 @@ class TestEval:
                          "--api-base", "http://127.0.0.1:1"])
         assert code == 3
 
+    @pytest.mark.parametrize("flag, value, fault", [
+        ("--api-key", "a\nb", "holds a control"),
+        ("--api-key", "a\x00b", "holds a control"),
+        ("--api-key", "ключ", "non-Latin-1"),
+        ("--api-base", "http://127.0.0.1:1/a b", "holds a space"),
+        ("--api-base", "http://127.0.0.1:1/\r\nX-Injected: 1", "holds a space"),
+        ("--api-base", "127.0.0.1:1/v1", "not an http or https URL"),
+        ("--api-base", "ftp://127.0.0.1:1/v1", "not an http or https URL"),
+        ("--api-base", "http:///v1", "has no host"),
+        ("--api-base", "http://127.0.0.1:port/v1", "Port"),
+    ], ids=["key_lf", "key_nul", "key_not_latin1", "base_space", "base_crlf",
+            "base_no_scheme", "base_ftp", "base_no_host", "base_bad_port"])
+    def test_bad_endpoint_exit_2_before_any_call(self, manifest_path, tmp_path, capsys,
+                                                 flag, value, fault):
+        # port 1 refuses: a setting let through would end in the preflight's exit 3
+        argv = {"--api-base": "http://127.0.0.1:1", flag: value}
+        code = cli.main(["eval", "--manifest", str(manifest_path[0]), "--backend", "http",
+                         *(x for item in argv.items() for x in item),
+                         "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert flag in err and fault in err
+        assert not (tmp_path / "out").exists()
+
     def test_http_without_api_base_exit_2(self, manifest_path, monkeypatch, capsys):
         path, _ = manifest_path
         monkeypatch.delenv("VTAGENT_API_BASE", raising=False)

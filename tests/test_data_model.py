@@ -229,23 +229,30 @@ def _counting_decodes(monkeypatch) -> Counter:
     return counts
 
 
-@pytest.mark.parametrize("separators", [None, (",", ":\t")])
+@pytest.mark.parametrize("separators, ascii_only", [
+    pytest.param(None, False, id="None"), pytest.param((",", ":\t"), False, id="separators1"),
+    pytest.param((", ", ": "), True, id="ensure_ascii")])
 def test_questions_about_one_video_share_one_frames_decode(sample_factory, tmp_path,
-                                                           monkeypatch, separators):
+                                                           monkeypatch, separators, ascii_only):
     videos = [sample_factory(sample_id=f"v{v}", n_frames=5) for v in range(8)]
     manifest = DatasetManifest(samples=tuple(
-        replace(video, sample_id=f"{video.sample_id}q{q}", question=f"question {q}?")
+        replace(video, sample_id=f"{video.sample_id}q{q}", question=f"qu\u00e9 {q}?")
         for video in videos for q in range(8)))
     path = write_manifest_file(manifest, tmp_path / "m.jsonl")
-    if separators:  # a tab before each value
-        path.write_text("".join(json.dumps(json.loads(line), separators=separators) + "\n"
+    if separators:  # a tab before each value, or json.dumps' escapes of non-ASCII text
+        path.write_text("".join(json.dumps(json.loads(line), separators=separators,
+                                           ensure_ascii=ascii_only) + "\n"
                                 for line in path.read_text().splitlines()))
+    assert ("\\u00e9" in path.read_text()) == ascii_only
     counts = _counting_decodes(monkeypatch)
     loaded = load_manifest(path)
     # the first two lines show the sharing, then one frames list per video
     assert counts == {"whole": 2, "alone": 8}
     assert loaded.samples == manifest.samples
     assert len({id(s.frames) for s in loaded.samples}) == 8
+    for v in range(8):  # the 8 questions about one video share one frames tuple
+        assert all(s.frames is loaded.samples[8 * v].frames
+                   for s in loaded.samples[8 * v:8 * v + 8])
 
 
 def test_records_with_their_own_frames_decode_each_line_once(sample_factory, tmp_path,
@@ -280,13 +287,14 @@ def frame_dir(tmp_path_factory) -> Path:
     """Frame files for the drawn manifests; a bracket or brace in a path is
     text a frames value may hold."""
     root = tmp_path_factory.mktemp("frames")
-    for name in ("a.png", "b.png", "c{d].png"):
+    for name in ("a.png", "b.png", "c{d].png", "\u00e9\U0001F600.png"):
         (root / name).write_bytes(b"png")
     return root
 
 
 def _frames(draw, root: Path) -> list:
-    names = draw(st.lists(st.sampled_from(["a.png", "b.png"] * 5 + ["c{d].png", "gone.png"]),
+    names = draw(st.lists(st.sampled_from(["a.png", "b.png"] * 5 + [
+        "c{d].png", "gone.png", "\u00e9\U0001F600.png"]),
                           min_size=1, max_size=4))
     frames = []
     for i, name in enumerate(names):
@@ -312,14 +320,16 @@ def manifest_lines(draw, root: Path) -> list[str]:
         video = 0 if n < warmup else draw(st.sampled_from([video] * 4 + [0, 1, 2]))
         frames = videos[video]
         question = draw(st.sampled_from(
-            ["q?"] * 4 + ['does it say "frames": [1]?', "caf\u00e9", "frames:[", "a\u2028b"]))
+            ["q?"] * 4 + ['does it say "frames": [1]?', "caf\u00e9", "frames:[", "a\u2028b",
+                          "\U0001F600", "back\\slash \\u0000"]))
         obj = {"sample_id": f"q{draw(st.sampled_from([n] * 7 + [0]))}", "video_id": "v",
                "question": question,
                "answers": draw(st.sampled_from([["a"]] * 4 + [[], "a"])), "frames": frames}
         shape = "plain" if n < warmup else draw(st.sampled_from(["plain"] * 3 + [
             "nested-first", "nested-after", "duplicate", "duplicate-placeholder",
             "placeholder", "no-frames", "number", "extends", "not-an-object",
-            "cut", "trailing", "blank"]))
+            "cut", "trailing", "blank", "escaped-key", "lone-surrogate",
+            "surrogate-in-frames"]))
         if shape == "nested-first":
             obj = {"meta": {"frames": frames}, **obj}
         elif shape == "nested-after":
@@ -331,14 +341,22 @@ def manifest_lines(draw, root: Path) -> list[str]:
         elif shape == "extends":
             obj["frames"] = frames + [{"index": len(frames), "path": str(root / "a.png")}]
         sep = draw(st.sampled_from([(", ", ": "), (",", ":"), (", ", ":\t"), (",", ":  ")]))
-        line = json.dumps(obj, separators=sep, ensure_ascii=draw(st.booleans()))
-        other = json.dumps(videos[draw(st.integers(0, 2))], separators=sep)
+        ascii_only = draw(st.booleans())
+        line = json.dumps(obj, separators=sep, ensure_ascii=ascii_only)
+        other = json.dumps(videos[draw(st.integers(0, 2))], separators=sep,
+                           ensure_ascii=ascii_only)
         if shape == "duplicate":
             line = line[:-1] + f', "frames": {other}}}'
         elif shape == "duplicate-placeholder":
             line = line[:-1] + ', "frames": "\\u0000"}'
         elif shape == "placeholder":
             line = line.replace('"frames"', '"frames": "\\u0000", "x"', 1)
+        elif shape == "escaped-key":  # its value is found first, as a frames text
+            line = line.replace('"frames"', f'"a\\"frames": {other}, "frames"', 1)
+        elif shape == "lone-surrogate":
+            line = line.replace('"video_id"', '"x": "\\ud83d", "video_id"', 1)
+        elif shape == "surrogate-in-frames":
+            line = line.replace('.png"', '\\udc00.png"', 1)
         elif shape == "not-an-object":
             line = f"[{line}]"
         elif shape == "cut":
