@@ -12,8 +12,9 @@ Three implementations share one `complete(request) -> str` surface:
                     on a socket of its own that `_exchange` writes and reads
                     (RFC 9112 framing, no http.client): proxies come from the
                     environment, TLS uses the default context, netrc is not
-                    read, and a redirect is followed as a GET that carries
-                    neither the body nor the key
+                    read, and a redirect is not followed: like any non-2xx
+                    reply it fails the call. EndpointConfig checks the base
+                    URL and the key when it is built
 * ScriptedBackend — queue of canned responses for tests and dry runs
 * ReplayBackend   — deterministic cache keyed by a canonical request digest,
                     spliced from the JSON fragment each prompt part and each
@@ -33,13 +34,12 @@ import os
 import re
 import socket
 import ssl
-import string
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Protocol, Sequence, Union
-from urllib.parse import quote, unquote, urljoin, urlsplit
+from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass_environment
 
 from . import __version__
@@ -281,7 +281,6 @@ HTTP_TIMEOUT_S = 120.0  # connect and read timeout of one POST
 _USER_AGENT = f"vtagent/{__version__}"
 _MAX_LINE = 1 << 16  # bytes in a status, header or chunk-size line, its end included
 _MAX_FIELDS = 100  # header fields in one reply
-_MAX_REDIRECTS = 10  # urllib's max_redirections
 # an URL goes on the request line as it is: no space, control or non-ASCII
 _URL_FAULT = re.compile(r"[^\x21-\x7e]")
 # a header field's value: a control other than tab (CR and LF would end the
@@ -292,6 +291,8 @@ _HEX = re.compile(rb"[0-9A-Fa-f]+")
 
 @dataclass(frozen=True)
 class EndpointConfig:
+    """A chat-completions endpoint. A base_url that `_split` rejects or an
+    api_key no header can carry raises ValueError, naming the field first."""
     base_url: str
     model: str
     api_key: Optional[str] = None
@@ -300,6 +301,12 @@ class EndpointConfig:
     proxies: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            _split(self.base_url)
+        except ValueError as e:
+            raise ValueError(f"base_url {self.base_url!r} {e}") from e
+        if self.api_key and _FIELD_FAULT.search(self.api_key):
+            raise ValueError("api_key holds a control or non-Latin-1 character")
         object.__setattr__(self, "proxies", getproxies())
 
     def _tls(self) -> ssl.SSLContext:
@@ -390,9 +397,13 @@ def _wire_stream(config: EndpointConfig,
 
 def _split(url: str) -> tuple[str, str, int, str, str]:
     """(scheme, host, port, authority, origin-form target) of an http or
-    https URL, its fragment dropped; a ValueError says what else it is."""
+    https URL without query or fragment; a ValueError says what else it is.
+    http_complete appends its path to the URL: a query or fragment would
+    come before that path, or hide it."""
     if _URL_FAULT.search(url):
         raise ValueError("holds a space, a control or a non-ASCII character")
+    if "?" in url or "#" in url:
+        raise ValueError("holds a query or a fragment")
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https"):
         raise ValueError("is not an http or https URL")
@@ -403,8 +414,7 @@ def _split(url: str) -> tuple[str, str, int, str, str]:
     port = parts.port  # a ValueError if it is not a port
     if port is None:
         port = 443 if parts.scheme == "https" else 80
-    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    return parts.scheme, parts.hostname, port, parts.netloc, target
+    return parts.scheme, parts.hostname, port, parts.netloc, parts.path or "/"
 
 
 def _head(method: str, target: str, fields: Sequence[tuple[str, str]]) -> bytes:
@@ -552,82 +562,62 @@ def _tunnel(sock: socket.socket, host: str, port: int, credentials: Optional[str
         raise BackendUnavailable(f"proxy refused CONNECT {authority}: {status} {reason}")
 
 
-def _exchange_once(config: EndpointConfig, parts: tuple[str, str, int, str, str],
-                   timeout: float, fields: Sequence[tuple[str, str]],
-                   body: Optional[Iterator[bytes]]) -> tuple[int, dict[str, str], bytes]:
-    """One request to the URL of these _split parts, on a connection of its
-    own, closed on every path."""
-    scheme, host, port, authority, target = parts
-    head = [("Host", authority), ("User-Agent", _USER_AGENT),
-            ("Accept-Encoding", "identity"), ("Connection", "close")]
-    route = _proxy(config, scheme, authority)
-    address, credentials = route if route is not None else ((host, port), None)
-    if route is not None and scheme == "http":  # absolute form, to the proxy itself
-        target = f"http://{authority}{target}"
-        if credentials is not None:
-            head.append(("Proxy-Authorization", credentials))
-    sock = socket.create_connection(address, timeout)
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if scheme == "https":
-            if route is not None:
-                _tunnel(sock, host, port, credentials)
-            sock = config._tls().wrap_socket(sock, server_hostname=host)
-        sock.sendall(_head("GET" if body is None else "POST", target, [*head, *fields]))
-        for chunk in body or ():
-            sock.sendall(chunk)
-        with sock.makefile("rb") as reader:
-            return _reply(reader)
-    finally:
-        sock.close()
-
-
 def _exchange(config: EndpointConfig, url: str, timeout: float,
               fields: Sequence[tuple[str, str]] = (),
               body: Optional[Iterator[bytes]] = None) -> tuple[int, dict[str, str], bytes]:
-    """Status, fields (by lower-cased name) and body of the reply to a POST
-    of body to url with these header fields, or to a GET of url when body is
-    None, whatever the status. A 301, 302 or 303 is followed as a GET
-    without the fields and body, up to _MAX_REDIRECTS hops; the reply after
-    the last hop is returned as it is. A connect or read timeout raises
-    BackendTimeout; any other socket, TLS or framing fault, and a redirect
-    to a URL that is not http or https, BackendUnavailable."""
-    hops = 0
-    while True:
+    """Status, fields (by lower-cased name) and body of the reply to one POST
+    of body to url with these header fields, or to one GET of url when body
+    is None, on a connection of its own, closed on every path. The reply is
+    returned whatever its status: a redirect is not followed. url is the
+    config's base URL, which EndpointConfig checked, or that URL with a path
+    appended. A connect or read timeout raises BackendTimeout; any other
+    socket, TLS or framing fault BackendUnavailable."""
+    scheme, host, port, authority, target = _split(url)
+    head = [("Host", authority), ("User-Agent", _USER_AGENT),
+            ("Accept-Encoding", "identity"), ("Connection", "close")]
+    try:
+        route = _proxy(config, scheme, authority)
+        address, credentials = route if route is not None else ((host, port), None)
+        if route is not None and scheme == "http":  # absolute form, to the proxy itself
+            target = f"http://{authority}{target}"
+            if credentials is not None:
+                head.append(("Proxy-Authorization", credentials))
+        sock = socket.create_connection(address, timeout)
         try:
-            parts = _split(url)
-        except ValueError as e:  # a redirect's URL; build_backend checks the base URL
-            raise BackendUnavailable(f"{url}: {e}") from e
-        try:
-            reply = _exchange_once(config, parts, timeout, fields, body)
-        except TimeoutError as e:
-            raise BackendTimeout(f"{url}: {e}") from e
-        except (OSError, UnicodeError) as e:  # UnicodeError: a host name IDNA cannot encode
-            raise BackendUnavailable(f"{url}: {e}") from e
-        status, headers, _ = reply
-        if status not in (301, 302, 303) or "location" not in headers or hops == _MAX_REDIRECTS:
-            return reply
-        hops += 1
-        # as urllib quotes it, so the new URL holds no space or control
-        url = quote(urljoin(url, headers["location"]), encoding="latin-1",
-                    safe=string.punctuation)
-        fields, body = (), None
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                if route is not None:
+                    _tunnel(sock, host, port, credentials)
+                sock = config._tls().wrap_socket(sock, server_hostname=host)
+            sock.sendall(_head("GET" if body is None else "POST", target, [*head, *fields]))
+            for chunk in body or ():
+                sock.sendall(chunk)
+            with sock.makefile("rb") as reader:
+                return _reply(reader)
+        finally:
+            sock.close()
+    except TimeoutError as e:
+        raise BackendTimeout(f"{url}: {e}") from e
+    except (OSError, UnicodeError) as e:  # UnicodeError: a host name IDNA cannot encode
+        raise BackendUnavailable(f"{url}: {e}") from e
 
 
 def http_complete(config: EndpointConfig, request: GenerationRequest) -> str:
-    """One POST to {base_url}/chat/completions. Never retries internally."""
+    """One POST to {base_url}/chat/completions. Never retries internally or
+    follows a redirect: any reply but a 2xx fails the call."""
     # a fresh stream per call: a retry resends the whole body
     length, body = _wire_stream(config, request)
     fields = [("Content-Type", "application/json"), ("Content-Length", str(length))]
-    if config.api_key:  # a redirect drops the fields, so it never carries the key
+    if config.api_key:
         fields.append(("Authorization", f"Bearer {config.api_key}"))
     status, headers, raw = _exchange(config, config.base_url.rstrip("/") + "/chat/completions",
                                      HTTP_TIMEOUT_S, fields, body)
     if status == 429:
-        # only the delay-seconds form; for an HTTP-date the engine backs off
+        # only the delay-seconds form, ASCII digits (RFC 9110 §10.2.3); for an
+        # HTTP-date the engine backs off
         seconds = headers.get("retry-after", "").strip()
-        raise BackendUnavailable("rate limited (429)",
-                                 retry_after=float(seconds) if seconds.isdecimal() else None)
+        raise BackendUnavailable("rate limited (429)", retry_after=float(seconds)
+                                 if seconds.isascii() and seconds.isdigit() else None)
     if not 200 <= status < 300:
         raise BackendUnavailable(f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
     try:

@@ -22,8 +22,7 @@ from typing import Optional
 
 from . import curation, oracle, reporting
 from .backends import (Backend, EndpointConfig, HttpBackend, RecordingBackend,
-                       ReplayBackend, ScriptedBackend, TranscriptStore, _exchange,
-                       _FIELD_FAULT, _split)
+                       ReplayBackend, ScriptedBackend, TranscriptStore, _exchange)
 from .data_model import (DatasetManifest, SamplingPolicy, dedupe_samples,
                          load_manifest, sample_manifest)
 from .engine import EngineConfig, episode_job, run_batch, run_units
@@ -101,18 +100,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _endpoint(cfg: RunConfig) -> EndpointConfig:
+    """The http backend's endpoint; EndpointConfig's check of the base URL
+    or the key becomes a ConfigError naming the flag."""
+    if not cfg.api_base:
+        raise ConfigError("http backend requires --api-base or VTAGENT_API_BASE")
+    try:
+        return EndpointConfig(base_url=cfg.api_base, model=cfg.model,
+                              api_key=cfg.api_key or None)
+    except ValueError as e:
+        field, _, fault = str(e).partition(" ")  # the message names the field first
+        flag = {"base_url": "--api-base", "api_key": "--api-key"}[field]
+        raise ConfigError(f"{flag} {fault}") from e
+
+
 def build_backend(cfg: RunConfig) -> Backend:
     if cfg.backend == "http":
-        if not cfg.api_base:
-            raise ConfigError("http backend requires --api-base or VTAGENT_API_BASE")
-        try:
-            _split(cfg.api_base)
-        except ValueError as e:
-            raise ConfigError(f"--api-base {cfg.api_base!r} {e}") from e
-        if cfg.api_key and _FIELD_FAULT.search(cfg.api_key):
-            raise ConfigError("--api-key holds a control or non-Latin-1 character")
-        backend: Backend = HttpBackend(EndpointConfig(
-            base_url=cfg.api_base, model=cfg.model, api_key=cfg.api_key or None))
+        backend: Backend = HttpBackend(_endpoint(cfg))
     elif cfg.backend == "scripted":
         if cfg.script is None:
             raise ConfigError("scripted backend requires --script FILE")
@@ -138,10 +142,11 @@ def build_backend(cfg: RunConfig) -> Backend:
 
 
 def preflight(cfg: RunConfig) -> None:
-    """A GET of the API base: a reply of any status, such as 404 for GET /v1,
-    means reachable, and a BackendUnavailable ends the command with exit 3."""
+    """One GET of the API base, without the key: a reply of any status, such
+    as 404 for GET /v1 or a redirect, means reachable, and a
+    BackendUnavailable ends the command with exit 3."""
     if cfg.backend == "http":
-        _exchange(EndpointConfig(base_url=cfg.api_base, model=cfg.model), cfg.api_base, 10)
+        _exchange(_endpoint(cfg), cfg.api_base, 10)
 
 
 def _load_sampled_manifest(cfg: RunConfig, manifest_path: str) -> DatasetManifest:

@@ -11,8 +11,8 @@ reply, asking again up to a given number of replies. An episode turn (anchor,
 answer or direct) allows `max_attempts` replies; the oracle's frame query is a
 one-reply turn of the same loop. Each call makes up to `max_attempts`
 transport tries, waiting out a transient error's Retry-After when the backend
-sent one and exponential backoff otherwise; a replay cache miss or an
-exhausted script fails at once.
+sent one and exponential backoff otherwise, either capped at MAX_WAIT_S; a
+replay cache miss or an exhausted script fails at once.
 
 `run_units` is the work-unit runner of every pipeline that calls the model.
 It runs one or more jobs, each a set of samples, a unit function, a log and
@@ -75,6 +75,7 @@ T = TypeVar("T")
 
 FALLBACK_POLICIES = ("uniform", "direct")
 BACKOFF_BASE_S = 0.1  # a transport retry without Retry-After sleeps this x 2 ** try
+MAX_WAIT_S = 120.0  # the longest sleep before a transport retry: one call's timeout
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,17 @@ def complete_with_retry(backend: Backend, request: GenerationRequest,
                         config: EngineConfig) -> str:
     """Up to `max_attempts` tries of one call. After a transient error it sleeps
     the error's Retry-After when the backend sent one, else exponential
-    backoff; a CacheMiss (replay miss, exhausted script) is raised at once.
-    Parse errors are not seen here."""
-    for attempt in range(config.max_attempts - 1):
+    backoff, and never longer than MAX_WAIT_S; a CacheMiss (replay miss,
+    exhausted script) is raised at once. Parse errors are not seen here."""
+    backoff = BACKOFF_BASE_S
+    for _ in range(config.max_attempts - 1):
         try:
             return backend.complete(request)
         except CacheMiss:
             raise
         except BackendUnavailable as e:
-            time.sleep(BACKOFF_BASE_S * 2 ** attempt if e.retry_after is None else e.retry_after)
+            time.sleep(min(MAX_WAIT_S, backoff if e.retry_after is None else e.retry_after))
+            backoff = min(MAX_WAIT_S, 2 * backoff)  # capped, so it never overflows
     return backend.complete(request)
 
 

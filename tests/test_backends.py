@@ -472,7 +472,8 @@ def test_store_names_a_bad_record_by_its_line(tmp_path):
 
 class _Handler(BaseHTTPRequestHandler):
     """Records each request and replies as `behavior` says: "ok" (the
-    payload), "empty_choices", "429", "404" or "500" (a "boom" body),
+    payload), "empty_choices", "429" (with `retry_after`, sent as UTF-8),
+    "429_once" (a 429, then "ok"), "404" or "500" (a "boom" body),
     "503_once" (a 503, then "ok"), or "redirect" (`redirect_status` to
     `location`)."""
     behavior = "ok"
@@ -494,9 +495,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def reply(self):
         type(self).auth.append(self.headers.get("Authorization"))
-        if self.behavior == "429":
+        if self.behavior in ("429", "429_once"):
+            if self.behavior == "429_once":
+                type(self).behavior = "ok"
             self.send_response(429)
-            self.send_header("Retry-After", self.retry_after)
+            self.send_header("Retry-After", self.retry_after.encode().decode("latin-1"))
             self.end_headers()
             return
         if self.behavior == "redirect":
@@ -579,12 +582,20 @@ class TestHttp:
             http_complete(self.config(fake_server), simple_request())
         assert exc.value.retry_after == 7.0
 
-    @pytest.mark.parametrize("header", ["Wed, 21 Oct 2015 07:28:00 GMT", "-1"])
+    @pytest.mark.parametrize("header", ["Wed, 21 Oct 2015 07:28:00 GMT", "-1", "١٢"])
     def test_429_retry_after_not_in_seconds_is_ignored(self, fake_server, header):
         _Handler.behavior, _Handler.retry_after = "429", header
         with pytest.raises(BackendUnavailable) as exc:
             http_complete(self.config(fake_server), simple_request())
         assert exc.value.retry_after is None  # the engine backs off instead
+
+    def test_a_huge_retry_after_waits_the_cap(self, fake_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        _Handler.behavior, _Handler.retry_after = "429_once", "9" * 20
+        backend = HttpBackend(self.config(fake_server))
+        assert complete_with_retry(backend, simple_request(), EngineConfig()) == "pong"
+        assert sleeps == [120.0]
 
     def test_empty_choices(self, fake_server):
         _Handler.behavior = "empty_choices"
@@ -624,13 +635,15 @@ class TestHttp:
         with pytest.raises(BackendUnavailable, match="malformed response body"):
             http_complete(self.config(fake_server), simple_request())
 
-    def test_redirect_never_carries_the_key(self, fake_server, serve):
-        _Handler.behavior = "redirect"
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_a_redirect_fails_the_call(self, fake_server, serve, status):
+        _Handler.behavior, _Handler.redirect_status = "redirect", status
         _Handler.location = serve(_RedirectTarget) + "/elsewhere"
         config = EndpointConfig(base_url=fake_server, model="m", api_key="k")
-        assert http_complete(config, simple_request()) == "pong"
+        with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
+            http_complete(config, simple_request())
         assert _Handler.auth == ["Bearer k"]
-        assert _RedirectTarget.auth == [None]
+        assert _RedirectTarget.auth == []
 
     def test_netrc_is_not_read(self, fake_server, tmp_path, monkeypatch):
         netrc = tmp_path / "netrc"
@@ -641,33 +654,31 @@ class TestHttp:
         assert http_complete(config, simple_request()) == "pong"
         assert _Handler.auth == ["Bearer k"]
 
-    def test_preflight_accepts_a_404(self, fake_server):
-        _Handler.behavior = "404"  # as real endpoints answer GET /v1
+    def test_preflight_accepts_a_404(self, fake_server, serve):
+        # as real endpoints answer GET /v1; a redirect is a reply too, and its
+        # Location is never contacted
+        _Handler.location = serve(_RedirectTarget) + "/elsewhere"
         args = cli.build_parser().parse_args(
             ["eval", "--manifest", "m.jsonl", "--backend", "http", "--api-base",
-             fake_server + "/v1"])
-        cli.preflight(cli.resolve_config(args))
-        assert _Handler.auth == [None]  # one GET, which carries no key
-
-    def test_redirect_to_a_file_url_fails(self, fake_server):
-        _Handler.behavior, _Handler.location = "redirect", "file:///etc/passwd"
-        with pytest.raises(BackendUnavailable, match="file:///etc/passwd: is not an http"):
-            http_complete(self.config(fake_server), simple_request())
-        assert len(_Handler.seen) == 1
-
-    def test_a_307_is_not_followed(self, fake_server, serve):
-        _Handler.behavior, _Handler.redirect_status = "redirect", 307
-        _Handler.location = serve(_RedirectTarget) + "/elsewhere"
-        with pytest.raises(BackendUnavailable, match="HTTP 307"):
-            http_complete(self.config(fake_server), simple_request())
+             fake_server + "/v1", "--api-key", "k"])
+        for behavior in ("404", "redirect"):
+            _Handler.behavior, _Handler.auth = behavior, []
+            cli.preflight(cli.resolve_config(args))
+            assert _Handler.auth == [None]  # one GET, which carries no key
         assert _RedirectTarget.auth == []
 
-    def test_redirects_stop_after_ten_hops(self, fake_server):
-        _Handler.behavior, _Handler.location = "redirect", fake_server + "/again"
-        with pytest.raises(BackendUnavailable, match="HTTP 302"):
-            http_complete(self.config(fake_server), simple_request())
-        assert len(_Handler.auth) == 11  # the POST, then ten GETs
-
+    @pytest.mark.parametrize("base_url, api_key, fault", [
+        ("http://h/v1?api-version=1", None, "base_url 'http://h/v1?api-version=1' holds a query"),
+        ("http://h/v1 x", None, "holds a space"),
+        ("http://h/v1", "a\nb", "api_key holds a control"),
+    ], ids=["base_query", "base_space", "key_lf"])
+    def test_endpoint_config_rejects_a_bad_url_or_key(self, monkeypatch, base_url, api_key,
+                                                      fault):
+        connect = mock.Mock(side_effect=AssertionError("a socket was opened"))
+        monkeypatch.setattr(socket, "create_connection", connect)
+        with pytest.raises(ValueError, match=re.escape(fault)):
+            EndpointConfig(base_url=base_url, model="m", api_key=api_key)
+        connect.assert_not_called()
 
 OK_BODY = json.dumps({"choices": [{"message": {"content": "pong"}}]}).encode()
 

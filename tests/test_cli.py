@@ -117,8 +117,11 @@ class TestEval:
         ("--api-base", "ftp://127.0.0.1:1/v1", "not an http or https URL"),
         ("--api-base", "http:///v1", "has no host"),
         ("--api-base", "http://127.0.0.1:port/v1", "Port"),
+        ("--api-base", "http://127.0.0.1:1/v1?api-version=2024", "holds a query or a fragment"),
+        ("--api-base", "http://127.0.0.1:1/v1#x", "holds a query or a fragment"),
     ], ids=["key_lf", "key_nul", "key_not_latin1", "base_space", "base_crlf",
-            "base_no_scheme", "base_ftp", "base_no_host", "base_bad_port"])
+            "base_no_scheme", "base_ftp", "base_no_host", "base_bad_port", "base_query",
+            "base_fragment"])
     def test_bad_endpoint_exit_2_before_any_call(self, manifest_path, tmp_path, capsys,
                                                  flag, value, fault):
         # port 1 refuses: a setting let through would end in the preflight's exit 3

@@ -247,6 +247,22 @@ class TestCompleteWithRetry:
         assert complete_with_retry(FunctionBackend(fn), request, EngineConfig()) == "ok"
         assert sleeps == [0.0, 20]  # Retry-After, then BACKOFF_BASE_S * 2 ** 1
 
+    def test_every_wait_is_capped(self, sample_factory, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        monkeypatch.setattr(engine, "BACKOFF_BASE_S", 0.1)
+        errors = [BackendUnavailable("rate limited (429)", retry_after=1e20)]
+
+        def fn(request):
+            raise errors.pop() if errors else BackendUnavailable("HTTP 503")
+
+        request = GenerationRequest(messages=build_anchor_prompt(sample_factory()))
+        with pytest.raises(BackendUnavailable, match="HTTP 503"):
+            complete_with_retry(FunctionBackend(fn), request, EngineConfig(max_attempts=40))
+        # the Retry-After, then 0.1 s doubling from the second try on
+        assert sleeps == [engine.MAX_WAIT_S] + [min(engine.MAX_WAIT_S, 0.1 * 2 ** k)
+                                                for k in range(1, 39)]
+
 
 class TestRunBatch:
     def oracle(self, manifest, oracle_backend_factory):
